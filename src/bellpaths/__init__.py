@@ -8,6 +8,7 @@ the verification report.
 """
 
 from .bell import (
+    BellTable,
     BinomialSequence,
     WeightVector,
     bell_number,
@@ -19,8 +20,6 @@ from .bell import (
 )
 from .core import (
     EnumerationBoundError,
-    Integer,
-    Rational,
     as_integer,
     binomial,
     factorial,
@@ -36,12 +35,11 @@ from .polyring import (
 )
 
 __all__ = [
+    "BellTable",
     "BinomialSequence",
     "EnumerationBoundError",
-    "Integer",
     "Monomial",
     "Polynomial",
-    "Rational",
     "SYMBOLIC",
     "Series",
     "WeightSpec",

@@ -10,53 +10,136 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
-from .core import EnumerationBoundError, binomial, factorial
+from .core import EnumerationBoundError, factorial
 from .polyring import Polynomial, Series, WeightSpec
 
 PARTITION_SUM_BOUND = 30
 
 
-def _as_poly(value) -> Polynomial:
-    if isinstance(value, Polynomial):
-        return value
-    return Polynomial.const(value)
+def as_polynomial(value) -> Polynomial:
+    """A Bell-table value (int, Fraction or Polynomial) as a Polynomial, the
+    result type of every public Bell function and closed form."""
+    return Polynomial._coerce(value)
 
 
-class WeightVector:
-    """Sequence of entries x_1, x_2, ... consumed by the Bell machinery.
+class BellTable:
+    """Partial Bell polynomials B(n, r) of one entry sequence x_1, x_2, ...
 
-    Entries are polynomials (or rationals), available up to any requested
-    index.  Every closed form in this package feeds the vector in the
-    "k! times series coefficient" convention, i.e. entry k is k! times the
-    k-th coefficient of the weight series; build those with from_weights.
+    Rows grow on demand by the triangular recurrence (Comtet, Advanced
+    Combinatorics, 1974, section 3.3)
+
+        B(n, r) = sum_i C(n-1, i-1) * x_i * B(n-i, r-1),
+
+    and every row, every potential polynomial and every entry of the rule is
+    computed once.  The table is ring-generic: entries may be ints,
+    Fractions or Polynomials, zero is tested by truthiness and the empty sum
+    is plain 0, so numeric weights stay rationals and symbolic ones stay
+    polynomials on the same code path.
     """
 
     def __init__(self, rule):
         self._rule = rule
+        self._entries: dict = {}
+        self._rows = [(1,)]
+        self._potentials: dict = {}
 
-    def __getitem__(self, index: int) -> Polynomial:
+    def entry(self, index: int):
+        """x_index, evaluated by the rule on first use."""
         if index < 1:
             raise IndexError(f"weight vector indices start at 1, got {index}")
-        return _as_poly(self._rule(index))
+        if index not in self._entries:
+            self._entries[index] = self._rule(index)
+        return self._entries[index]
+
+    def row(self, n: int) -> tuple:
+        """(B(n, 0), B(n, 1), ..., B(n, n))."""
+        if n < 0:
+            raise ValueError(f"Bell table rows start at 0, got {n}")
+        rows = self._rows
+        for nn in range(len(rows), n + 1):
+            xs = [None] + [self.entry(i) for i in range(1, nn + 1)]
+            binomials = [None] + [comb(nn - 1, i - 1) for i in range(1, nn + 1)]
+            row = [0] * (nn + 1)
+            for rr in range(1, nn + 1):
+                acc = 0
+                for i in range(1, nn - rr + 2):
+                    prev = rows[nn - i][rr - 1]
+                    if prev and xs[i]:
+                        acc = acc + xs[i] * prev * binomials[i]
+                row[rr] = acc
+            rows.append(tuple(row))
+        return rows[n]
+
+    def bell(self, n: int, r: int):
+        """B(n, r), with B(n, r) = 0 outside 0 <= r <= n."""
+        if n < 0 or r < 0 or r > n:
+            return 0
+        return self.row(n)[r]
+
+    def potential(self, n: int, power: int):
+        """n! [x^n] A(x)^power for A(x) = 1 + sum_k (x_k / k!) x^k, as
+
+            sum_{k=1..n} power (power-1) ... (power-k+1) * B(n, k),
+
+        exact for every integer power, negative included.
+        """
+        if n == 0:
+            return 1
+        key = (n, power)
+        if key not in self._potentials:
+            row = self.row(n)
+            total = 0
+            falling = 1
+            for k in range(1, n + 1):
+                falling *= power - k + 1
+                if not falling:
+                    break
+                if row[k]:
+                    total = total + row[k] * falling
+            self._potentials[key] = total
+        return self._potentials[key]
+
+
+class WeightVector:
+    """Sequence of entries x_1, x_2, ... consumed by the Bell machinery,
+    together with the one BellTable built from it.
+
+    Entries are ints, Fractions or Polynomials, available up to any
+    requested index.  Every closed form in this package feeds the vector in
+    the "k! times series coefficient" convention, i.e. entry k is k! times
+    the k-th coefficient of the weight series; build those with from_weights.
+    """
+
+    def __init__(self, rule):
+        self.table = BellTable(rule)
+
+    def __getitem__(self, index: int):
+        return self.table.entry(index)
 
     @classmethod
     def from_weights(cls, weights: WeightSpec, family: str) -> "WeightVector":
-        """Entry k = k! * (weight k of the chosen family)."""
-        if family == "t":
-            return cls(lambda k: weights.t_poly(k) * factorial(k))
-        if family == "s":
-            return cls(lambda k: weights.s_poly(k) * factorial(k))
-        raise ValueError(f"unknown weight family {family!r}")
+        """Entry k = k! * (weight k of the chosen family).
+
+        Built once per spec and family, so every closed form evaluated over
+        the same spec shares one Bell table.
+        """
+        if family not in ("t", "s"):
+            raise ValueError(f"unknown weight family {family!r}")
+        if family not in weights.vectors:
+            weights.vectors[family] = cls(
+                lambda k: weights.entry(family, k) * factorial(k)
+            )
+        return weights.vectors[family]
 
     @classmethod
     def constant(cls, value) -> "WeightVector":
-        poly = _as_poly(value)
-        return cls(lambda k: poly)
+        return cls(lambda k: value)
 
     @classmethod
     def from_entries(cls, entries) -> "WeightVector":
-        entries = [_as_poly(e) for e in entries]
+        entries = list(entries)
 
         def rule(k):
             if k > len(entries):
@@ -68,42 +151,15 @@ class WeightVector:
         return cls(rule)
 
 
-def _bell_triangle(n: int, entries: WeightVector):
-    """Table of B(nn, rr) for 0 <= rr <= nn <= n via the triangular recurrence
-
-        B(nn, rr) = sum_i C(nn-1, i-1) * x_i * B(nn-i, rr-1).
-    """
-    zero = Polynomial.zero()
-    xs = [None] + [entries[i] for i in range(1, n + 1)]
-    table = [[zero] * (n + 1) for _ in range(n + 1)]
-    table[0][0] = Polynomial.const(1)
-    for nn in range(1, n + 1):
-        for rr in range(1, nn + 1):
-            acc = zero
-            for i in range(1, nn - rr + 2):
-                prev = table[nn - i][rr - 1]
-                if prev.is_zero() or xs[i].is_zero():
-                    continue
-                acc = acc + xs[i] * prev * binomial(nn - 1, i - 1)
-            table[nn][rr] = acc
-    return table
-
-
 def partial_bell(n: int, r: int, entries: WeightVector) -> Polynomial:
     """Partial Bell polynomial B(n, r) of the given entries.
 
     Conventions: B(0, 0) = 1, B(n, 0) = 0 for n > 0, and B(n, r) = 0 for
-    r > n or r < 0.  Computed by the triangular recurrence, which is
-    polynomial-time; the partition-sum evaluator below is the independent
-    cross-check.
+    r > n or r < 0.  Read from the vector's Bell table, which is built by
+    the triangular recurrence in polynomial time; the partition-sum
+    evaluator below is the independent cross-check.
     """
-    if n < 0 or r < 0 or r > n:
-        return Polynomial.zero()
-    if n == 0:
-        return Polynomial.const(1)
-    if r == 0:
-        return Polynomial.zero()
-    return _bell_triangle(n, entries)[n][r]
+    return as_polynomial(entries.table.bell(n, r))
 
 
 def _partitions_with_parts(n: int, r: int):
@@ -173,15 +229,7 @@ def potential(n: int, power: int, entries: WeightVector) -> Polynomial:
         raise ValueError(f"potential polynomial power must be an integer, got {power!r}")
     if n < 0:
         raise ValueError(f"potential polynomial order must be >= 0, got {n}")
-    if n == 0:
-        return Polynomial.const(1)
-    table = _bell_triangle(n, entries)
-    total = Polynomial.zero()
-    for k in range(1, n + 1):
-        c = binomial(power, k) * factorial(k)
-        if c:
-            total = total + table[n][k] * c
-    return total
+    return as_polynomial(entries.table.potential(n, power))
 
 
 def power_derivative(f: Series, m: int, i: int) -> Polynomial:
@@ -198,20 +246,15 @@ def power_derivative(f: Series, m: int, i: int) -> Polynomial:
     return f.pow(i).coeff(m) * factorial(m)
 
 
-_stirling_cache: dict[tuple[int, int], int] = {}
+# all-ones entries: B(n, k) is the Stirling number S(n, k), kept as ints
+_ONES = WeightVector.constant(1)
 
 
 def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind, as B(n, k) at all entries 1."""
     if n < 0 or k < 0:
         raise ValueError("stirling2 needs nonnegative arguments")
-    key = (n, k)
-    if key not in _stirling_cache:
-        value = partial_bell(n, k, WeightVector.constant(1)).constant_value()
-        if value.denominator != 1:
-            raise AssertionError(f"non-integral Stirling value at {key}: {value}")
-        _stirling_cache[key] = value.numerator
-    return _stirling_cache[key]
+    return _ONES.table.bell(n, k)
 
 
 def bell_number(n: int) -> int:
@@ -306,7 +349,3 @@ class BinomialSequence:
         if self.kind == "abel":
             return f"abel(q={self.q})"
         return self.kind
-
-
-def binseq_value(seq: BinomialSequence, n: int, x) -> Fraction:
-    return seq.value(n, x)

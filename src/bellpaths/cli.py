@@ -81,7 +81,7 @@ def _print_value(poly: Polynomial, fmt: str, extra: dict | None = None) -> None:
 
 def _bell_vector(weights: WeightSpec) -> WeightVector:
     # plain entries: x_i is the t-weight itself, symbolic entries stay t_i
-    return WeightVector(lambda k: weights.t_poly(k))
+    return WeightVector(lambda k: weights.entry("t", k))
 
 
 def cmd_bell(args) -> int:

@@ -101,12 +101,10 @@ def weighted_sum_closed(m: int, k: int, j: int, weights: WeightSpec) -> Polynomi
         raise ValueError("arguments must be >= 0")
     if j < k:
         return Polynomial.zero()
-    tvec = WeightVector.from_weights(weights, "t")
-    svec = WeightVector.from_weights(weights, "s")
-    bt = partial_bell(m, j - k, tvec)
+    bt = partial_bell(m, j - k, WeightVector.from_weights(weights, "t"))
     if bt.is_zero():
         return Polynomial.zero()
-    pot = potential(k, j - k + 1, svec)
+    pot = potential(k, j - k + 1, WeightVector.from_weights(weights, "s"))
     scale = Fraction(factorial(j - k), factorial(k) * factorial(m))
     return pot * bt * scale
 
@@ -124,10 +122,8 @@ def weighted_sum_by_hsegments(
         raise ValueError("arguments must be >= 0")
     if j < k:
         return Polynomial.zero()
-    tvec = WeightVector.from_weights(weights, "t")
-    svec = WeightVector.from_weights(weights, "s")
-    bt = partial_bell(m, j - k, tvec)
-    bs = partial_bell(k, l, svec)
+    bt = partial_bell(m, j - k, WeightVector.from_weights(weights, "t"))
+    bs = partial_bell(k, l, WeightVector.from_weights(weights, "s"))
     if bt.is_zero() or bs.is_zero():
         return Polynomial.zero()
     scale = Fraction(

@@ -11,9 +11,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-Integer = int
-Rational = Fraction
-
 factorial = math.factorial
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .bell import WeightVector, partial_bell
+from .bell import WeightVector, as_polynomial, partial_bell
 from .core import EnumerationBoundError, binomial, factorial, multinomial
 from .polyring import Polynomial, WeightSpec
 
@@ -45,10 +45,6 @@ class BipartiteMatrixComposition:
     @property
     def total(self) -> int:
         return sum(sum(row) for row in self.rows)
-
-    @property
-    def row_count(self) -> int:
-        return len(self.rows)
 
     def nonzero_entries(self):
         return [entry for row in self.rows for entry in row if entry]
@@ -144,17 +140,13 @@ def weighted_sum_closed(m: int, p: int, j: int, weights: WeightSpec) -> Polynomi
     """
     if m < 0 or p < 0 or j < 0:
         raise ValueError("arguments must be >= 0")
-    tvec = WeightVector.from_weights(weights, "t")
-    total = Polynomial.zero()
+    bells = WeightVector.from_weights(weights, "t").table.row(m)
+    total = 0
     for r in range(m + 1):
         u = bounded_composition_count(p, j, r)
-        if not u:
-            continue
-        bt = partial_bell(m, r, tvec)
-        if bt.is_zero():
-            continue
-        total = total + bt * Fraction(factorial(r) * u, factorial(m))
-    return total
+        if u and bells[r]:
+            total = total + bells[r] * (factorial(r) * u)
+    return as_polynomial(total * Fraction(1, factorial(m)))
 
 
 def weighted_sum_by_nonzeros(
@@ -164,8 +156,7 @@ def weighted_sum_by_nonzeros(
 
         r! B(m, r; t) U(p, j, r) / m!.
     """
-    tvec = WeightVector.from_weights(weights, "t")
-    bt = partial_bell(m, r, tvec)
+    bt = partial_bell(m, r, WeightVector.from_weights(weights, "t"))
     if bt.is_zero():
         return Polynomial.zero()
     return bt * Fraction(

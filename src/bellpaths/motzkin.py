@@ -17,9 +17,9 @@ from typing import Iterator
 from .bell import (
     BinomialSequence,
     WeightVector,
+    as_polynomial,
     bell_number,
     partial_bell,
-    potential,
     power_derivative,
     stirling2,
 )
@@ -48,14 +48,6 @@ class MotzkinPath:
                 raise ValueError(f"path {self.steps!r} dips below the axis")
         if height != 0:
             raise ValueError(f"path {self.steps!r} does not return to the axis")
-
-    @property
-    def up_steps(self) -> int:
-        return self.steps.count("u")
-
-    @property
-    def horizontal_steps(self) -> int:
-        return self.steps.count("h")
 
     def __len__(self):
         return len(self.steps)
@@ -166,26 +158,26 @@ def weighted_sum_closed(m: int, k: int, weights: WeightSpec) -> Polynomial:
         sum_{j=0..k} sum_{l=j..k} (-1)^{l-j} C(l-1, l-j) C(m+j, j)
             * potential(m, m+j+1; t) / (m+1)!  *  l! B(k, l; s) / k!
 
-    with both vectors in the (1! w_1, 2! w_2, ...) convention.
+    with both vectors in the (1! w_1, 2! w_2, ...) convention.  Summed by l
+    on the outside, so each B(k, l; s) enters one product.
     """
-    tvec = WeightVector.from_weights(weights, "t")
-    svec = WeightVector.from_weights(weights, "s")
-    bells = [partial_bell(k, l, svec) for l in range(k + 1)]
-    total = Polynomial.zero()
-    for j in range(k + 1):
-        pot = potential(m, m + j + 1, tvec)
-        if pot.is_zero():
+    if m < 0 or k < 0:
+        raise ValueError("arguments must be >= 0")
+    tbell = WeightVector.from_weights(weights, "t").table
+    bells = WeightVector.from_weights(weights, "s").table.row(k)
+    total = 0
+    for l in range(k + 1):
+        if not bells[l]:
             continue
-        for l in range(j, k + 1):
-            if bells[l].is_zero():
-                continue
-            c = binomial(l - 1, l - j) * binomial(m + j, j) * factorial(l)
-            if not c:
-                continue
-            sign = 1 if (l - j) % 2 == 0 else -1
-            scale = Fraction(sign * c, factorial(m + 1) * factorial(k))
-            total = total + pot * bells[l] * scale
-    return total
+        inner = 0
+        for j in range(l + 1):
+            c = binomial(l - 1, l - j) * binomial(m + j, j)
+            pot = tbell.potential(m, m + j + 1)
+            if c and pot:
+                inner = inner + pot * (c if (l - j) % 2 == 0 else -c)
+        if inner:
+            total = total + inner * bells[l] * factorial(l)
+    return as_polynomial(total * Fraction(1, factorial(m + 1) * factorial(k)))
 
 
 def segment_split_coefficient(m: int, k: int, r: int, l: int) -> int:
@@ -209,10 +201,10 @@ def weighted_sum_by_segments(
 ) -> Polynomial:
     """Weighted sum restricted to paths with exactly r u-segments and l
     h-segments:  r! l! V / (k! (m+1)!) * B(m, r; t) B(k, l; s)."""
-    tvec = WeightVector.from_weights(weights, "t")
-    svec = WeightVector.from_weights(weights, "s")
-    bt = partial_bell(m, r, tvec)
-    bs = partial_bell(k, l, svec)
+    if m < 0 or k < 0 or r < 0 or l < 0:
+        raise ValueError("arguments must be >= 0")
+    bt = partial_bell(m, r, WeightVector.from_weights(weights, "t"))
+    bs = partial_bell(k, l, WeightVector.from_weights(weights, "s"))
     if bt.is_zero() or bs.is_zero():
         return Polynomial.zero()
     v = segment_split_coefficient(m, k, r, l)
@@ -263,6 +255,18 @@ def _tree_weight(branching: int, i: int) -> Fraction:
     return Fraction(binomial(branching * i + 1, i), branching * i + 1)
 
 
+_KIND_PARAMS = {
+    "symbolic": (),
+    "all-ones": (),
+    "stirling": (),
+    "b-ary": ("b", "d"),
+    "r-ary": ("r",),
+    "abel": ("q",),
+    "bell-numbers": (),
+    "factorial-psi": (),
+}
+
+
 def named_weights(kind: str, **params) -> WeightSpec:
     """Weight specs by name.
 
@@ -277,6 +281,11 @@ def named_weights(kind: str, **params) -> WeightSpec:
       factorial-psi   t_i = s_i = 1 via the rising-factorial family
     """
     kind = kind.replace("_", "-")
+    if kind not in _KIND_PARAMS:
+        raise ValueError(f"unknown weight kind {kind!r}")
+    unknown = sorted(set(params) - set(_KIND_PARAMS[kind]))
+    if unknown:
+        raise ValueError(f"weight kind {kind!r} takes no parameter {', '.join(unknown)}")
     one = Fraction(1)
     if kind == "symbolic":
         return WeightSpec.symbolic()
@@ -286,8 +295,8 @@ def named_weights(kind: str, **params) -> WeightSpec:
         rule = lambda i: Fraction(1, factorial(i))
         return WeightSpec(rule, rule, name="stirling")
     if kind == "b-ary":
-        b = int(params.get("b", 1))
-        d = int(params.get("d", 1))
+        b = as_integer(params.get("b", 1))
+        d = as_integer(params.get("d", 1))
         if b < 0 or d < 0:
             raise ValueError("b-ary weights need b, d >= 0")
         return WeightSpec(
@@ -296,7 +305,7 @@ def named_weights(kind: str, **params) -> WeightSpec:
             name=f"b-ary(b={b},d={d})",
         )
     if kind == "r-ary":
-        r = int(params.get("r", 1))
+        r = as_integer(params.get("r", 1))
         if r < 0:
             raise ValueError("r-ary weights need r >= 0")
         return WeightSpec(
@@ -317,9 +326,8 @@ def named_weights(kind: str, **params) -> WeightSpec:
             lambda i: one,
             name="bell-numbers",
         )
-    if kind == "factorial-psi":
-        return binomial_sequence_weights(BinomialSequence.factorial())
-    raise ValueError(f"unknown weight kind {kind!r}")
+    # the last kind left: factorial-psi
+    return binomial_sequence_weights(BinomialSequence.factorial())
 
 
 def binomial_sequence_weights(

@@ -10,7 +10,7 @@ beyond the truncation box is an error, never a fabricated zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -321,6 +321,10 @@ class WeightSpec:
     t_rule: Callable[[int], object]
     s_rule: Callable[[int], object]
     name: str = "custom"
+    # weight vectors derived from this spec, keyed by family; filled by
+    # bell.WeightVector.from_weights so every closed form over the spec
+    # shares one Bell table per family
+    vectors: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def _eval(self, rule, index: int):
         if index < 1:
@@ -336,17 +340,21 @@ class WeightSpec:
     def s(self, index: int):
         return self._eval(self.s_rule, index)
 
-    def t_poly(self, index: int) -> Polynomial:
-        value = self.t(index)
+    def entry(self, family: str, index: int):
+        """Weight `family`_index as an exact rational, or as its variable
+        when the rule keeps it SYMBOLIC."""
+        if family not in _FAMILIES:
+            raise ValueError(f"unknown weight family {family!r}")
+        value = self.t(index) if family == "t" else self.s(index)
         if value is SYMBOLIC:
-            return Polynomial.variable("t", index)
-        return Polynomial.const(value)
+            return Polynomial.variable(family, index)
+        return value
+
+    def t_poly(self, index: int) -> Polynomial:
+        return Polynomial._coerce(self.entry("t", index))
 
     def s_poly(self, index: int) -> Polynomial:
-        value = self.s(index)
-        if value is SYMBOLIC:
-            return Polynomial.variable("s", index)
-        return Polynomial.const(value)
+        return Polynomial._coerce(self.entry("s", index))
 
     @staticmethod
     def symbolic() -> "WeightSpec":
@@ -356,10 +364,6 @@ class WeightSpec:
     def all_ones() -> "WeightSpec":
         one = Fraction(1)
         return WeightSpec(lambda i: one, lambda i: one, name="all-ones")
-
-    @staticmethod
-    def from_rules(t_rule, s_rule, name="custom") -> "WeightSpec":
-        return WeightSpec(t_rule, s_rule, name=name)
 
     @staticmethod
     def from_tables(t_table, s_table, default=Fraction(0), name="table") -> "WeightSpec":

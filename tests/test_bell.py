@@ -4,9 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bellpaths import cli, compositions, matrixcomp, motzkin
 from bellpaths.bell import (
+    BellTable,
     BinomialSequence,
     WeightVector,
+    as_polynomial,
     bell_number,
     partial_bell,
     partial_bell_by_partitions,
@@ -15,12 +18,31 @@ from bellpaths.bell import (
     stirling2,
 )
 from bellpaths.core import EnumerationBoundError, binomial, factorial
-from bellpaths.polyring import Polynomial, Series
+from bellpaths.polyring import Polynomial, Series, WeightSpec, specialize
 
 from conftest import random_unit_series
 
 SYM = WeightVector(lambda k: Polynomial.variable("t", k))
 ONES = WeightVector.constant(1)
+
+# the numeric weight specs the command line accepts by name
+NUMERIC_KINDS = (
+    "all-ones",
+    "stirling",
+    "b-ary:b=2,d=1",
+    "r-ary:r=1",
+    "abel:q=-2",
+    "bell-numbers",
+    "factorial-psi",
+)
+
+
+def numeric_vectors():
+    """(label, vector) for both weight families of every numeric kind."""
+    for kind in NUMERIC_KINDS:
+        weights = cli.parse_weights(kind)
+        for family in ("t", "s"):
+            yield f"{kind}/{family}", WeightVector.from_weights(weights, family)
 
 
 def test_partial_bell_all_ones():
@@ -114,18 +136,15 @@ def test_potential_shifted_bell_arguments():
 
 def test_potential_matches_series_power():
     top = 6
-    a_series = Series(
-        (top, 0, 0),
-        {(0, 0, 0): Polynomial.const(1)}
-        | {
-            (k, 0, 0): Polynomial.variable("t", k) * Fraction(1, factorial(k))
-            for k in range(1, top + 1)
-        },
-    )
-    for power in range(-4, 5):
-        powered = a_series.pow(power)
-        for n in range(top + 1):
-            assert potential(n, power, SYM) == powered.coeff(n) * factorial(n)
+    for label, vec in [("symbolic", SYM), *numeric_vectors()]:
+        a_series = Series.from_x_coeffs(
+            [1] + [vec[k] * Fraction(1, factorial(k)) for k in range(1, top + 1)]
+        )
+        for power in range(-4, 5):
+            powered = a_series.pow(power)
+            for n in range(top + 1):
+                expected = powered.coeff(n) * factorial(n)
+                assert potential(n, power, vec) == expected, (label, power, n)
 
 
 def test_power_derivative_examples():
@@ -216,6 +235,8 @@ def test_stirling_values():
     assert stirling2(3, 0) == 0
     for n in range(9):
         assert stirling2(n, n) == 1
+    # read from the shared all-ones Bell table, which stays integral
+    assert all(type(stirling2(12, k)) is int for k in range(13))
     # classic recurrence as the independent check
     for n in range(1, 11):
         for k in range(1, n + 1):
@@ -231,3 +252,93 @@ def test_weight_vector_from_entries_bound():
     assert vec[2] == Polynomial.const(2)
     with pytest.raises(IndexError):
         vec[3]
+
+
+def test_bell_table_matches_partition_sum_in_every_ring():
+    for label, vec in [("symbolic", SYM), *numeric_vectors()]:
+        for n in range(11):
+            for r in range(n + 1):
+                value = vec.table.bell(n, r)
+                if label != "symbolic":
+                    # numeric weights stay rationals inside the table
+                    assert not isinstance(value, Polynomial), (label, n, r)
+                assert as_polynomial(value) == partial_bell_by_partitions(n, r, vec), (
+                    label,
+                    n,
+                    r,
+                )
+
+
+def test_bell_table_grows_to_the_same_rows():
+    for label, vec in [("symbolic", SYM), *numeric_vectors()]:
+        grown = BellTable(lambda k: vec[k])
+        grown.row(4)
+        grown.row(8)
+        fresh = BellTable(lambda k: vec[k])
+        assert [grown.row(n) for n in range(9)] == [fresh.row(n) for n in range(9)], label
+
+
+def test_bell_table_reads_each_entry_once():
+    calls = {}
+
+    def rule(k):
+        calls[k] = calls.get(k, 0) + 1
+        return Polynomial.variable("t", k)
+
+    vec = WeightVector(rule)
+    for n in range(9):
+        for r in range(n + 1):
+            partial_bell(n, r, vec)
+        for power in range(-3, 4):
+            potential(n, power, vec)
+    partial_bell_by_partitions(8, 2, vec)
+    assert calls == {k: 1 for k in range(1, 9)}
+
+
+def test_weight_spec_builds_each_table_once():
+    calls = {"t": {}, "s": {}}
+
+    def counting(family):
+        def rule(i):
+            calls[family][i] = calls[family].get(i, 0) + 1
+            return Fraction(1, i)
+
+        return rule
+
+    weights = WeightSpec(counting("t"), counting("s"), name="counting")
+    for n in range(9):
+        for m in range(n // 2 + 1):
+            motzkin.weighted_sum_closed(m, n - 2 * m, weights)
+    compositions.weighted_sum_closed(4, 2, 5, weights)
+    matrixcomp.weighted_sum_closed(5, 2, 3, weights)
+    assert calls["t"] == {i: 1 for i in range(1, 6)}
+    assert calls["s"] == {i: 1 for i in range(1, 9)}
+
+
+def test_numeric_closed_forms_specialize_the_symbolic_ones():
+    sym = WeightSpec.symbolic()
+    pairs = [(m, k) for m in range(6) for k in range(11 - 2 * m)]
+    motzkin_sym = {(m, k): motzkin.weighted_sum_closed(m, k, sym) for m, k in pairs}
+    comp_sym = {
+        (m, k, j): compositions.weighted_sum_closed(m, k, j, sym)
+        for m in range(7)
+        for j in range(6)
+        for k in range(j + 1)
+    }
+    mat_sym = {
+        (m, p, j): matrixcomp.weighted_sum_closed(m, p, j, sym)
+        for m in range(8)
+        for p in range(1, 4)
+        for j in range(1, 4)
+    }
+    for kind in NUMERIC_KINDS:
+        weights = cli.parse_weights(kind)
+        for (m, k), poly in motzkin_sym.items():
+            value = motzkin.weighted_sum_closed(m, k, weights)
+            assert value == specialize(poly, weights), (kind, m, k)
+        for (m, k, j), poly in comp_sym.items():
+            value = compositions.weighted_sum_closed(m, k, j, weights)
+            assert value == specialize(poly, weights), (kind, m, k, j)
+        for (m, p, j), poly in mat_sym.items():
+            value = matrixcomp.weighted_sum_closed(m, p, j, weights)
+            assert value == specialize(poly, weights), (kind, m, p, j)

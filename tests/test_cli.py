@@ -60,6 +60,36 @@ def test_motzkin_commands(capsys):
     assert record == {"m": 1, "k": 1, "value": "3"}
 
 
+def test_bad_weight_parameters_exit_1(capsys):
+    for spec in (
+        "b-ary:b=3/2",
+        "b-ary:b=2,d=1/2",
+        "r-ary:r=1/3",
+        "stirling:q=4",
+        "abel:q=1,z=7",
+        "all-ones:b=2",
+    ):
+        assert cli.main(["motzkin", "weighted", "--m", "2", "--k", "1",
+                         "--weights", spec]) == 1, spec
+        captured = capsys.readouterr()
+        assert captured.out == "", spec
+        assert captured.err.startswith("error: "), spec
+
+
+def test_motzkin_weighted_rejects_negative_arguments(capsys):
+    for args in (
+        ("--m", "1", "--k", "-2"),
+        ("--m", "-1", "--k", "2"),
+        ("--m", "2", "--k", "-1", "--by-segments", "1,1"),
+        ("--m", "2", "--k", "1", "--by-segments", "1,-1"),
+        ("--m", "2", "--k", "1", "--by-segments=-1,1"),
+    ):
+        assert cli.main(["motzkin", "weighted", *args]) == 1, args
+        captured = capsys.readouterr()
+        assert captured.out == "", args
+        assert captured.err == "error: arguments must be >= 0\n", args
+
+
 def test_motzkin_table_rows_sum_to_motzkin_numbers(capsys):
     assert cli.main(
         ["motzkin", "table", "--max-n", "6", "--weights", "all-ones",
