@@ -117,6 +117,8 @@ def cmd_motzkin(args) -> int:
         _print_value(poly, args.format, {"m": args.m, "k": args.k})
         return EXIT_OK
     # triangle over (m, k) for each length n: one row per n, entries by m
+    if args.max_n < 0:
+        raise ValueError("arguments must be >= 0")
     weights = parse_weights(args.weights)
     rows = []
     for n in range(args.max_n + 1):
@@ -251,7 +253,8 @@ def _build_parser() -> _Parser:
         "--bound",
         type=int,
         default=motzkin.DEFAULT_PATH_BOUND,
-        help="enumeration bound on 2m+k for count mode",
+        help="enumeration bound on 2m+k for count mode, at most "
+        f"{motzkin.MAX_PATH_BOUND}",
     )
     motz.add_argument("--format", choices=["text", "json", "csv"], default="text")
     motz.set_defaults(handler=cmd_motzkin)

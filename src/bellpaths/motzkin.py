@@ -27,6 +27,8 @@ from .core import EnumerationBoundError, as_integer, binomial, factorial, multin
 from .polyring import Polynomial, Series, WeightSpec
 
 DEFAULT_PATH_BOUND = 16
+# enumeration recurses once per step; no `bound` argument lifts this ceiling
+MAX_PATH_BOUND = 64
 
 
 @dataclass(frozen=True)
@@ -97,10 +99,12 @@ def enumerate_paths(
     """All paths with m up-steps and k horizontal steps, each exactly once.
 
     Depth-first over steps in the order u < d < h, so the stream is
-    lexicographic under that alphabet ordering and deterministic.
+    lexicographic under that alphabet ordering and deterministic.  Paths
+    longer than `bound` or MAX_PATH_BOUND raise EnumerationBoundError.
     """
     if m < 0 or k < 0:
         raise ValueError("step counts must be >= 0")
+    bound = min(bound, MAX_PATH_BOUND)
     if 2 * m + k > bound:
         raise EnumerationBoundError(
             f"path length {2 * m + k} exceeds enumeration bound {bound}"

@@ -1,10 +1,13 @@
 """Machine verification of every counting identity in the package.
 
-Each identity gets one record: the closed form (or coefficient formula) is
-recomputed over a size range and compared against an independent oracle,
-usually brute-force enumeration or truncated series algebra.  A failing
-identity reports its first counterexample.  Suites are deterministic, so a
-parallel run produces the same report as a sequential one.
+Each identity is one registry entry: its suite, its name, a range template,
+an optional cap on the size it is checked at, and a `check` generator.  The
+check recomputes the closed form (or coefficient formula) over the size
+range, compares it against an independent oracle, usually brute-force
+enumeration or truncated series algebra, and yields a counterexample string
+for every failing case, in case order.  `run` reports the first one.  Suites
+are deterministic, so a parallel run produces the same report as a
+sequential one.
 """
 
 from __future__ import annotations
@@ -13,12 +16,12 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Iterator
 
 from . import compositions, lagrange, matrixcomp, motzkin
 from .bell import (
     BinomialSequence,
     WeightVector,
-    bell_number,
     partial_bell,
     partial_bell_by_partitions,
     potential,
@@ -31,6 +34,14 @@ from .polyring import Polynomial, Series, WeightSpec, specialize
 SUITES = ("core-identities", "bell", "motzkin", "compositions", "matrixcomp")
 
 _SERIES_SEED = 20260810
+
+# the binomial-sequence families every family-indexed identity runs over
+FAMILIES = (
+    BinomialSequence.power(),
+    BinomialSequence.factorial(),
+    BinomialSequence.abel(Fraction(-2)),
+    BinomialSequence.exponential(),
+)
 
 
 @dataclass(frozen=True)
@@ -46,9 +57,80 @@ class IdentityResult:
         return self.status == "PASS"
 
 
-def _result(suite, identity, range_str, counterexample=None) -> IdentityResult:
-    status = "PASS" if counterexample is None else "FAIL"
-    return IdentityResult(suite, identity, range_str, status, counterexample)
+class _Shared:
+    """What several identities build alike, made once per suite run.
+
+    The symbolic weights memoise their Bell tables, so sharing them (and
+    the composition series) keeps one suite run from rebuilding either
+    once per identity.
+    """
+
+    def __init__(self) -> None:
+        self.sym = WeightSpec.symbolic()
+        self.sym_t = WeightVector(lambda k: Polynomial.variable("t", k))
+        self._composition_series: dict[int, Series] = {}
+
+    def composition_series(self, top: int) -> Series:
+        if top not in self._composition_series:
+            self._composition_series[top] = lagrange.composition_series(
+                self.sym, top, top, top
+            )
+        return self._composition_series[top]
+
+
+def _one_size(n: int) -> tuple[int, ...]:
+    return (n,)
+
+
+@dataclass(frozen=True)
+class Identity:
+    """One registered identity.
+
+    `check(shared, *sizes)` yields a counterexample per failing case, in
+    case order.  The sizes are `derive(n)`, where n is the requested size
+    limited to `cap`; `range` is a `str.format` template over the same
+    sizes.
+    """
+
+    suite: str
+    name: str
+    range: str
+    check: Callable[..., Iterator[str]]
+    cap: int | None = None
+    derive: Callable[[int], tuple[int, ...]] = _one_size
+
+    def first_counterexample(self, n: int, shared: _Shared) -> str | None:
+        return next(self.check(shared, *self.derive(n)), None)
+
+    def result(self, requested: int, shared: _Shared) -> IdentityResult:
+        n = requested if self.cap is None else min(requested, self.cap)
+        counterexample = self.first_counterexample(n, shared)
+        status = "PASS" if counterexample is None else "FAIL"
+        return IdentityResult(
+            self.suite,
+            self.name,
+            self.range.format(*self.derive(n)),
+            status,
+            counterexample,
+        )
+
+
+# (suite, name) -> entry, in report order
+REGISTRY: dict[tuple[str, str], Identity] = {}
+
+
+def _identity(suite, name, range_template, cap=None, derive=_one_size):
+    def register(fn):
+        REGISTRY[(suite, name)] = Identity(suite, name, range_template, fn, cap, derive)
+        return fn
+
+    return register
+
+
+def check(suite: str, identity: str, n: int) -> str | None:
+    """First counterexample of one registered identity at size n, with no
+    cap applied; None when the identity holds over the whole range."""
+    return REGISTRY[(suite, identity)].first_counterexample(n, _Shared())
 
 
 def _random_unit_series(rng: random.Random, order: int) -> Series:
@@ -59,8 +141,11 @@ def _random_unit_series(rng: random.Random, order: int) -> Series:
     return Series.from_x_coeffs(coeffs, nx=order)
 
 
-def _symbolic_t_vector() -> WeightVector:
-    return WeightVector(lambda k: Polynomial.variable("t", k))
+def pairs_up_to(total: int) -> Iterator[tuple[int, int]]:
+    """(m, k) with 2m+k <= total, by path length, then by m."""
+    for n in range(total + 1):
+        for m in range(n // 2 + 1):
+            yield m, n - 2 * m
 
 
 # ---------------------------------------------------------------------------
@@ -68,67 +153,47 @@ def _symbolic_t_vector() -> WeightVector:
 # ---------------------------------------------------------------------------
 
 
-def suite_core(max_n: int) -> list[IdentityResult]:
-    suite = "core-identities"
-    results = []
-
-    bad = None
-    for l in range(max_n + 1):
-        for j in range(max_n + 1):
+@_identity("core-identities", "upper-negation-convolution", "0 <= l, j <= {}")
+def _upper_negation_convolution(_, n):
+    for l in range(n + 1):
+        for j in range(n + 1):
             lhs = sum(
                 (-1) ** i * binomial(j, i) * binomial(-i, l) for i in range(j + 1)
             )
             rhs = (-1) ** ((l - j) % 2) * binomial(l - 1, l - j)
             if lhs != rhs:
-                bad = f"l={l}, j={j}: {lhs} != {rhs}"
-                break
-        if bad:
-            break
-    results.append(
-        _result(suite, "upper-negation-convolution", f"0 <= l, j <= {max_n}", bad)
-    )
+                yield f"l={l}, j={j}: {lhs} != {rhs}"
 
-    bad = None
-    for k in range(max_n + 1):
+
+@_identity("core-identities", "binomial-orthogonality", "0 <= j <= k <= {}")
+def _binomial_orthogonality(_, n):
+    for k in range(n + 1):
         for j in range(k + 1):
             lhs = sum(
                 (-1) ** (l - j) * binomial(l, j) * binomial(k, l)
                 for l in range(j, k + 1)
             )
             if lhs != (1 if k == j else 0):
-                bad = f"j={j}, k={k}: {lhs}"
-                break
-        if bad:
-            break
-    results.append(
-        _result(suite, "binomial-orthogonality", f"0 <= j <= k <= {max_n}", bad)
-    )
+                yield f"j={j}, k={k}: {lhs}"
 
-    bad = None
-    for n in range(max_n + 1):
-        for r in range(max_n + 1):
+
+@_identity("core-identities", "kronecker-convolution", "0 <= n, r <= {}")
+def _kronecker_convolution(_, top):
+    for n in range(top + 1):
+        for r in range(top + 1):
             lhs = sum(
                 (-1) ** i * binomial(n, i) * binomial(n - i, r) for i in range(n + 1)
             )
             if lhs != (1 if r == n else 0):
-                bad = f"n={n}, r={r}: {lhs}"
-                break
-        if bad:
-            break
-    results.append(
-        _result(suite, "kronecker-convolution", f"0 <= n, r <= {max_n}", bad)
-    )
+                yield f"n={n}, r={r}: {lhs}"
 
-    bad = None
-    for a in range(1, max_n + 1):
-        for b in range(1, max_n + 1):
+
+@_identity("core-identities", "pascal-recurrence", "1 <= a, b <= {}")
+def _pascal_recurrence(_, n):
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
             if binomial(a, b) != binomial(a - 1, b - 1) + binomial(a - 1, b):
-                bad = f"a={a}, b={b}"
-                break
-        if bad:
-            break
-    results.append(_result(suite, "pascal-recurrence", f"1 <= a, b <= {max_n}", bad))
-    return results
+                yield f"a={a}, b={b}"
 
 
 # ---------------------------------------------------------------------------
@@ -136,64 +201,51 @@ def suite_core(max_n: int) -> list[IdentityResult]:
 # ---------------------------------------------------------------------------
 
 
-def suite_bell(max_n: int) -> list[IdentityResult]:
-    suite = "bell"
-    results = []
-    sym = _symbolic_t_vector()
-
-    top = min(max_n, 10)
-    bad = None
+@_identity("bell", "recurrence-vs-partition-sum", "0 <= r <= n <= {}", cap=10)
+def _recurrence_vs_partition_sum(shared, top):
+    sym = shared.sym_t
     for n in range(top + 1):
         for r in range(n + 1):
             if partial_bell(n, r, sym) != partial_bell_by_partitions(n, r, sym):
-                bad = f"n={n}, r={r}"
-                break
-        if bad:
-            break
-    results.append(
-        _result(suite, "recurrence-vs-partition-sum", f"0 <= r <= n <= {top}", bad)
-    )
+                yield f"n={n}, r={r}"
 
-    top = min(max_n, 8)
+
+@_identity("bell", "homogeneity", "0 <= r <= m <= {}, q=5/3", cap=8)
+def _homogeneity(shared, top):
+    sym = shared.sym_t
     q = Fraction(5, 3)
     scaled = WeightVector(lambda k: Polynomial.variable("t", k) * q)
-    bad = None
     for m in range(top + 1):
         for r in range(m + 1):
             if partial_bell(m, r, scaled) != partial_bell(m, r, sym) * q**r:
-                bad = f"m={m}, r={r}, q={q}"
-                break
-        if bad:
-            break
-    results.append(_result(suite, "homogeneity", f"0 <= r <= m <= {top}, q=5/3", bad))
+                yield f"m={m}, r={r}, q={q}"
 
+
+@_identity("bell", "potential-shifted-arguments", "n <= {}, 1 <= r <= 6", cap=8)
+def _potential_shifted_arguments(shared, top):
     # potential of positive order r from the Bell polynomial with the
     # shifted argument vector (1, 2 f_1, 3 f_2, ...), f_k = entry_k / k!
-    top = min(max_n, 8)
+    sym = shared.sym_t
     shifted = WeightVector(
         lambda k: Polynomial.const(1)
         if k == 1
         else Polynomial.variable("t", k - 1) * k
     )
-    bad = None
     for n in range(top + 1):
         for r in range(1, 7):
             lhs = potential(n, r, sym)
             rhs = partial_bell(n + r, r, shifted) * Fraction(1, binomial(n + r, r))
             if lhs != rhs:
-                bad = f"n={n}, r={r}"
-                break
-        if bad:
-            break
-    results.append(
-        _result(suite, "potential-shifted-arguments", f"n <= {top}, 1 <= r <= 6", bad)
-    )
+                yield f"n={n}, r={r}"
 
+
+@_identity(
+    "bell", "bell-of-power-coefficients", "5 seeded series, 1 <= r <= m <= {}", cap=8
+)
+def _bell_of_power_coefficients(_, top):
     # B(m, r) of the vector (1, f_1(2), f_2(3), ...) built from powers of a
     # unit series f, against C(m-1, r-1) f_{m-r}(m)
-    top = min(max_n, 8)
     rng = random.Random(_SERIES_SEED)
-    bad = None
     for trial in range(5):
         f = _random_unit_series(rng, top)
         # entry k is the (k-1)-th derivative of f^k at 0; entry 1 is then 1
@@ -203,30 +255,15 @@ def suite_bell(max_n: int) -> list[IdentityResult]:
                 lhs = partial_bell(m, r, vec)
                 rhs = power_derivative(f, m - r, m) * binomial(m - 1, r - 1)
                 if lhs != rhs:
-                    bad = f"trial={trial}, m={m}, r={r}"
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    results.append(
-        _result(
-            suite,
-            "bell-of-power-coefficients",
-            f"5 seeded series, 1 <= r <= m <= {top}",
-            bad,
-        )
-    )
+                    yield f"trial={trial}, m={m}, r={r}"
 
+
+@_identity(
+    "bell", "bell-of-binomial-sequences", "4 families, 1 <= r <= m <= {}", cap=8
+)
+def _bell_of_binomial_sequences(_, top):
     # B(m, r) of (1, 2 phi_1(1), 3 phi_2(1), ...) against C(m, r) phi_{m-r}(r)
-    families = [
-        BinomialSequence.power(),
-        BinomialSequence.factorial(),
-        BinomialSequence.abel(Fraction(-2)),
-        BinomialSequence.exponential(),
-    ]
-    bad = None
-    for phi in families:
+    for phi in FAMILIES:
         vec = WeightVector(
             lambda k, phi=phi: Polynomial.const(k * phi.value(k - 1, 1))
         )
@@ -235,24 +272,13 @@ def suite_bell(max_n: int) -> list[IdentityResult]:
                 lhs = partial_bell(m, r, vec).constant_value()
                 rhs = binomial(m, r) * phi.value(m - r, r)
                 if lhs != rhs:
-                    bad = f"phi={phi.name()}, m={m}, r={r}"
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    results.append(
-        _result(
-            suite,
-            "bell-of-binomial-sequences",
-            f"4 families, 1 <= r <= m <= {top}",
-            bad,
-        )
-    )
+                    yield f"phi={phi.name()}, m={m}, r={r}"
 
+
+@_identity("bell", "potential-vs-series-power", "-4 <= power <= 4, n <= {}", cap=8)
+def _potential_vs_series_power(shared, top):
     # potential(n, power) against n! [x^n] A(x)^power with A from the same vector
-    top = min(max_n, 8)
-    bad = None
+    sym = shared.sym_t
     a_series = Series(
         (top, 0, 0),
         {(0, 0, 0): Polynomial.const(1)}
@@ -267,43 +293,31 @@ def suite_bell(max_n: int) -> list[IdentityResult]:
             lhs = potential(n, power, sym)
             rhs = powered.coeff(n) * factorial(n)
             if lhs != rhs:
-                bad = f"power={power}, n={n}"
-                break
-        if bad:
-            break
-    results.append(
-        _result(
-            suite, "potential-vs-series-power", f"-4 <= power <= 4, n <= {top}", bad
-        )
-    )
+                yield f"power={power}, n={n}"
 
-    top = min(max_n, 12)
+
+@_identity("bell", "stirling-recurrence-agreement", "0 <= k <= n <= {}", cap=12)
+def _stirling_recurrence_agreement(_, top):
     classic = {(0, 0): 1}
     for n in range(1, top + 1):
         for k in range(n + 1):
             classic[(n, k)] = (
                 k * classic.get((n - 1, k), 0) + classic.get((n - 1, k - 1), 0)
             )
-    bad = None
     for n in range(top + 1):
         for k in range(n + 1):
             if stirling2(n, k) != classic[(n, k)]:
-                bad = f"n={n}, k={k}"
-                break
-        if bad:
-            break
-    results.append(
-        _result(suite, "stirling-recurrence-agreement", f"0 <= k <= n <= {top}", bad)
-    )
+                yield f"n={n}, k={k}"
 
-    top = min(max_n, 8)
+
+@_identity("bell", "binomial-convolution", "4 families, n <= {}", cap=8)
+def _binomial_convolution(_, top):
     points = [
         (Fraction(2), Fraction(3)),
         (Fraction(-1, 2), Fraction(5, 3)),
         (Fraction(0), Fraction(7, 2)),
     ]
-    bad = None
-    for phi in families:
+    for phi in FAMILIES:
         for x, y in points:
             for n in range(top + 1):
                 lhs = phi.value(n, x + y)
@@ -312,16 +326,7 @@ def suite_bell(max_n: int) -> list[IdentityResult]:
                     for i in range(n + 1)
                 )
                 if lhs != rhs:
-                    bad = f"phi={phi.name()}, x={x}, y={y}, n={n}"
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    results.append(
-        _result(suite, "binomial-convolution", f"4 families, n <= {top}", bad)
-    )
-    return results
+                    yield f"phi={phi.name()}, x={x}, y={y}, n={n}"
 
 
 # ---------------------------------------------------------------------------
@@ -329,35 +334,39 @@ def suite_bell(max_n: int) -> list[IdentityResult]:
 # ---------------------------------------------------------------------------
 
 
-def _pairs_up_to(total: int):
-    for n in range(total + 1):
-        for m in range(n // 2 + 1):
-            yield m, n - 2 * m
+def _bruteforce_mismatches(label, weights, closed_value, top, k_min=0):
+    """Cases 2m+k <= top where brute-force enumeration under `weights`
+    differs from `closed_value(m, k)`."""
+    for m, k in pairs_up_to(top):
+        if k < k_min:
+            continue
+        lhs = motzkin.weighted_sum_bruteforce(m, k, weights).constant_value()
+        if lhs != closed_value(m, k):
+            yield f"{label}m={m}, k={k}"
 
 
-def suite_motzkin(max_n: int) -> list[IdentityResult]:
-    suite = "motzkin"
-    results = []
-    sym = WeightSpec.symbolic()
-
-    bad = None
-    for m, k in _pairs_up_to(max_n):
-        brute = motzkin.weighted_sum_bruteforce(m, k, sym)
-        closed = motzkin.weighted_sum_closed(m, k, sym)
-        if brute != closed:
-            bad = f"m={m}, k={k}: closed form differs from enumeration"
-            break
-        series_value = lagrange.motzkin_series(sym, m, k).coeff(m, k)
-        if brute != series_value:
-            bad = f"m={m}, k={k}: series fixed point differs from enumeration"
-            break
-    results.append(
-        _result(suite, "path-sum-triple-agreement", f"2m+k <= {max_n}", bad)
+def _type_key(profile) -> tuple:
+    return (
+        tuple(sorted(profile.u_counts.items())),
+        tuple(sorted(profile.h_counts.items())),
     )
 
-    top = min(max_n, 8)
-    bad = None
-    for m, k in _pairs_up_to(top):
+
+@_identity("motzkin", "path-sum-triple-agreement", "2m+k <= {}")
+def _path_sum_triple_agreement(shared, top):
+    sym = shared.sym
+    for m, k in pairs_up_to(top):
+        brute = motzkin.weighted_sum_bruteforce(m, k, sym)
+        if brute != motzkin.weighted_sum_closed(m, k, sym):
+            yield f"m={m}, k={k}: closed form differs from enumeration"
+        if brute != lagrange.motzkin_series(sym, m, k).coeff(m, k):
+            yield f"m={m}, k={k}: series fixed point differs from enumeration"
+
+
+@_identity("motzkin", "segment-refinement", "2m+k <= {}", cap=8)
+def _segment_refinement(shared, top):
+    sym = shared.sym
+    for m, k in pairs_up_to(top):
         by_split = {}
         for path in motzkin.enumerate_paths(m, k):
             profile = motzkin.segment_profile(path)
@@ -370,251 +379,207 @@ def suite_motzkin(max_n: int) -> list[IdentityResult]:
                 refined = motzkin.weighted_sum_by_segments(m, k, r, l, sym)
                 total = total + refined
                 if refined != by_split.get((r, l), Polynomial.zero()):
-                    bad = f"m={m}, k={k}, r={r}, l={l}"
-                    break
-            if bad:
-                break
-        if bad:
-            break
+                    yield f"m={m}, k={k}, r={r}, l={l}"
         if total != motzkin.weighted_sum_closed(m, k, sym):
-            bad = f"m={m}, k={k}: refinement does not repartition the total"
-            break
-    results.append(_result(suite, "segment-refinement", f"2m+k <= {top}", bad))
+            yield f"m={m}, k={k}: refinement does not repartition the total"
 
-    bad = None
-    for m, k in _pairs_up_to(top):
+
+@_identity("motzkin", "type-counts", "2m+k <= {}", cap=8)
+def _motzkin_type_counts(_, top):
+    for m, k in pairs_up_to(top):
         by_type = {}
         for path in motzkin.enumerate_paths(m, k):
-            profile = motzkin.segment_profile(path)
-            key = (
-                tuple(sorted(profile.u_counts.items())),
-                tuple(sorted(profile.h_counts.items())),
-            )
+            key = _type_key(motzkin.segment_profile(path))
             by_type[key] = by_type.get(key, 0) + 1
         total = 0
         for (u_items, h_items), expected in sorted(by_type.items()):
             got = motzkin.count_by_type(m, k, dict(u_items), dict(h_items))
             total += got
             if got != expected:
-                bad = f"m={m}, k={k}, u-type={dict(u_items)}, h-type={dict(h_items)}"
-                break
-        if bad:
-            break
+                yield f"m={m}, k={k}, u-type={dict(u_items)}, h-type={dict(h_items)}"
         if total != motzkin.count_paths(m, k):
-            bad = f"m={m}, k={k}: type counts do not sum to the path count"
-            break
-    results.append(_result(suite, "type-counts", f"2m+k <= {top}", bad))
+            yield f"m={m}, k={k}: type counts do not sum to the path count"
 
+
+@_identity("motzkin", "motzkin-numbers", "n <= {}")
+def _motzkin_numbers(_, top):
     motzkin_numbers = [1]
-    for n in range(1, max_n + 1):
+    for n in range(1, top + 1):
         value = motzkin_numbers[n - 1]
         value += sum(
             motzkin_numbers[i] * motzkin_numbers[n - 2 - i] for i in range(n - 1)
         )
         motzkin_numbers.append(value)
     ones = WeightSpec.all_ones()
-    bad = None
-    for n in range(max_n + 1):
+    for n in range(top + 1):
         row = sum(
             motzkin.weighted_sum_closed(m, n - 2 * m, ones).constant_value()
             for m in range(n // 2 + 1)
         )
         if row != motzkin_numbers[n]:
-            bad = f"n={n}: {row} != {motzkin_numbers[n]}"
-            break
-    results.append(_result(suite, "motzkin-numbers", f"n <= {max_n}", bad))
+            yield f"n={n}: {row} != {motzkin_numbers[n]}"
 
+
+@_identity("motzkin", "catalan-slice", "m <= {}", derive=lambda n: (n // 2,))
+def _catalan_slice(_, top):
     catalan = [1]
-    for n in range(1, max_n // 2 + 1):
+    for n in range(1, top + 1):
         catalan.append(sum(catalan[i] * catalan[n - 1 - i] for i in range(n)))
     dyck_weights = WeightSpec(
         lambda i: Fraction(1), lambda i: Fraction(0), name="dyck"
     )
-    bad = None
-    dyck_series = lagrange.motzkin_series(dyck_weights, max_n // 2, 0)
-    for m in range(max_n // 2 + 1):
+    dyck_series = lagrange.motzkin_series(dyck_weights, top, 0)
+    for m in range(top + 1):
         closed = motzkin.weighted_sum_closed(m, 0, dyck_weights).constant_value()
         if closed != catalan[m]:
-            bad = f"m={m}: closed {closed} != Catalan {catalan[m]}"
-            break
+            yield f"m={m}: closed {closed} != Catalan {catalan[m]}"
         if dyck_series.coeff(m, 0) != Polynomial.const(catalan[m]):
-            bad = f"m={m}: series slice differs from Catalan"
-            break
-    results.append(_result(suite, "catalan-slice", f"m <= {max_n // 2}", bad))
+            yield f"m={m}: series slice differs from Catalan"
 
-    top = min(max_n, 8)
+
+@_identity("motzkin", "set-partition-weights", "2m+k <= {}", cap=8)
+def _set_partition_weights(shared, top):
+    sym = shared.sym
     stirling_weights = motzkin.named_weights("stirling")
-    bad = None
-    for m, k in _pairs_up_to(top):
+    for m, k in pairs_up_to(top):
         lhs = specialize(motzkin.weighted_sum_closed(m, k, sym), stirling_weights)
         if lhs != motzkin.stirling_closed_value(m, k):
-            bad = f"m={m}, k={k}"
-            break
-    results.append(_result(suite, "set-partition-weights", f"2m+k <= {top}", bad))
+            yield f"m={m}, k={k}"
 
-    bad = None
+
+@_identity(
+    "motzkin", "plane-tree-weights-single", "b in 1..3, 2m+k <= {}", cap=8
+)
+def _plane_tree_weights_single(_, top):
     for b in (1, 2, 3):
-        weights = motzkin.named_weights("b-ary", b=b, d=1)
-        for m, k in _pairs_up_to(top):
-            lhs = motzkin.weighted_sum_bruteforce(m, k, weights).constant_value()
-            if lhs != motzkin.bary_d1_closed_value(m, k, b):
-                bad = f"b={b}, m={m}, k={k}"
-                break
-        if bad:
-            break
-    results.append(
-        _result(suite, "plane-tree-weights-single", f"b in 1..3, 2m+k <= {top}", bad)
-    )
+        yield from _bruteforce_mismatches(
+            f"b={b}, ",
+            motzkin.named_weights("b-ary", b=b, d=1),
+            lambda m, k, b=b: motzkin.bary_d1_closed_value(m, k, b),
+            top,
+        )
 
-    general_top = min(max_n, 6)
-    bad = None
+
+@_identity(
+    "motzkin",
+    "plane-tree-weights-general",
+    "b in 1..2, d in 1..3, 2m+k <= {}",
+    cap=6,
+)
+def _plane_tree_weights_general(_, top):
     for b in (1, 2):
         for d in (1, 2, 3):
             weights = motzkin.named_weights("b-ary", b=b, d=d)
-            for m, k in _pairs_up_to(general_top):
+            for m, k in pairs_up_to(top):
                 lhs = motzkin.weighted_sum_bruteforce(m, k, weights).constant_value()
                 if lhs != motzkin.bary_general_closed_value(m, k, b, d):
-                    bad = f"b={b}, d={d}, m={m}, k={k}"
-                    break
+                    yield f"b={b}, d={d}, m={m}, k={k}"
                 for jj in range(1, k + 1):
                     if d * k == jj:
                         continue
                     closed_factor = motzkin.bary_h_factor_closed(jj, k, d)
                     if closed_factor != motzkin.bary_h_factor_series(jj, k, d):
-                        bad = f"h-factor at j={jj}, k={k}, d={d}"
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    results.append(
-        _result(
-            suite,
-            "plane-tree-weights-general",
-            f"b in 1..2, d in 1..3, 2m+k <= {general_top}",
-            bad,
-        )
-    )
+                        yield f"h-factor at j={jj}, k={k}, d={d}"
 
+
+@_identity("motzkin", "series-coefficient-weights", "2 series, 2m+k <= {}", cap=8)
+def _series_coefficient_weights(_, top):
     rng = random.Random(_SERIES_SEED + 1)
     fs = [Series.from_x_coeffs([1, 1], nx=top), _random_unit_series(rng, top)]
-    bad = None
     for idx, f in enumerate(fs):
-        weights = motzkin.series_coefficient_weights(f)
-        for m, k in _pairs_up_to(top):
-            lhs = motzkin.weighted_sum_bruteforce(m, k, weights).constant_value()
-            if lhs != motzkin.series_family_closed_value(m, k, f):
-                bad = f"series {idx}, m={m}, k={k}"
-                break
-        if bad:
-            break
-    results.append(
-        _result(suite, "series-coefficient-weights", f"2 series, 2m+k <= {top}", bad)
-    )
-
-    pair_top = min(max_n, 7)
-    g = _random_unit_series(rng, pair_top)
-    f = _random_unit_series(rng, pair_top)
-    pair_weights = motzkin.series_coefficient_weights(f, g)
-    bad = None
-    for m, k in _pairs_up_to(pair_top):
-        if k < 1:
-            continue
-        lhs = motzkin.weighted_sum_bruteforce(m, k, pair_weights).constant_value()
-        if lhs != motzkin.series_pair_closed_value(m, k, f, g):
-            bad = f"m={m}, k={k}"
-            break
-    results.append(
-        _result(
-            suite, "series-pair-double-sum", f"2m+k <= {pair_top}, k >= 1", bad
+        yield from _bruteforce_mismatches(
+            f"series {idx}, ",
+            motzkin.series_coefficient_weights(f),
+            lambda m, k, f=f: motzkin.series_family_closed_value(m, k, f),
+            top,
         )
+
+
+@_identity(
+    "motzkin",
+    "series-pair-double-sum",
+    "2m+k <= {1}, k >= 1",
+    cap=8,
+    derive=lambda n: (n, min(n, 7)),
+)
+def _series_pair_double_sum(_, skipped_order, top):
+    # g and f are the next two draws of series-coefficient-weights' generator
+    # after the order-`skipped_order` series that identity uses
+    rng = random.Random(_SERIES_SEED + 1)
+    _random_unit_series(rng, skipped_order)
+    g = _random_unit_series(rng, top)
+    f = _random_unit_series(rng, top)
+    yield from _bruteforce_mismatches(
+        "",
+        motzkin.series_coefficient_weights(f, g),
+        lambda m, k: motzkin.series_pair_closed_value(m, k, f, g),
+        top,
+        k_min=1,
     )
 
-    bad = None
+
+@_identity("motzkin", "labeled-tree-weights", "r in 0..2, 2m+k <= {}", cap=8)
+def _labeled_tree_weights(_, top):
     for r in (0, 1, 2):
-        weights = motzkin.named_weights("r-ary", r=r)
-        for m, k in _pairs_up_to(top):
-            lhs = motzkin.weighted_sum_bruteforce(m, k, weights).constant_value()
-            if lhs != motzkin.rary_closed_value(m, k, r):
-                bad = f"r={r}, m={m}, k={k}"
-                break
-        if bad:
-            break
-    results.append(
-        _result(suite, "labeled-tree-weights", f"r in 0..2, 2m+k <= {top}", bad)
-    )
+        yield from _bruteforce_mismatches(
+            f"r={r}, ",
+            motzkin.named_weights("r-ary", r=r),
+            lambda m, k, r=r: motzkin.rary_closed_value(m, k, r),
+            top,
+        )
 
-    families = [
-        BinomialSequence.power(),
-        BinomialSequence.factorial(),
-        BinomialSequence.abel(Fraction(-2)),
-        BinomialSequence.exponential(),
-    ]
-    bad = None
-    for phi in families:
-        weights = motzkin.binomial_sequence_weights(phi)
-        for m, k in _pairs_up_to(top):
-            lhs = motzkin.weighted_sum_bruteforce(m, k, weights).constant_value()
-            if lhs != motzkin.binomial_sequence_closed_value(m, k, phi):
-                bad = f"phi={phi.name()}, m={m}, k={k}"
-                break
-        if bad:
-            break
-    results.append(
-        _result(suite, "binomial-sequence-weights", f"4 families, 2m+k <= {top}", bad)
-    )
 
-    bad = None
+@_identity("motzkin", "binomial-sequence-weights", "4 families, 2m+k <= {}", cap=8)
+def _binomial_sequence_weights(_, top):
+    for phi in FAMILIES:
+        yield from _bruteforce_mismatches(
+            f"phi={phi.name()}, ",
+            motzkin.binomial_sequence_weights(phi),
+            lambda m, k, phi=phi: motzkin.binomial_sequence_closed_value(m, k, phi),
+            top,
+        )
+
+
+@_identity("motzkin", "abel-weights", "q in {{0, -1, 1/2}}, 2m+k <= {}", cap=8)
+def _abel_weights(_, top):
     for q in (Fraction(0), Fraction(-1), Fraction(1, 2)):
-        weights = motzkin.named_weights("abel", q=q)
-        for m, k in _pairs_up_to(top):
-            lhs = motzkin.weighted_sum_bruteforce(m, k, weights).constant_value()
-            if lhs != motzkin.abel_closed_value(m, k, q):
-                bad = f"q={q}, m={m}, k={k}"
-                break
-        if bad:
-            break
-    results.append(
-        _result(suite, "abel-weights", f"q in {{0, -1, 1/2}}, 2m+k <= {top}", bad)
+        yield from _bruteforce_mismatches(
+            f"q={q}, ",
+            motzkin.named_weights("abel", q=q),
+            lambda m, k, q=q: motzkin.abel_closed_value(m, k, q),
+            top,
+        )
+
+
+@_identity("motzkin", "bell-number-weights", "2m+k <= {}", cap=8)
+def _bell_number_weights(_, top):
+    yield from _bruteforce_mismatches(
+        "",
+        motzkin.named_weights("bell-numbers"),
+        motzkin.bell_numbers_closed_value,
+        top,
     )
 
-    bell_weights = motzkin.named_weights("bell-numbers")
-    bad = None
-    for m, k in _pairs_up_to(top):
-        lhs = motzkin.weighted_sum_bruteforce(m, k, bell_weights).constant_value()
-        if lhs != motzkin.bell_numbers_closed_value(m, k):
-            bad = f"m={m}, k={k}"
-            break
-    results.append(_result(suite, "bell-number-weights", f"2m+k <= {top}", bad))
 
+@_identity("motzkin", "two-sequence-double-sum", "4 families, 2m+k <= {}", cap=8)
+def _two_sequence_double_sum(_, top):
     psi = BinomialSequence.factorial()
-    bad = None
-    for phi in families:
-        weights = motzkin.binomial_sequence_weights(phi, psi)
-        for m, k in _pairs_up_to(top):
-            lhs = motzkin.weighted_sum_bruteforce(m, k, weights).constant_value()
-            if lhs != motzkin.two_sequence_closed_value(m, k, phi, psi):
-                bad = f"phi={phi.name()}, m={m}, k={k}"
-                break
-        if bad:
-            break
-    results.append(
-        _result(suite, "two-sequence-double-sum", f"4 families, 2m+k <= {top}", bad)
-    )
+    for phi in FAMILIES:
+        yield from _bruteforce_mismatches(
+            f"phi={phi.name()}, ",
+            motzkin.binomial_sequence_weights(phi, psi),
+            lambda m, k, phi=phi: motzkin.two_sequence_closed_value(m, k, phi, psi),
+            top,
+        )
 
-    bad = None
-    for m, k in _pairs_up_to(top):
-        poly = motzkin.weighted_sum_closed(m, k, sym)
-        for mono in poly.terms:
+
+@_identity("motzkin", "coefficient-degree-grading", "2m+k <= {}", cap=8)
+def _coefficient_degree_grading(shared, top):
+    sym = shared.sym
+    for m, k in pairs_up_to(top):
+        for mono in motzkin.weighted_sum_closed(m, k, sym).terms:
             if mono.weighted_degree("t") != m or mono.weighted_degree("s") != k:
-                bad = f"m={m}, k={k}, monomial {mono.to_text()}"
-                break
-        if bad:
-            break
-    results.append(_result(suite, "coefficient-degree-grading", f"2m+k <= {top}", bad))
-    return results
+                yield f"m={m}, k={k}, monomial {mono.to_text()}"
 
 
 # ---------------------------------------------------------------------------
@@ -622,180 +587,134 @@ def suite_motzkin(max_n: int) -> list[IdentityResult]:
 # ---------------------------------------------------------------------------
 
 
-def suite_compositions(max_n: int) -> list[IdentityResult]:
-    suite = "compositions"
-    results = []
-    sym = WeightSpec.symbolic()
-    top = min(max_n, 6)
-
-    bad = None
+def _compositions_with_paths(top):
+    """(m, j, [(composition, its Motzkin path), ...]) for m, j <= top."""
     for m in range(top + 1):
         for j in range(top + 1):
-            by_zeros = {}
-            for comp in compositions.enumerate_compositions(m, j):
-                path = compositions.composition_to_motzkin(comp)
-                weight = motzkin.path_weight(path, sym)
-                by_zeros[comp.zero_parts] = (
-                    by_zeros.get(comp.zero_parts, Polynomial.zero()) + weight
-                )
-            for k in range(j + 1):
-                closed = compositions.weighted_sum_closed(m, k, j, sym)
-                if closed != by_zeros.get(k, Polynomial.zero()):
-                    bad = f"m={m}, k={k}, j={j}"
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    results.append(
-        _result(suite, "closed-vs-enumeration", f"m, j <= {top}, all k", bad)
-    )
+            yield m, j, [
+                (comp, compositions.composition_to_motzkin(comp))
+                for comp in compositions.enumerate_compositions(m, j)
+            ]
 
-    series_top = min(max_n, 5)
-    series = lagrange.composition_series(sym, series_top, series_top, series_top)
-    bad = None
-    for m in range(series_top + 1):
-        for j in range(series_top + 1):
+
+@_identity("compositions", "closed-vs-enumeration", "m, j <= {}, all k", cap=6)
+def _composition_closed_vs_enumeration(shared, top):
+    sym = shared.sym
+    for m, j, items in _compositions_with_paths(top):
+        by_zeros = {}
+        for comp, path in items:
+            weight = motzkin.path_weight(path, sym)
+            by_zeros[comp.zero_parts] = (
+                by_zeros.get(comp.zero_parts, Polynomial.zero()) + weight
+            )
+        for k in range(j + 1):
+            closed = compositions.weighted_sum_closed(m, k, j, sym)
+            if closed != by_zeros.get(k, Polynomial.zero()):
+                yield f"m={m}, k={k}, j={j}"
+
+
+@_identity("compositions", "series-agreement", "m, k, j <= {}", cap=5)
+def _composition_series_agreement(shared, top):
+    sym = shared.sym
+    series = shared.composition_series(top)
+    for m in range(top + 1):
+        for j in range(top + 1):
             for k in range(j + 1):
                 closed = compositions.weighted_sum_closed(m, k, j, sym)
                 if series.coeff(m, k, j) != closed:
-                    bad = f"m={m}, k={k}, j={j}"
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    results.append(
-        _result(suite, "series-agreement", f"m, k, j <= {series_top}", bad)
-    )
+                    yield f"m={m}, k={k}, j={j}"
 
-    bad = None
-    for j in range(series_top + 1):
-        slice_series = lagrange.composition_series_fixed_parts(
-            sym, j, series_top, series_top
-        )
-        for m in range(series_top + 1):
-            for k in range(series_top + 1):
+
+@_identity("compositions", "fixed-parts-slice", "m, k, j <= {}", cap=5)
+def _composition_fixed_parts_slice(shared, top):
+    sym = shared.sym
+    series = shared.composition_series(top)
+    for j in range(top + 1):
+        slice_series = lagrange.composition_series_fixed_parts(sym, j, top, top)
+        for m in range(top + 1):
+            for k in range(top + 1):
                 if slice_series.coeff(m, k) != series.coeff(m, k, j):
-                    bad = f"m={m}, k={k}, j={j}"
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    results.append(_result(suite, "fixed-parts-slice", f"m, k, j <= {series_top}", bad))
+                    yield f"m={m}, k={k}, j={j}"
 
-    bad = None
-    for m in range(top + 1):
-        for j in range(top + 1):
-            by_runs = {}
-            for comp in compositions.enumerate_compositions(m, j):
-                path = compositions.composition_to_motzkin(comp)
-                profile = motzkin.segment_profile(path)
-                key = (comp.zero_parts, profile.h_segments)
-                weight = motzkin.path_weight(path, sym)
-                by_runs[key] = by_runs.get(key, Polynomial.zero()) + weight
-            for k in range(j + 1):
-                total = Polynomial.zero()
-                for l in range(k + 1):
-                    refined = compositions.weighted_sum_by_hsegments(m, k, j, l, sym)
-                    total = total + refined
-                    if refined != by_runs.get((k, l), Polynomial.zero()):
-                        bad = f"m={m}, k={k}, j={j}, l={l}"
-                        break
-                if bad:
-                    break
-                if total != compositions.weighted_sum_closed(m, k, j, sym):
-                    bad = f"m={m}, k={k}, j={j}: refinement sum"
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    results.append(
-        _result(suite, "h-segment-refinement", f"m, j <= {top}, all k, l", bad)
-    )
 
-    bad = None
-    for m in range(top + 1):
-        for j in range(top + 1):
-            by_type = {}
-            count = 0
-            for comp in compositions.enumerate_compositions(m, j):
-                path = compositions.composition_to_motzkin(comp)
-                profile = motzkin.segment_profile(path)
-                key = (
-                    tuple(sorted(profile.u_counts.items())),
-                    tuple(sorted(profile.h_counts.items())),
-                )
-                by_type[key] = by_type.get(key, 0) + 1
-                count += 1
-            total = 0
-            for (u_items, h_items), expected in sorted(by_type.items()):
-                got = compositions.count_by_type(j, dict(u_items), dict(h_items))
-                total += got
-                if got != expected:
-                    bad = f"m={m}, j={j}, u-type={dict(u_items)}, h-type={dict(h_items)}"
-                    break
-            if bad:
-                break
-            if total != count:
-                bad = f"m={m}, j={j}: type counts do not sum to the composition count"
-                break
-        if bad:
-            break
-    results.append(_result(suite, "type-counts", f"m, j <= {top}", bad))
+@_identity("compositions", "h-segment-refinement", "m, j <= {}, all k, l", cap=6)
+def _composition_h_segment_refinement(shared, top):
+    sym = shared.sym
+    for m, j, items in _compositions_with_paths(top):
+        by_runs = {}
+        for comp, path in items:
+            key = (comp.zero_parts, motzkin.segment_profile(path).h_segments)
+            weight = motzkin.path_weight(path, sym)
+            by_runs[key] = by_runs.get(key, Polynomial.zero()) + weight
+        for k in range(j + 1):
+            total = Polynomial.zero()
+            for l in range(k + 1):
+                refined = compositions.weighted_sum_by_hsegments(m, k, j, l, sym)
+                total = total + refined
+                if refined != by_runs.get((k, l), Polynomial.zero()):
+                    yield f"m={m}, k={k}, j={j}, l={l}"
+            if total != compositions.weighted_sum_closed(m, k, j, sym):
+                yield f"m={m}, k={k}, j={j}: refinement sum"
 
-    bad = None
-    for m in range(top + 1):
-        for j in range(top + 1):
-            for comp in compositions.enumerate_compositions(m, j):
-                path = compositions.composition_to_motzkin(comp)
-                profile = motzkin.segment_profile(path)
-                if profile.u_segments != j - comp.zero_parts:
-                    bad = f"{comp.parts}: u-segments != parts - zeros"
-                    break
-                nonzero = sorted(p for p in comp.parts if p)
-                runs = sorted(
-                    length
-                    for length, cnt in profile.u_counts.items()
-                    for _ in range(cnt)
-                )
-                if nonzero != runs:
-                    bad = f"{comp.parts}: u-run lengths differ from nonzero parts"
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    results.append(_result(suite, "embedding-consistency", f"m, j <= {top}", bad))
 
-    top_sum = min(max_n, 10)
-    bad = None
-    for m in range(top_sum + 1):
-        for j in range(min(max_n, 8) + 1):
+@_identity("compositions", "type-counts", "m, j <= {}", cap=6)
+def _composition_type_counts(_, top):
+    for m, j, items in _compositions_with_paths(top):
+        by_type = {}
+        for _, path in items:
+            key = _type_key(motzkin.segment_profile(path))
+            by_type[key] = by_type.get(key, 0) + 1
+        total = 0
+        for (u_items, h_items), expected in sorted(by_type.items()):
+            got = compositions.count_by_type(j, dict(u_items), dict(h_items))
+            total += got
+            if got != expected:
+                yield f"m={m}, j={j}, u-type={dict(u_items)}, h-type={dict(h_items)}"
+        if total != len(items):
+            yield f"m={m}, j={j}: type counts do not sum to the composition count"
+
+
+@_identity("compositions", "embedding-consistency", "m, j <= {}", cap=6)
+def _composition_embedding_consistency(_, top):
+    for _, j, items in _compositions_with_paths(top):
+        for comp, path in items:
+            profile = motzkin.segment_profile(path)
+            if profile.u_segments != j - comp.zero_parts:
+                yield f"{comp.parts}: u-segments != parts - zeros"
+            nonzero = sorted(p for p in comp.parts if p)
+            runs = sorted(
+                length
+                for length, cnt in profile.u_counts.items()
+                for _ in range(cnt)
+            )
+            if nonzero != runs:
+                yield f"{comp.parts}: u-run lengths differ from nonzero parts"
+
+
+@_identity(
+    "compositions",
+    "restricted-counts",
+    "m <= {}, j <= {}",
+    cap=10,
+    derive=lambda n: (n, min(n, 8)),
+)
+def _composition_restricted_counts(_, sum_top, parts_top):
+    for m in range(sum_top + 1):
+        for j in range(parts_top + 1):
             direct = sum(
                 1
                 for comp in compositions.enumerate_compositions(m, j)
                 if all(p in (1, 2) for p in comp.parts)
             )
             if compositions.restricted_count(m, j, allowed={1, 2}) != direct:
-                bad = f"allowed {{1,2}}: m={m}, j={j}"
-                break
+                yield f"allowed {{1,2}}: m={m}, j={j}"
             direct = sum(
                 1
                 for comp in compositions.enumerate_compositions(m, j)
                 if all(p >= 1 and p != 2 for p in comp.parts)
             )
             if compositions.restricted_count(m, j, forbidden=2) != direct:
-                bad = f"forbidden 2: m={m}, j={j}"
-                break
-        if bad:
-            break
-    results.append(
-        _result(suite, "restricted-counts", f"m <= {top_sum}, j <= {min(max_n, 8)}", bad)
-    )
-    return results
+                yield f"forbidden 2: m={m}, j={j}"
 
 
 # ---------------------------------------------------------------------------
@@ -803,13 +722,19 @@ def suite_compositions(max_n: int) -> list[IdentityResult]:
 # ---------------------------------------------------------------------------
 
 
-def suite_matrixcomp(max_n: int) -> list[IdentityResult]:
-    suite = "matrixcomp"
-    results = []
-    sym = WeightSpec.symbolic()
-    top = min(max_n, 6)
+def _matrix_shapes(top):
+    """(m, p, j) for p <= 3, j <= 4, m <= top."""
+    for p in range(4):
+        for j in range(5):
+            for m in range(top + 1):
+                yield m, p, j
 
-    bad = None
+
+@_identity(
+    "matrixcomp", "closed-vs-enumeration", "m <= {}, p <= 3, j <= 4", cap=6
+)
+def _matrix_closed_vs_enumeration(shared, top):
+    sym = shared.sym
     for p in range(4):
         for j in range(5):
             series = lagrange.bipartite_matrix_series(sym, p, j, top)
@@ -819,133 +744,94 @@ def suite_matrixcomp(max_n: int) -> list[IdentityResult]:
                 for matrix in matrixcomp.enumerate_bipartite(m, p, j):
                     brute = brute + matrixcomp.matrix_weight(matrix, sym)
                 if closed != brute:
-                    bad = f"m={m}, p={p}, j={j}: closed vs enumeration"
-                    break
+                    yield f"m={m}, p={p}, j={j}: closed vs enumeration"
                 if series.coeff(m) != closed:
-                    bad = f"m={m}, p={p}, j={j}: series vs closed"
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    results.append(
-        _result(suite, "closed-vs-enumeration", f"m <= {top}, p <= 3, j <= 4", bad)
-    )
+                    yield f"m={m}, p={p}, j={j}: series vs closed"
 
-    power_top = min(max_n, 8)
-    bad = None
+
+@_identity(
+    "matrixcomp", "row-power-law", "order x^{}, p <= 3, j <= 4", cap=8
+)
+def _matrix_row_power_law(shared, top):
+    sym = shared.sym
     for p in range(4):
         for j in range(5):
-            single = lagrange.bipartite_matrix_series(sym, 1, j, power_top)
-            if lagrange.bipartite_matrix_series(sym, p, j, power_top) != single.pow(p):
-                bad = f"p={p}, j={j}"
-                break
-        if bad:
-            break
-    results.append(
-        _result(
-            suite, "row-power-law", f"order x^{power_top}, p <= 3, j <= 4", bad
-        )
-    )
+            single = lagrange.bipartite_matrix_series(sym, 1, j, top)
+            if lagrange.bipartite_matrix_series(sym, p, j, top) != single.pow(p):
+                yield f"p={p}, j={j}"
 
-    bad = None
-    for p in range(4):
-        for j in range(5):
-            for m in range(top + 1):
-                by_nonzeros = {}
-                for matrix in matrixcomp.enumerate_bipartite(m, p, j):
-                    r = len(matrix.nonzero_entries())
-                    by_nonzeros[r] = by_nonzeros.get(
-                        r, Polynomial.zero()
-                    ) + matrixcomp.matrix_weight(matrix, sym)
-                total = Polynomial.zero()
-                for r in range(m + 1):
-                    refined = matrixcomp.weighted_sum_by_nonzeros(m, p, j, r, sym)
-                    total = total + refined
-                    if refined != by_nonzeros.get(r, Polynomial.zero()):
-                        bad = f"m={m}, p={p}, j={j}, r={r}"
-                        break
-                if bad:
-                    break
-                if total != matrixcomp.weighted_sum_closed(m, p, j, sym):
-                    bad = f"m={m}, p={p}, j={j}: refinement sum"
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    results.append(
-        _result(suite, "nonzero-refinement", f"m <= {top}, p <= 3, j <= 4", bad)
-    )
 
-    bad = None
-    for p in range(4):
-        for j in range(5):
-            for m in range(top + 1):
-                by_type = {}
-                count = 0
-                for matrix in matrixcomp.enumerate_bipartite(m, p, j):
-                    entries = matrix.nonzero_entries()
-                    key = tuple(sorted((v, entries.count(v)) for v in set(entries)))
-                    by_type[key] = by_type.get(key, 0) + 1
-                    count += 1
-                total = 0
-                for key, expected in sorted(by_type.items()):
-                    got = matrixcomp.count_by_type(p, j, dict(key))
-                    total += got
-                    if got != expected:
-                        bad = f"m={m}, p={p}, j={j}, type={dict(key)}"
-                        break
-                if bad:
-                    break
-                if total != count:
-                    bad = f"m={m}, p={p}, j={j}: type counts do not sum"
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    results.append(_result(suite, "type-counts", f"m <= {top}, p <= 3, j <= 4", bad))
+@_identity(
+    "matrixcomp", "nonzero-refinement", "m <= {}, p <= 3, j <= 4", cap=6
+)
+def _matrix_nonzero_refinement(shared, top):
+    sym = shared.sym
+    for m, p, j in _matrix_shapes(top):
+        by_nonzeros = {}
+        for matrix in matrixcomp.enumerate_bipartite(m, p, j):
+            r = len(matrix.nonzero_entries())
+            by_nonzeros[r] = by_nonzeros.get(
+                r, Polynomial.zero()
+            ) + matrixcomp.matrix_weight(matrix, sym)
+        total = Polynomial.zero()
+        for r in range(m + 1):
+            refined = matrixcomp.weighted_sum_by_nonzeros(m, p, j, r, sym)
+            total = total + refined
+            if refined != by_nonzeros.get(r, Polynomial.zero()):
+                yield f"m={m}, p={p}, j={j}, r={r}"
+        if total != matrixcomp.weighted_sum_closed(m, p, j, sym):
+            yield f"m={m}, p={p}, j={j}: refinement sum"
 
-    zero_one_top = min(max_n, 8)
+
+@_identity("matrixcomp", "type-counts", "m <= {}, p <= 3, j <= 4", cap=6)
+def _matrix_type_counts(_, top):
+    for m, p, j in _matrix_shapes(top):
+        by_type = {}
+        count = 0
+        for matrix in matrixcomp.enumerate_bipartite(m, p, j):
+            entries = matrix.nonzero_entries()
+            key = tuple(sorted((v, entries.count(v)) for v in set(entries)))
+            by_type[key] = by_type.get(key, 0) + 1
+            count += 1
+        total = 0
+        for key, expected in sorted(by_type.items()):
+            got = matrixcomp.count_by_type(p, j, dict(key))
+            total += got
+            if got != expected:
+                yield f"m={m}, p={p}, j={j}, type={dict(key)}"
+        if total != count:
+            yield f"m={m}, p={p}, j={j}: type counts do not sum"
+
+
+@_identity(
+    "matrixcomp", "zero-one-matrices", "m <= {}, p <= 3, j <= 4", cap=8
+)
+def _matrix_zero_one(_, top):
     zero_one_weights = WeightSpec.from_tables({1: 1}, {}, name="zero-one")
-    bad = None
-    for p in range(4):
-        for j in range(5):
-            for m in range(zero_one_top + 1):
-                direct = None
-                if m <= matrixcomp.DEFAULT_SUM_BOUND:
-                    direct = sum(
-                        1
-                        for matrix in matrixcomp.enumerate_bipartite(m, p, j)
-                        if all(e <= 1 for row in matrix.rows for e in row)
-                    )
-                value = matrixcomp.zero_one_count(p, j, m)
-                closed = matrixcomp.weighted_sum_closed(
-                    m, p, j, zero_one_weights
-                ).constant_value()
-                if value != closed or (direct is not None and value != direct):
-                    bad = f"m={m}, p={p}, j={j}"
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    results.append(
-        _result(
-            suite, "zero-one-matrices", f"m <= {zero_one_top}, p <= 3, j <= 4", bad
-        )
-    )
+    for m, p, j in _matrix_shapes(top):
+        direct = None
+        if m <= matrixcomp.DEFAULT_SUM_BOUND:
+            direct = sum(
+                1
+                for matrix in matrixcomp.enumerate_bipartite(m, p, j)
+                if all(e <= 1 for row in matrix.rows for e in row)
+            )
+        value = matrixcomp.zero_one_count(p, j, m)
+        closed = matrixcomp.weighted_sum_closed(
+            m, p, j, zero_one_weights
+        ).constant_value()
+        if value != closed or (direct is not None and value != direct):
+            yield f"m={m}, p={p}, j={j}"
 
-    tree_top = min(max_n, 8)
-    bad = None
-    for m in range(tree_top + 1):
+
+@_identity("matrixcomp", "tree-correspondence", "m <= {}, j <= 4", cap=8)
+def _matrix_tree_correspondence(_, top):
+    for m in range(top + 1):
         for j in range(5):
             trees = matrixcomp.bounded_outdegree_tree_count(m + 1, j)
             u = matrixcomp.bounded_composition_count(m + 1, j, m)
             if (m + 1) * trees != u:
-                bad = f"m={m}, j={j}: {(m + 1) * trees} != {u}"
-                break
+                yield f"m={m}, j={j}: {(m + 1) * trees} != {u}"
             display = sum(
                 (-1) ** i
                 * binomial(m + 1, i)
@@ -953,39 +839,32 @@ def suite_matrixcomp(max_n: int) -> list[IdentityResult]:
                 for i in range(m // (j + 1) + 1)
             )
             if display != u:
-                bad = f"m={m}, j={j}: alternate binomial form differs"
-                break
-        if bad:
-            break
-    results.append(
-        _result(suite, "tree-correspondence", f"m <= {tree_top}, j <= 4", bad)
-    )
+                yield f"m={m}, j={j}: alternate binomial form differs"
 
-    bad = None
+
+@_identity("matrixcomp", "column-stability", "p <= 3, r <= {}, j >= r", cap=8)
+def _matrix_column_stability(_, top):
     for p in range(4):
-        for r in range(min(max_n, 8) + 1):
+        for r in range(top + 1):
             reference = matrixcomp.bounded_composition_count(p, r, r)
             for j in range(r, r + 4):
                 if matrixcomp.bounded_composition_count(p, j, r) != reference:
-                    bad = f"p={p}, r={r}, j={j}"
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    results.append(
-        _result(suite, "column-stability", f"p <= 3, r <= {min(max_n, 8)}, j >= r", bad)
-    )
+                    yield f"p={p}, r={r}, j={j}"
 
-    general_top = min(max_n, 5)
-    bad = None
+
+@_identity(
+    "matrixcomp",
+    "general-matrix-series",
+    "m, k <= {}, p <= 2, j <= 3",
+    cap=5,
+)
+def _general_matrix_series(shared, top):
+    sym = shared.sym
     for p in range(3):
         for j in range(4):
-            series = lagrange.matrix_composition_series(
-                sym, p, j, general_top, general_top
-            )
+            series = lagrange.matrix_composition_series(sym, p, j, top, top)
             table = {}
-            for m in range(general_top + 1):
+            for m in range(top + 1):
                 for flat in compositions.enumerate_compositions(m, p * j):
                     rows = [
                         flat.parts[row * j : (row + 1) * j] for row in range(p)
@@ -1002,28 +881,45 @@ def suite_matrixcomp(max_n: int) -> list[IdentityResult]:
                     table[key] = table.get(key, Polynomial.zero()) + weight
                 if p == 0 and m == 0:
                     table[(0, 0)] = Polynomial.const(1)
-            for m in range(general_top + 1):
-                for k in range(general_top + 1):
+            for m in range(top + 1):
+                for k in range(top + 1):
                     if series.coeff(m, k) != table.get((m, k), Polynomial.zero()):
-                        bad = f"p={p}, j={j}, m={m}, k={k}"
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    results.append(
-        _result(
-            suite, "general-matrix-series", f"m, k <= {general_top}, p <= 2, j <= 3", bad
-        )
-    )
-    return results
+                        yield f"p={p}, j={j}, m={m}, k={k}"
 
 
 # ---------------------------------------------------------------------------
 # driver
 # ---------------------------------------------------------------------------
+
+
+def _run_suite(suite: str, max_n: int) -> list[IdentityResult]:
+    shared = _Shared()
+    return [
+        entry.result(max_n, shared)
+        for entry in REGISTRY.values()
+        if entry.suite == suite
+    ]
+
+
+def suite_core(max_n: int) -> list[IdentityResult]:
+    return _run_suite("core-identities", max_n)
+
+
+def suite_bell(max_n: int) -> list[IdentityResult]:
+    return _run_suite("bell", max_n)
+
+
+def suite_motzkin(max_n: int) -> list[IdentityResult]:
+    return _run_suite("motzkin", max_n)
+
+
+def suite_compositions(max_n: int) -> list[IdentityResult]:
+    return _run_suite("compositions", max_n)
+
+
+def suite_matrixcomp(max_n: int) -> list[IdentityResult]:
+    return _run_suite("matrixcomp", max_n)
+
 
 _SUITE_FUNCTIONS = {
     "core-identities": suite_core,
@@ -1046,6 +942,8 @@ def run(suite: str, max_n: int, jobs: int = 1) -> list[IdentityResult]:
     assembled in suite order regardless of completion order, so it is
     byte-identical to a sequential run.
     """
+    if max_n < 0 or jobs < 1:
+        raise ValueError("arguments must be >= 0")
     names = list(SUITES) if suite == "all" else [suite]
     for name in names:
         if name not in _SUITE_FUNCTIONS:

@@ -2,7 +2,7 @@ import json
 import subprocess
 import sys
 
-from bellpaths import cli
+from bellpaths import cli, motzkin
 from bellpaths.polyring import Polynomial
 
 
@@ -88,6 +88,32 @@ def test_motzkin_weighted_rejects_negative_arguments(capsys):
         captured = capsys.readouterr()
         assert captured.out == "", args
         assert captured.err == "error: arguments must be >= 0\n", args
+
+
+def test_negative_sizes_and_jobs_exit_1(capsys):
+    for argv in (
+        ["verify", "--suite", "core-identities", "--max-n", "-1"],
+        ["verify", "--suite", "bell", "--max-n", "-1"],
+        ["verify", "--suite", "all", "--max-n", "-1", "--jobs", "4"],
+        ["verify", "--suite", "core-identities", "--jobs", "0"],
+        ["verify", "--suite", "all", "--max-n", "2", "--jobs", "-3"],
+        ["motzkin", "table", "--max-n", "-3"],
+    ):
+        assert cli.main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err == "error: arguments must be >= 0\n", argv
+
+
+def test_motzkin_count_bound_has_a_ceiling(capsys):
+    # the path enumerator recurses once per step, so --bound cannot lift
+    # the ceiling up to where that would overflow the interpreter stack
+    assert cli.main(["motzkin", "count", "--bound", "2000", "--m", "600"]) == 3
+    assert capsys.readouterr().err == (
+        f"error: path length 1200 exceeds enumeration bound {motzkin.MAX_PATH_BOUND}\n"
+    )
+    assert cli.main(["motzkin", "count", "--bound", "24", "--m", "0", "--k", "24"]) == 0
+    assert capsys.readouterr().out == "1\n"
 
 
 def test_motzkin_table_rows_sum_to_motzkin_numbers(capsys):
@@ -202,6 +228,36 @@ def test_verify_reports_failures_with_exit_2(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "FAIL (m=2, r=1)" in out
     assert "FAILED: 1 of 2 identities" in out
+
+
+def test_verify_reports_a_broken_fast_path(capsys, monkeypatch):
+    closed = motzkin.weighted_sum_closed
+
+    def broken(m, k, weights):
+        value = closed(m, k, weights)
+        return value + Polynomial.const(1) if (m, k) == (2, 1) else value
+
+    monkeypatch.setattr(motzkin, "weighted_sum_closed", broken)
+    assert cli.main(["verify", "--suite", "all", "--max-n", "5"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    failures = {
+        line.split(" [")[0]: line.split(": FAIL ", 1)[1]
+        for line in lines
+        if ": FAIL " in line
+    }
+    assert failures == {
+        "motzkin/path-sum-triple-agreement":
+            "(m=2, k=1: closed form differs from enumeration)",
+        "motzkin/segment-refinement":
+            "(m=2, k=1: refinement does not repartition the total)",
+        "motzkin/motzkin-numbers": "(n=5: 22 != 21)",
+        "motzkin/set-partition-weights": "(m=2, k=1)",
+        "motzkin/coefficient-degree-grading": "(m=2, k=1, monomial )",
+    }
+    # catalan-slice calls the closed form too, but only at k = 0
+    assert "motzkin/catalan-slice [m <= 2]: PASS" in lines
+    assert sum(line.endswith(": PASS") for line in lines) == 38
+    assert lines[-1] == "FAILED: 5 of 43 identities"
 
 
 def test_help_exits_zero():

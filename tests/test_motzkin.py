@@ -6,17 +6,12 @@ from bellpaths import lagrange, motzkin
 from bellpaths.bell import BinomialSequence
 from bellpaths.core import EnumerationBoundError, binomial
 from bellpaths.polyring import Polynomial, Series, WeightSpec, specialize
+from bellpaths.verify import FAMILIES, pairs_up_to
 
 SYM = WeightSpec.symbolic()
 T1 = Polynomial.variable("t", 1)
 T2 = Polynomial.variable("t", 2)
 S1 = Polynomial.variable("s", 1)
-
-
-def pairs_up_to(total):
-    for n in range(total + 1):
-        for m in range(n // 2 + 1):
-            yield m, n - 2 * m
 
 
 def test_path_validation():
@@ -237,14 +232,8 @@ def test_labeled_tree_specialization():
 
 
 def test_binomial_sequence_specialization():
-    families = [
-        BinomialSequence.power(),
-        BinomialSequence.factorial(),
-        BinomialSequence.abel(Fraction(-2)),
-        BinomialSequence.exponential(),
-    ]
     psi = BinomialSequence.factorial()
-    for phi in families:
+    for phi in FAMILIES:
         weights = motzkin.binomial_sequence_weights(phi)
         pair_weights = motzkin.binomial_sequence_weights(phi, psi)
         for m, k in pairs_up_to(6):
