@@ -8,7 +8,6 @@ the verification report.
 """
 
 from .bell import (
-    BellTable,
     BinomialSequence,
     WeightVector,
     bell_number,
@@ -35,7 +34,6 @@ from .polyring import (
 )
 
 __all__ = [
-    "BellTable",
     "BinomialSequence",
     "EnumerationBoundError",
     "Monomial",

@@ -19,21 +19,26 @@ PARTITION_SUM_BOUND = 30
 
 
 def as_polynomial(value) -> Polynomial:
-    """A Bell-table value (int, Fraction or Polynomial) as a Polynomial, the
+    """A weight-ring value (int, Fraction or Polynomial) as a Polynomial, the
     result type of every public Bell function and closed form."""
     return Polynomial._coerce(value)
 
 
-class BellTable:
-    """Partial Bell polynomials B(n, r) of one entry sequence x_1, x_2, ...
+class WeightVector:
+    """Entries x_1, x_2, ... of one weight sequence and the partial Bell
+    polynomials B(n, r) built from them.
+
+    Every closed form in this package feeds the vector in the "k! times
+    series coefficient" convention, i.e. entry k is k! times the k-th
+    coefficient of the weight series; build those with from_weights.
 
     Rows grow on demand by the triangular recurrence (Comtet, Advanced
     Combinatorics, 1974, section 3.3)
 
         B(n, r) = sum_i C(n-1, i-1) * x_i * B(n-i, r-1),
 
-    and every row, every potential polynomial and every entry of the rule is
-    computed once.  The table is ring-generic: entries may be ints,
+    and every entry of the rule, every row and every potential polynomial
+    is computed once.  The vector is ring-generic: entries may be ints,
     Fractions or Polynomials, zero is tested by truthiness and the empty sum
     is plain 0, so numeric weights stay rationals and symbolic ones stay
     polynomials on the same code path.
@@ -45,7 +50,7 @@ class BellTable:
         self._rows = [(1,)]
         self._potentials: dict = {}
 
-    def entry(self, index: int):
+    def __getitem__(self, index: int):
         """x_index, evaluated by the rule on first use."""
         if index < 1:
             raise IndexError(f"weight vector indices start at 1, got {index}")
@@ -59,7 +64,7 @@ class BellTable:
             raise ValueError(f"Bell table rows start at 0, got {n}")
         rows = self._rows
         for nn in range(len(rows), n + 1):
-            xs = [None] + [self.entry(i) for i in range(1, nn + 1)]
+            xs = [None] + [self[i] for i in range(1, nn + 1)]
             binomials = [None] + [comb(nn - 1, i - 1) for i in range(1, nn + 1)]
             row = [0] * (nn + 1)
             for rr in range(1, nn + 1):
@@ -101,37 +106,20 @@ class BellTable:
             self._potentials[key] = total
         return self._potentials[key]
 
-
-class WeightVector:
-    """Sequence of entries x_1, x_2, ... consumed by the Bell machinery,
-    together with the one BellTable built from it.
-
-    Entries are ints, Fractions or Polynomials, available up to any
-    requested index.  Every closed form in this package feeds the vector in
-    the "k! times series coefficient" convention, i.e. entry k is k! times
-    the k-th coefficient of the weight series; build those with from_weights.
-    """
-
-    def __init__(self, rule):
-        self.table = BellTable(rule)
-
-    def __getitem__(self, index: int):
-        return self.table.entry(index)
-
     @classmethod
     def from_weights(cls, weights: WeightSpec, family: str) -> "WeightVector":
         """Entry k = k! * (weight k of the chosen family).
 
         Built once per spec and family, so every closed form evaluated over
-        the same spec shares one Bell table.
+        the same spec shares one set of Bell rows.
         """
         if family not in ("t", "s"):
             raise ValueError(f"unknown weight family {family!r}")
-        if family not in weights.vectors:
-            weights.vectors[family] = cls(
+        if family not in weights.cache:
+            weights.cache[family] = cls(
                 lambda k: weights.entry(family, k) * factorial(k)
             )
-        return weights.vectors[family]
+        return weights.cache[family]
 
     @classmethod
     def constant(cls, value) -> "WeightVector":
@@ -155,11 +143,11 @@ def partial_bell(n: int, r: int, entries: WeightVector) -> Polynomial:
     """Partial Bell polynomial B(n, r) of the given entries.
 
     Conventions: B(0, 0) = 1, B(n, 0) = 0 for n > 0, and B(n, r) = 0 for
-    r > n or r < 0.  Read from the vector's Bell table, which is built by
+    r > n or r < 0.  Read from the vector's Bell rows, which are built by
     the triangular recurrence in polynomial time; the partition-sum
     evaluator below is the independent cross-check.
     """
-    return as_polynomial(entries.table.bell(n, r))
+    return as_polynomial(entries.bell(n, r))
 
 
 def _partitions_with_parts(n: int, r: int):
@@ -229,7 +217,7 @@ def potential(n: int, power: int, entries: WeightVector) -> Polynomial:
         raise ValueError(f"potential polynomial power must be an integer, got {power!r}")
     if n < 0:
         raise ValueError(f"potential polynomial order must be >= 0, got {n}")
-    return as_polynomial(entries.table.potential(n, power))
+    return as_polynomial(entries.potential(n, power))
 
 
 def power_derivative(f: Series, m: int, i: int) -> Polynomial:
@@ -254,7 +242,7 @@ def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind, as B(n, k) at all entries 1."""
     if n < 0 or k < 0:
         raise ValueError("stirling2 needs nonnegative arguments")
-    return _ONES.table.bell(n, k)
+    return _ONES.bell(n, k)
 
 
 def bell_number(n: int) -> int:

@@ -79,24 +79,26 @@ def _print_value(poly: Polynomial, fmt: str, extra: dict | None = None) -> None:
         print(poly.to_text())
 
 
-def _bell_vector(weights: WeightSpec) -> WeightVector:
-    # plain entries: x_i is the t-weight itself, symbolic entries stay t_i
-    return WeightVector(lambda k: weights.entry("t", k))
+def _require_nonnegative(*values) -> None:
+    if any(value is not None and value < 0 for value in values):
+        raise ValueError("arguments must be >= 0")
 
 
 def cmd_bell(args) -> int:
+    _require_nonnegative(args.n, args.r)
     weights = parse_weights(args.weights)
-    vector = _bell_vector(weights)
+    # plain entries: x_i is the t-weight itself, symbolic entries stay t_i
+    vector = WeightVector(lambda k: weights.entry("t", k))
+    # the oracle goes first, so its size bound is checked before any work
+    check = partial_bell_by_partitions(args.n, args.r, vector) if args.oracle else None
     value = partial_bell(args.n, args.r, vector)
-    if args.oracle:
-        check = partial_bell_by_partitions(args.n, args.r, vector)
-        if check != value:
-            print(
-                f"oracle mismatch at n={args.n}, r={args.r}: "
-                f"recurrence {value.to_text()} vs partition sum {check.to_text()}",
-                file=sys.stderr,
-            )
-            return EXIT_VERIFY
+    if check is not None and check != value:
+        print(
+            f"oracle mismatch at n={args.n}, r={args.r}: "
+            f"recurrence {value.to_text()} vs partition sum {check.to_text()}",
+            file=sys.stderr,
+        )
+        return EXIT_VERIFY
     print(value.to_text())
     return EXIT_OK
 
@@ -117,8 +119,7 @@ def cmd_motzkin(args) -> int:
         _print_value(poly, args.format, {"m": args.m, "k": args.k})
         return EXIT_OK
     # triangle over (m, k) for each length n: one row per n, entries by m
-    if args.max_n < 0:
-        raise ValueError("arguments must be >= 0")
+    _require_nonnegative(args.max_n)
     weights = parse_weights(args.weights)
     rows = []
     for n in range(args.max_n + 1):
@@ -139,6 +140,7 @@ def cmd_motzkin(args) -> int:
 
 
 def cmd_comp(args) -> int:
+    _require_nonnegative(args.k)
     if args.mode == "count":
         total = 0
         for comp in compositions.enumerate_compositions(args.m, args.j):
@@ -163,6 +165,7 @@ def cmd_matcomp(args) -> int:
     if args.mode == "trees":
         if args.v is None:
             raise ValueError("trees mode needs --v (vertex count)")
+        _require_nonnegative(args.j)
         print(matrixcomp.bounded_outdegree_tree_count(args.v, args.j))
         return EXIT_OK
     if args.m is None or args.p is None:

@@ -88,7 +88,7 @@ def _t_at(weights: WeightSpec, z: Series, order: int) -> Series:
         power = power * z
         if power.is_zero():
             break
-        ti = weights.t_poly(i)
+        ti = weights.entry("t", i)
         if ti:
             result = result + power.scale(ti)
     return result
@@ -97,7 +97,7 @@ def _t_at(weights: WeightSpec, z: Series, order: int) -> Series:
 def _s_series(weights: WeightSpec, nx: int, ny: int, nq: int = 0) -> Series:
     cells = {(0, 0, 0): Polynomial.const(1)}
     for i in range(1, ny + 1):
-        si = weights.s_poly(i)
+        si = weights.entry("s", i)
         if si:
             cells[(0, i, 0)] = si
     return Series((nx, ny, nq), cells)
@@ -106,7 +106,7 @@ def _s_series(weights: WeightSpec, nx: int, ny: int, nq: int = 0) -> Series:
 def _t_minus_one(weights: WeightSpec, nx: int, ny: int = 0, nq: int = 0) -> Series:
     cells = {}
     for i in range(1, nx + 1):
-        ti = weights.t_poly(i)
+        ti = weights.entry("t", i)
         if ti:
             cells[(i, 0, 0)] = ti
     return Series((nx, ny, nq), cells)
@@ -147,7 +147,7 @@ def composition_series(weights: WeightSpec, nx: int, ny: int, nq: int) -> Series
     """
     sq_cells = {(0, 0, 0): Polynomial.const(1)}
     for i in range(1, min(ny, nq) + 1):
-        si = weights.s_poly(i)
+        si = weights.entry("s", i)
         if si:
             sq_cells[(0, i, i)] = si
     sq = Series((nx, ny, nq), sq_cells)

@@ -104,10 +104,10 @@ def enumerate_bipartite(
 
 def matrix_weight(matrix: BipartiteMatrixComposition, weights: WeightSpec) -> Polynomial:
     """Product of t-weights over the nonzero entries of the matrix."""
-    result = Polynomial.const(1)
+    result = 1
     for entry in matrix.nonzero_entries():
-        result = result * weights.t_poly(entry)
-    return result
+        result = result * weights.entry("t", entry)
+    return as_polynomial(result)
 
 
 def bounded_composition_count(p: int, j: int, r: int) -> int:
@@ -140,7 +140,7 @@ def weighted_sum_closed(m: int, p: int, j: int, weights: WeightSpec) -> Polynomi
     """
     if m < 0 or p < 0 or j < 0:
         raise ValueError("arguments must be >= 0")
-    bells = WeightVector.from_weights(weights, "t").table.row(m)
+    bells = WeightVector.from_weights(weights, "t").row(m)
     total = 0
     for r in range(m + 1):
         u = bounded_composition_count(p, j, r)

@@ -134,12 +134,12 @@ def enumerate_paths(
 def path_weight(path: MotzkinPath, weights: WeightSpec) -> Polynomial:
     """Product of t-weights over u-runs and s-weights over h-runs."""
     profile = segment_profile(path)
-    result = Polynomial.const(1)
+    result = 1
     for length, count in profile.u_counts.items():
-        result = result * weights.t_poly(length) ** count
+        result = result * weights.entry("t", length) ** count
     for length, count in profile.h_counts.items():
-        result = result * weights.s_poly(length) ** count
-    return result
+        result = result * weights.entry("s", length) ** count
+    return as_polynomial(result)
 
 
 def weighted_sum_bruteforce(
@@ -167,8 +167,8 @@ def weighted_sum_closed(m: int, k: int, weights: WeightSpec) -> Polynomial:
     """
     if m < 0 or k < 0:
         raise ValueError("arguments must be >= 0")
-    tbell = WeightVector.from_weights(weights, "t").table
-    bells = WeightVector.from_weights(weights, "s").table.row(k)
+    tvec = WeightVector.from_weights(weights, "t")
+    bells = WeightVector.from_weights(weights, "s").row(k)
     total = 0
     for l in range(k + 1):
         if not bells[l]:
@@ -176,7 +176,7 @@ def weighted_sum_closed(m: int, k: int, weights: WeightSpec) -> Polynomial:
         inner = 0
         for j in range(l + 1):
             c = binomial(l - 1, l - j) * binomial(m + j, j)
-            pot = tbell.potential(m, m + j + 1)
+            pot = tvec.potential(m, m + j + 1)
             if c and pot:
                 inner = inner + pot * (c if (l - j) % 2 == 0 else -c)
         if inner:
@@ -436,12 +436,16 @@ def bary_general_closed_value(m: int, k: int, b: int, d: int) -> Fraction:
         1/(m+1) sum_{j=0..k} C(m+j, j) (m+j+1)/((b+1)m+j+1)
                 * C((b+1)m+j+1, m) * h_factor(j, k, d)
 
-    where h_factor is taken in its series form so the degenerate dk = j cases
-    carry their natural values.
+    where h_factor is taken in its series form (bary_h_factor_series) so the
+    degenerate dk = j cases carry their natural values; one series is built
+    and its j-th power read off for every j.
     """
+    h_run = _h_run_series(d, k)
+    h_power = Series.one(0, k)
     total = Fraction(0)
     for j in range(k + 1):
-        h_factor = bary_h_factor_series(j, k, d)
+        h_factor = h_power.coeff(0, k).constant_value()
+        h_power = h_power * h_run
         if not h_factor:
             continue
         top = (b + 1) * m + j + 1

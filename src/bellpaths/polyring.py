@@ -81,11 +81,12 @@ class Monomial:
         return tuple((_var_key(var), e) for var, e in self.items)
 
     def to_text(self) -> str:
+        """e.g. "t1^2*s3"; the unit monomial prints as "1"."""
         factors = []
         for (family, index), e in self.items:
             name = f"{family}{index}"
             factors.append(name if e == 1 else f"{name}^{e}")
-        return "*".join(factors)
+        return "*".join(factors) or "1"
 
     def __eq__(self, other):
         return isinstance(other, Monomial) and self.items == other.items
@@ -94,7 +95,7 @@ class Monomial:
         return self._hash
 
     def __repr__(self):
-        return f"Monomial({self.to_text() or '1'})"
+        return f"Monomial({self.to_text()})"
 
 
 _MONOMIAL_ONE = Monomial()
@@ -321,40 +322,27 @@ class WeightSpec:
     t_rule: Callable[[int], object]
     s_rule: Callable[[int], object]
     name: str = "custom"
-    # weight vectors derived from this spec, keyed by family; filled by
-    # bell.WeightVector.from_weights so every closed form over the spec
-    # shares one Bell table per family
-    vectors: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-
-    def _eval(self, rule, index: int):
-        if index < 1:
-            raise ValueError(f"weight index must be >= 1, got {index}")
-        value = rule(index)
-        if value is SYMBOLIC:
-            return value
-        return _coerce_coeff(value)
-
-    def t(self, index: int):
-        return self._eval(self.t_rule, index)
-
-    def s(self, index: int):
-        return self._eval(self.s_rule, index)
+    # (family, index) -> entry, and family -> the bell.WeightVector built by
+    # bell.WeightVector.from_weights, so each rule index is evaluated once
+    # and every closed form over the spec shares one Bell table per family
+    cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def entry(self, family: str, index: int):
         """Weight `family`_index as an exact rational, or as its variable
-        when the rule keeps it SYMBOLIC."""
-        if family not in _FAMILIES:
-            raise ValueError(f"unknown weight family {family!r}")
-        value = self.t(index) if family == "t" else self.s(index)
-        if value is SYMBOLIC:
-            return Polynomial.variable(family, index)
-        return value
-
-    def t_poly(self, index: int) -> Polynomial:
-        return Polynomial._coerce(self.entry("t", index))
-
-    def s_poly(self, index: int) -> Polynomial:
-        return Polynomial._coerce(self.entry("s", index))
+        when the rule keeps it SYMBOLIC; each index is evaluated once."""
+        key = (family, index)
+        if key not in self.cache:
+            if family not in _FAMILIES:
+                raise ValueError(f"unknown weight family {family!r}")
+            if index < 1:
+                raise ValueError(f"weight index must be >= 1, got {index}")
+            value = (self.t_rule if family == "t" else self.s_rule)(index)
+            if value is SYMBOLIC:
+                value = Polynomial.variable(family, index)
+            else:
+                value = _coerce_coeff(value)
+            self.cache[key] = value
+        return self.cache[key]
 
     @staticmethod
     def symbolic() -> "WeightSpec":
@@ -387,8 +375,8 @@ def specialize(poly: Polynomial, weights: WeightSpec) -> Fraction:
     for mono, coeff in poly.terms.items():
         value = coeff
         for (family, index), exp in mono.items:
-            w = weights.t(index) if family == "t" else weights.s(index)
-            if w is SYMBOLIC:
+            w = weights.entry(family, index)
+            if isinstance(w, Polynomial):
                 raise ValueError(
                     f"no numeric value for {family}{index} under weights "
                     f"{weights.name!r}"

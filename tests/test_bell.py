@@ -4,9 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bellpaths import cli, compositions, matrixcomp, motzkin
+from bellpaths import cli, compositions, lagrange, matrixcomp, motzkin
 from bellpaths.bell import (
-    BellTable,
     BinomialSequence,
     WeightVector,
     as_polynomial,
@@ -258,7 +257,7 @@ def test_bell_table_matches_partition_sum_in_every_ring():
     for label, vec in [("symbolic", SYM), *numeric_vectors()]:
         for n in range(11):
             for r in range(n + 1):
-                value = vec.table.bell(n, r)
+                value = vec.bell(n, r)
                 if label != "symbolic":
                     # numeric weights stay rationals inside the table
                     assert not isinstance(value, Polynomial), (label, n, r)
@@ -271,10 +270,10 @@ def test_bell_table_matches_partition_sum_in_every_ring():
 
 def test_bell_table_grows_to_the_same_rows():
     for label, vec in [("symbolic", SYM), *numeric_vectors()]:
-        grown = BellTable(lambda k: vec[k])
+        grown = WeightVector(lambda k: vec[k])
         grown.row(4)
         grown.row(8)
-        fresh = BellTable(lambda k: vec[k])
+        fresh = WeightVector(lambda k: vec[k])
         assert [grown.row(n) for n in range(9)] == [fresh.row(n) for n in range(9)], label
 
 
@@ -311,6 +310,10 @@ def test_weight_spec_builds_each_table_once():
             motzkin.weighted_sum_closed(m, n - 2 * m, weights)
     compositions.weighted_sum_closed(4, 2, 5, weights)
     matrixcomp.weighted_sum_closed(5, 2, 3, weights)
+    # the oracles and specialize read the same memoised entries
+    motzkin.weighted_sum_bruteforce(2, 4, weights)
+    lagrange.motzkin_series(weights, 4, 6)
+    specialize(motzkin.weighted_sum_closed(3, 2, WeightSpec.symbolic()), weights)
     assert calls["t"] == {i: 1 for i in range(1, 6)}
     assert calls["s"] == {i: 1 for i in range(1, 9)}
 

@@ -42,6 +42,17 @@ def test_bell_oracle_flag(capsys, monkeypatch):
     assert "oracle mismatch" in capsys.readouterr().err
 
 
+def test_bell_oracle_checks_its_bound_first(capsys, monkeypatch):
+    def recurrence_not_expected(n, r, vec):
+        raise AssertionError("the recurrence ran before the bound check")
+
+    monkeypatch.setattr(cli, "partial_bell", recurrence_not_expected)
+    assert cli.main(["bell", "--n", "31", "--r", "3", "--oracle"]) == 3
+    assert capsys.readouterr().err == (
+        "error: partition summation bound is n <= 30, got 31\n"
+    )
+
+
 def test_motzkin_commands(capsys):
     assert cli.main(["motzkin", "weighted", "--m", "1", "--k", "1"]) == 0
     assert capsys.readouterr().out == "3*t1*s1\n"
@@ -98,6 +109,10 @@ def test_negative_sizes_and_jobs_exit_1(capsys):
         ["verify", "--suite", "core-identities", "--jobs", "0"],
         ["verify", "--suite", "all", "--max-n", "2", "--jobs", "-3"],
         ["motzkin", "table", "--max-n", "-3"],
+        ["bell", "--n", "-1", "--r", "0"],
+        ["bell", "--n", "3", "--r", "-2"],
+        ["matcomp", "trees", "--v", "3", "--j", "-1"],
+        ["comp", "count", "--m", "3", "--j", "2", "--k", "-1"],
     ):
         assert cli.main(argv) == 1, argv
         captured = capsys.readouterr()
@@ -252,7 +267,7 @@ def test_verify_reports_a_broken_fast_path(capsys, monkeypatch):
             "(m=2, k=1: refinement does not repartition the total)",
         "motzkin/motzkin-numbers": "(n=5: 22 != 21)",
         "motzkin/set-partition-weights": "(m=2, k=1)",
-        "motzkin/coefficient-degree-grading": "(m=2, k=1, monomial )",
+        "motzkin/coefficient-degree-grading": "(m=2, k=1, monomial 1)",
     }
     # catalan-slice calls the closed form too, but only at k = 0
     assert "motzkin/catalan-slice [m <= 2]: PASS" in lines

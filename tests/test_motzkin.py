@@ -2,11 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from bellpaths import lagrange, motzkin
-from bellpaths.bell import BinomialSequence
+from bellpaths import motzkin, verify
 from bellpaths.core import EnumerationBoundError, binomial
-from bellpaths.polyring import Polynomial, Series, WeightSpec, specialize
-from bellpaths.verify import FAMILIES, pairs_up_to
+from bellpaths.polyring import Polynomial, Series, WeightSpec
+from bellpaths.verify import pairs_up_to
 
 SYM = WeightSpec.symbolic()
 T1 = Polynomial.variable("t", 1)
@@ -63,10 +62,7 @@ def test_closed_weighted_sums():
 
 
 def test_triple_agreement():
-    for m, k in pairs_up_to(7):
-        brute = motzkin.weighted_sum_bruteforce(m, k, SYM)
-        assert motzkin.weighted_sum_closed(m, k, SYM) == brute, (m, k)
-        assert lagrange.motzkin_series(SYM, m, k).coeff(m, k) == brute, (m, k)
+    assert verify.check("motzkin", "path-sum-triple-agreement", 7) is None
 
 
 def test_path_count_closed_form():
@@ -146,43 +142,32 @@ def test_parallel_reduction_matches_sequential():
 
 def test_named_weights_values():
     stirling = motzkin.named_weights("stirling")
-    assert stirling.t(3) == Fraction(1, 6)
-    assert stirling.s(3) == Fraction(1, 6)
+    assert stirling.entry("t", 3) == Fraction(1, 6)
+    assert stirling.entry("s", 3) == Fraction(1, 6)
 
     bary = motzkin.named_weights("b-ary", b=1, d=1)
-    assert bary.t(2) == 1  # C(3,2)/3
-    assert bary.s(2) == 1
+    assert bary.entry("t", 2) == 1  # C(3,2)/3
+    assert bary.entry("s", 2) == 1
 
     abel0 = motzkin.named_weights("abel", q=0)
     for i in range(1, 5):
-        assert abel0.t(i) == Fraction(1, motzkin.factorial(i))
-        assert abel0.s(i) == 1
+        assert abel0.entry("t", i) == Fraction(1, motzkin.factorial(i))
+        assert abel0.entry("s", i) == 1
 
     with pytest.raises(ValueError):
         motzkin.named_weights("no-such-kind")
 
 
 def test_stirling_specialization():
-    weights = motzkin.named_weights("stirling")
-    for m, k in pairs_up_to(7):
-        value = specialize(motzkin.weighted_sum_closed(m, k, SYM), weights)
-        assert value == motzkin.stirling_closed_value(m, k), (m, k)
+    assert verify.check("motzkin", "set-partition-weights", 7) is None
 
 
 def test_plane_tree_specialization_single():
-    for b in (1, 2, 3):
-        weights = motzkin.named_weights("b-ary", b=b, d=1)
-        for m, k in pairs_up_to(6):
-            brute = motzkin.weighted_sum_bruteforce(m, k, weights).constant_value()
-            assert brute == motzkin.bary_d1_closed_value(m, k, b), (b, m, k)
+    assert verify.check("motzkin", "plane-tree-weights-single", 6) is None
 
 
 def test_plane_tree_specialization_general():
-    for b, d in [(1, 2), (2, 3)]:
-        weights = motzkin.named_weights("b-ary", b=b, d=d)
-        for m, k in pairs_up_to(6):
-            brute = motzkin.weighted_sum_bruteforce(m, k, weights).constant_value()
-            assert brute == motzkin.bary_general_closed_value(m, k, b, d), (b, d, m, k)
+    assert verify.check("motzkin", "plane-tree-weights-general", 6) is None
 
 
 def test_h_run_factor_closed_matches_series_where_defined():
@@ -224,33 +209,17 @@ def test_series_pair_specialization(rng):
 
 
 def test_labeled_tree_specialization():
-    for r in (0, 1, 2):
-        weights = motzkin.named_weights("r-ary", r=r)
-        for m, k in pairs_up_to(6):
-            brute = motzkin.weighted_sum_bruteforce(m, k, weights).constant_value()
-            assert brute == motzkin.rary_closed_value(m, k, r), (r, m, k)
+    assert verify.check("motzkin", "labeled-tree-weights", 6) is None
 
 
 def test_binomial_sequence_specialization():
-    psi = BinomialSequence.factorial()
-    for phi in FAMILIES:
-        weights = motzkin.binomial_sequence_weights(phi)
-        pair_weights = motzkin.binomial_sequence_weights(phi, psi)
-        for m, k in pairs_up_to(6):
-            brute = motzkin.weighted_sum_bruteforce(m, k, weights).constant_value()
-            assert brute == motzkin.binomial_sequence_closed_value(m, k, phi)
-            pair_brute = motzkin.weighted_sum_bruteforce(
-                m, k, pair_weights
-            ).constant_value()
-            assert pair_brute == motzkin.two_sequence_closed_value(m, k, phi, psi)
+    # single family (s all 1) and the pair with psi the factorial family
+    assert verify.check("motzkin", "binomial-sequence-weights", 6) is None
+    assert verify.check("motzkin", "two-sequence-double-sum", 6) is None
 
 
 def test_abel_and_bell_specializations():
-    for q in (Fraction(0), Fraction(-1), Fraction(1, 2)):
-        weights = motzkin.named_weights("abel", q=q)
-        for m, k in pairs_up_to(6):
-            brute = motzkin.weighted_sum_bruteforce(m, k, weights).constant_value()
-            assert brute == motzkin.abel_closed_value(m, k, q), (q, m, k)
+    assert verify.check("motzkin", "abel-weights", 6) is None
     # the Abel case at q = -(r+1) coincides with the labeled-tree weights
     for r in (0, 1, 2):
         for m, k in pairs_up_to(6):
@@ -258,22 +227,15 @@ def test_abel_and_bell_specializations():
                 motzkin.rary_closed_value(m, k, r)
             )
 
-    bell_weights = motzkin.named_weights("bell-numbers")
-    for m, k in pairs_up_to(6):
-        brute = motzkin.weighted_sum_bruteforce(m, k, bell_weights).constant_value()
-        assert brute == motzkin.bell_numbers_closed_value(m, k), (m, k)
+    assert verify.check("motzkin", "bell-number-weights", 6) is None
 
 
 def test_factorial_psi_weights_are_all_ones():
     weights = motzkin.named_weights("factorial-psi")
     for i in range(1, 6):
-        assert weights.t(i) == 1
-        assert weights.s(i) == 1
+        assert weights.entry("t", i) == 1
+        assert weights.entry("s", i) == 1
 
 
 def test_coefficient_degrees_track_step_counts():
-    for m, k in pairs_up_to(6):
-        poly = motzkin.weighted_sum_closed(m, k, SYM)
-        for mono in poly.terms:
-            assert mono.weighted_degree("t") == m
-            assert mono.weighted_degree("s") == k
+    assert verify.check("motzkin", "coefficient-degree-grading", 6) is None

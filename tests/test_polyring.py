@@ -210,15 +210,15 @@ def test_series_equality_includes_orders():
 
 def test_weightspec_tables_default_zero():
     w = WeightSpec.from_tables({1: Fraction(1, 2)}, {2: 3})
-    assert w.t(1) == Fraction(1, 2)
-    assert w.t(2) == 0
-    assert w.s(2) == 3
-    assert w.t_poly(1) == Polynomial.const(Fraction(1, 2))
+    assert w.entry("t", 1) == Fraction(1, 2)
+    assert w.entry("t", 2) == 0
+    assert w.entry("s", 2) == 3
+    assert w.entry("t", 1) == Polynomial.const(Fraction(1, 2))
 
 
 def test_weightspec_symbolic_polys():
     w = WeightSpec.symbolic()
-    assert w.t(4) is SYMBOLIC
-    assert w.t_poly(4) == Polynomial.variable("t", 4)
+    assert w.t_rule(4) is SYMBOLIC
+    assert w.entry("t", 4) == Polynomial.variable("t", 4)
     with pytest.raises(ValueError):
-        w.t(0)
+        w.entry("t", 0)
