@@ -105,6 +105,7 @@ def cmd_bell(args) -> int:
 
 def cmd_motzkin(args) -> int:
     if args.mode == "count":
+        _require_nonnegative(args.bound)
         print(motzkin.count_paths(args.m, args.k, bound=args.bound))
         return EXIT_OK
     if args.mode == "weighted":

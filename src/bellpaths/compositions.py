@@ -165,12 +165,14 @@ def restricted_count(
 ) -> int:
     """Number of compositions of m into j strictly positive parts drawn from
     `allowed` (every positive integer when None), optionally excluding the
-    single value `forbidden`.  Evaluated through the closed form with 0/1
-    t-weights; the result is asserted to be integral.
+    single positive value `forbidden`.  Evaluated through the closed form with
+    0/1 t-weights; the result is asserted to be integral.
     """
     allowed_set = None if allowed is None else {int(a) for a in allowed}
     if allowed_set is not None and any(a < 1 for a in allowed_set):
         raise ValueError("allowed parts must be positive")
+    if forbidden is not None and forbidden < 1:
+        raise ValueError("the forbidden part must be positive")
 
     def t_rule(i):
         if forbidden is not None and i == forbidden:

@@ -34,9 +34,8 @@ def _check_reversible(f: Series, order: int) -> None:
 
 def _x_over_f(f: Series, order: int) -> Series:
     """The series x / f(x) truncated at the given order."""
-    shifted = Series(
-        (order, 0, 0), {(i - 1, 0, 0): f.coeff(i) for i in range(1, min(f.nx, order + 1) + 1)}
-    )
+    # f is univariate with zero constant term, so every cell sits at i >= 1
+    shifted = Series((order, 0, 0), {(i - 1, 0, 0): c for (i, _, _), c in f.cells.items()})
     return shifted.reciprocal()
 
 
@@ -52,9 +51,7 @@ def reversion(f: Series, order: int) -> Series:
     power = Series.one(h.nx)
     for n in range(1, order + 1):
         power = power * h
-        gn = power.coeff(n - 1) * Fraction(1, n)
-        if gn:
-            cells[(n, 0, 0)] = gn
+        cells[(n, 0, 0)] = power.cells.get((n - 1, 0, 0), 0) * Fraction(1, n)
     return Series((order, 0, 0), cells)
 
 
@@ -95,7 +92,7 @@ def _t_at(weights: WeightSpec, z: Series, order: int) -> Series:
 
 
 def _s_series(weights: WeightSpec, nx: int, ny: int, nq: int = 0) -> Series:
-    cells = {(0, 0, 0): Polynomial.const(1)}
+    cells = {(0, 0, 0): 1}
     for i in range(1, ny + 1):
         si = weights.entry("s", i)
         if si:
@@ -145,7 +142,7 @@ def composition_series(weights: WeightSpec, nx: int, ny: int, nq: int) -> Series
 
         C = S(qy) / (1 + q S(qy) - q S(qy) T(x)).
     """
-    sq_cells = {(0, 0, 0): Polynomial.const(1)}
+    sq_cells = {(0, 0, 0): 1}
     for i in range(1, min(ny, nq) + 1):
         si = weights.entry("s", i)
         if si:

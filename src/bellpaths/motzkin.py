@@ -104,6 +104,8 @@ def enumerate_paths(
     """
     if m < 0 or k < 0:
         raise ValueError("step counts must be >= 0")
+    if bound < 0:
+        raise ValueError("enumeration bound must be >= 0")
     bound = min(bound, MAX_PATH_BOUND)
     if 2 * m + k > bound:
         raise EnumerationBoundError(
@@ -406,9 +408,9 @@ def bary_d1_closed_value(m: int, k: int, b: int) -> Fraction:
 
 def _h_run_series(d: int, ny: int) -> Series:
     """(S(y) - 1) / S(y) for the d-ary plane-tree weight series S."""
-    cells = {(0, 0, 0): Polynomial.const(1)}
+    cells = {(0, 0, 0): 1}
     for i in range(1, ny + 1):
-        cells[(0, i, 0)] = Polynomial.const(_tree_weight(d, i))
+        cells[(0, i, 0)] = _tree_weight(d, i)
     s = Series((0, ny, 0), cells)
     return Series.one(0, ny) - s.reciprocal()
 

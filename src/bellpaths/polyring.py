@@ -1,7 +1,7 @@
 """Multivariate polynomials in the weight variables t1, t2, ... and
 s1, s2, ... over exact rationals, and truncated formal power series in up to
-three grading variables (x, y, and a part-marking grade) with polynomial
-coefficients.
+three grading variables (x, y, and a part-marking grade) whose coefficients
+are weight-ring values: ints, Fractions or Polynomials.
 
 Terms are kept in a canonical order so printed output and comparisons are
 byte-stable.  Series store explicit truncation orders; reading a coefficient
@@ -49,10 +49,6 @@ class Monomial:
         pairs.sort(key=lambda p: _var_key(p[0]))
         self.items = tuple(pairs)
         self._hash = hash(self.items)
-
-    @staticmethod
-    def one() -> "Monomial":
-        return _MONOMIAL_ONE
 
     @staticmethod
     def variable(family: str, index: int, exp: int = 1) -> "Monomial":
@@ -153,13 +149,6 @@ class Polynomial:
         if self.is_constant():
             return self.terms[_MONOMIAL_ONE]
         raise ValueError(f"polynomial {self} is not constant")
-
-    def variables(self):
-        seen = set()
-        for mono in self.terms:
-            for var, _ in mono.items:
-                seen.add(var)
-        return seen
 
     @staticmethod
     def _coerce(value) -> "Polynomial":
@@ -387,12 +376,18 @@ def specialize(poly: Polynomial, weights: WeightSpec) -> Fraction:
 
 
 class Series:
-    """Truncated formal power series with Polynomial coefficients.
+    """Truncated formal power series whose coefficients are weight-ring
+    values: ints, Fractions or Polynomials in the weight variables.
 
     Grading variables are x, y, and a third part-marking grade; a univariate
     series is the ny = nq = 0 case.  Only nonzero cells are stored, but the
     truncation box is explicit: arithmetic discards anything beyond it, and
     coefficient reads outside it raise IndexError.
+
+    Cells keep the ring value they are given, zero is tested by truthiness
+    and any operand that is not a Series is a scalar, so numeric series stay
+    rationals and symbolic ones stay polynomials on the same code path.
+    coeff is the one public reader and returns a Polynomial.
     """
 
     __slots__ = ("nx", "ny", "nq", "cells")
@@ -408,15 +403,18 @@ class Series:
         self.nx, self.ny, self.nq = nx, ny, nq
         cleaned = {}
         if cells:
-            for key, poly in cells.items():
+            for key, value in cells.items():
                 i, j, l = key
                 if i > nx or j > ny or l > nq:
                     continue
                 if i < 0 or j < 0 or l < 0:
                     raise ValueError(f"negative series index {key}")
-                poly = Polynomial._coerce(poly)
-                if poly:
-                    cleaned[(i, j, l)] = poly
+                if not isinstance(value, (int, Fraction, Polynomial)):
+                    raise TypeError(
+                        f"series coefficients must be exact ring values, got {value!r}"
+                    )
+                if value:
+                    cleaned[(i, j, l)] = value
         self.cells = cleaned
 
     @staticmethod
@@ -425,17 +423,7 @@ class Series:
 
     @staticmethod
     def one(nx: int, ny: int = 0, nq: int = 0) -> "Series":
-        return Series.const(1, nx, ny, nq)
-
-    @staticmethod
-    def const(value, nx: int, ny: int = 0, nq: int = 0) -> "Series":
-        return Series((nx, ny, nq), {(0, 0, 0): Polynomial._coerce(value)})
-
-    @staticmethod
-    def term(value, key, nx: int, ny: int = 0, nq: int = 0) -> "Series":
-        while len(key) < 3:
-            key = (*key, 0)
-        return Series((nx, ny, nq), {key: Polynomial._coerce(value)})
+        return Series((nx, ny, nq), {(0, 0, 0): 1})
 
     @staticmethod
     def from_x_coeffs(coeffs, nx: int | None = None) -> "Series":
@@ -458,7 +446,7 @@ class Series:
                 f"coefficient ({i},{j},{l}) outside truncation "
                 f"({self.nx},{self.ny},{self.nq})"
             )
-        return self.cells.get((i, j, l), Polynomial.zero())
+        return Polynomial._coerce(self.cells.get((i, j, l), 0))
 
     def is_zero(self) -> bool:
         return not self.cells
@@ -471,20 +459,13 @@ class Series:
         )
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, Polynomial)):
-            other = Series.const(other, self.nx, self.ny, self.nq)
-        orders = self._min_orders(other)
-        cells = {}
-        for key in set(self.cells) | set(other.cells):
-            i, j, l = key
-            if i > orders[0] or j > orders[1] or l > orders[2]:
-                continue
-            value = self.cells.get(key, Polynomial.zero()) + other.cells.get(
-                key, Polynomial.zero()
-            )
-            if value:
-                cells[key] = value
-        return Series(orders, cells)
+        if not isinstance(other, Series):
+            other = Series(self.orders(), {(0, 0, 0): other})
+        # the constructor drops cells past the smaller box and zero sums
+        cells = dict(self.cells)
+        for key, value in other.cells.items():
+            cells[key] = cells[key] + value if key in cells else value
+        return Series(self._min_orders(other), cells)
 
     __radd__ = __add__
 
@@ -492,15 +473,13 @@ class Series:
         return Series(self.orders(), {k: -p for k, p in self.cells.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Polynomial)):
-            other = Series.const(other, self.nx, self.ny, self.nq)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Polynomial)):
+        if not isinstance(other, Series):
             return self.scale(other)
         orders = self._min_orders(other)
         nx, ny, nq = orders
@@ -511,21 +490,15 @@ class Series:
                 if i > nx or j > ny or l > nq:
                     continue
                 key = (i, j, l)
-                prod = p1 * p2
                 if key in cells:
-                    value = cells[key] + prod
-                    if value:
-                        cells[key] = value
-                    else:
-                        del cells[key]
-                elif prod:
-                    cells[key] = prod
+                    cells[key] = cells[key] + p1 * p2
+                else:
+                    cells[key] = p1 * p2
         return Series(orders, cells)
 
     __rmul__ = __mul__
 
     def scale(self, value) -> "Series":
-        value = Polynomial._coerce(value)
         if not value:
             return Series(self.orders())
         return Series(self.orders(), {k: p * value for k, p in self.cells.items()})
@@ -545,16 +518,19 @@ class Series:
         return Series((nx, ny, nq), dict(self.cells))
 
     def reciprocal(self) -> "Series":
-        """1/f for a series whose constant term is an invertible scalar."""
-        c = self.cells.get((0, 0, 0))
-        if c is None or not c.is_constant() or not c.constant_value():
+        """1/f for a series whose constant term is a nonzero rational, given
+        as such or as a constant Polynomial."""
+        c0 = self.cells.get((0, 0, 0), 0)
+        if isinstance(c0, Polynomial) and c0.is_constant():
+            c0 = c0.constant_value()
+        if isinstance(c0, Polynomial) or not c0:
             raise ValueError(
                 "series reciprocal needs a nonzero rational constant term"
             )
-        c0 = c.constant_value()
+        inverse = Fraction(1) / c0
         # f = c0 (1 + g) with g of positive total order, so 1/f is the
         # geometric sum over powers of -g, which terminates within the box.
-        g = self.scale(Fraction(1, 1) / c0) - 1
+        g = self.scale(inverse) - 1
         total_order = self.nx + self.ny + self.nq
         result = Series.one(self.nx, self.ny, self.nq)
         power = result
@@ -563,7 +539,7 @@ class Series:
             if power.is_zero():
                 break
             result = result + power
-        return result.scale(Fraction(1, 1) / c0)
+        return result.scale(inverse)
 
     def pow(self, exp: int) -> "Series":
         if exp < 0:
@@ -594,8 +570,8 @@ class Series:
             raise ValueError("compose_x needs a univariate outer series")
         if (0, 0, 0) in inner.cells:
             raise ValueError("compose_x needs an inner series with zero constant term")
-        result = Series.const(self.coeff(0), inner.nx, inner.ny, inner.nq)
-        power = Series.one(inner.nx, inner.ny, inner.nq)
+        result = Series.zero(*inner.orders()) + self.cells.get((0, 0, 0), 0)
+        power = Series.one(*inner.orders())
         for i in range(1, self.nx + 1):
             power = power * inner
             if power.is_zero():
@@ -614,7 +590,6 @@ class Series:
 
     def __repr__(self):
         body = ", ".join(
-            f"x^{i}y^{j}q^{l}: {p.to_text()}"
-            for (i, j, l), p in sorted(self.cells.items())
+            f"x^{i}y^{j}q^{l}: {p}" for (i, j, l), p in sorted(self.cells.items())
         )
         return f"Series(orders={self.orders()}, {{{body}}})"

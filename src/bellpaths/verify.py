@@ -281,7 +281,7 @@ def _potential_vs_series_power(shared, top):
     sym = shared.sym_t
     a_series = Series(
         (top, 0, 0),
-        {(0, 0, 0): Polynomial.const(1)}
+        {(0, 0, 0): 1}
         | {
             (k, 0, 0): Polynomial.variable("t", k) * Fraction(1, factorial(k))
             for k in range(1, top + 1)

@@ -113,6 +113,7 @@ def test_negative_sizes_and_jobs_exit_1(capsys):
         ["bell", "--n", "3", "--r", "-2"],
         ["matcomp", "trees", "--v", "3", "--j", "-1"],
         ["comp", "count", "--m", "3", "--j", "2", "--k", "-1"],
+        ["motzkin", "count", "--m", "1", "--k", "1", "--bound", "-1"],
     ):
         assert cli.main(argv) == 1, argv
         captured = capsys.readouterr()
@@ -155,6 +156,14 @@ def test_comp_commands(capsys):
 
     assert cli.main(["comp", "restricted", "--m", "3", "--j", "2", "--forbid", "1"]) == 0
     assert capsys.readouterr().out == "0\n"
+
+    # a part below 1 can never occur, so forbidding one is a usage error
+    for forbid in ("0", "-1"):
+        argv = ["comp", "restricted", "--m", "3", "--j", "2", "--forbid", forbid]
+        assert cli.main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err == "error: the forbidden part must be positive\n", argv
 
 
 def test_matcomp_commands(capsys):

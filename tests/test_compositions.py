@@ -1,6 +1,6 @@
 import pytest
 
-from bellpaths import compositions, lagrange, motzkin
+from bellpaths import compositions, motzkin, verify
 from bellpaths.core import EnumerationBoundError, binomial
 from bellpaths.polyring import Polynomial, WeightSpec
 
@@ -42,19 +42,7 @@ def test_embedding():
 
 
 def test_embedding_consistency():
-    for m in range(6):
-        for j in range(6):
-            for comp in compositions.enumerate_compositions(m, j):
-                path = compositions.composition_to_motzkin(comp)
-                profile = motzkin.segment_profile(path)
-                assert profile.u_segments == j - comp.zero_parts
-                nonzero = sorted(p for p in comp.parts if p)
-                runs = sorted(
-                    length
-                    for length, count in profile.u_counts.items()
-                    for _ in range(count)
-                )
-                assert nonzero == runs, comp.parts
+    assert verify.check("compositions", "embedding-consistency", 5) is None
 
 
 def test_closed_examples():
@@ -71,63 +59,24 @@ def test_closed_examples():
 
 
 def test_closed_matches_enumeration():
-    for m in range(6):
-        for j in range(6):
-            by_zeros = {}
-            for comp in compositions.enumerate_compositions(m, j):
-                path = compositions.composition_to_motzkin(comp)
-                weight = motzkin.path_weight(path, SYM)
-                by_zeros[comp.zero_parts] = (
-                    by_zeros.get(comp.zero_parts, Polynomial.zero()) + weight
-                )
-            for k in range(j + 1):
-                assert compositions.weighted_sum_closed(m, k, j, SYM) == by_zeros.get(
-                    k, Polynomial.zero()
-                ), (m, k, j)
+    assert verify.check("compositions", "closed-vs-enumeration", 5) is None
 
 
 def test_closed_matches_series():
-    series = lagrange.composition_series(SYM, 7, 7, 7)
-    for m in range(8):
-        for j in range(8):
-            for k in range(j + 1):
-                assert series.coeff(m, k, j) == compositions.weighted_sum_closed(
-                    m, k, j, SYM
-                ), (m, k, j)
+    assert verify.check("compositions", "series-agreement", 7) is None
 
 
 def test_h_segment_refinement():
     assert compositions.weighted_sum_by_hsegments(2, 1, 3, 1, SYM) == T1**2 * S1 * 3
     # at most j-k+1 zero-runs fit
     assert compositions.weighted_sum_by_hsegments(2, 2, 4, 4, SYM) == 0
-
-    for m in range(6):
-        for j in range(6):
-            for k in range(j + 1):
-                total = Polynomial.zero()
-                for l in range(k + 1):
-                    total = total + compositions.weighted_sum_by_hsegments(
-                        m, k, j, l, SYM
-                    )
-                assert total == compositions.weighted_sum_closed(m, k, j, SYM)
+    # the refinements sum to the closed form, m, j <= 5
+    assert verify.check("compositions", "h-segment-refinement", 5) is None
 
 
 def test_h_segment_refinement_matches_enumeration():
-    for m in range(5):
-        for j in range(5):
-            by_runs = {}
-            for comp in compositions.enumerate_compositions(m, j):
-                path = compositions.composition_to_motzkin(comp)
-                profile = motzkin.segment_profile(path)
-                key = (comp.zero_parts, profile.h_segments)
-                by_runs[key] = by_runs.get(key, Polynomial.zero()) + motzkin.path_weight(
-                    path, SYM
-                )
-            for k in range(j + 1):
-                for l in range(k + 1):
-                    assert compositions.weighted_sum_by_hsegments(
-                        m, k, j, l, SYM
-                    ) == by_runs.get((k, l), Polynomial.zero()), (m, k, j, l)
+    # each refinement against enumeration, m, j <= 5
+    assert verify.check("compositions", "h-segment-refinement", 5) is None
 
 
 def test_count_by_type_examples():
@@ -182,3 +131,6 @@ def test_restricted_counts():
 def test_restricted_rejects_nonpositive_allowed():
     with pytest.raises(ValueError):
         compositions.restricted_count(3, 2, allowed={0, 1})
+    for forbidden in (0, -1):
+        with pytest.raises(ValueError):
+            compositions.restricted_count(3, 2, forbidden=forbidden)

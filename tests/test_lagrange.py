@@ -12,7 +12,8 @@ from bellpaths.lagrange import (
     motzkin_series,
     reversion,
 )
-from bellpaths.polyring import Polynomial, Series, WeightSpec
+from bellpaths.bell import power_derivative
+from bellpaths.polyring import Polynomial, Series, WeightSpec, specialize
 
 from conftest import random_reversible_series
 
@@ -187,3 +188,33 @@ def test_matrix_series_cells():
 
     ones = WeightSpec.all_ones()
     assert matrix_composition_series(ones, 2, 1, 1, 1).coeff(1, 1) == 2
+
+
+def test_numeric_series_cells_stay_rationals():
+    def numeric(series):
+        return not any(isinstance(c, Polynomial) for c in series.cells.values())
+
+    f = Series.from_x_coeffs([Fraction(2), Fraction(-1, 3), Fraction(5, 4), 0, 1])
+    g = f.pow(-3)
+    assert numeric(g)
+    assert numeric(f.reciprocal())
+    assert numeric(f * g + g.shift(di=2) - 1)
+    assert g * f.pow(3) == Series.one(4)
+    f_reversible = Series.from_x_coeffs([0, 1, Fraction(1, 2), 3])
+    assert numeric(reversion(f_reversible, 3))
+
+    ones = motzkin_series(WeightSpec.all_ones(), 6, 6)
+    assert numeric(ones)
+    sym = motzkin_series(WeightSpec.symbolic(), 6, 6)
+    for m in range(7):
+        for k in range(7):
+            assert ones.coeff(m, k) == specialize(sym.coeff(m, k), WeightSpec.all_ones())
+
+    # the public readers still hand out Polynomials
+    unit = Series.from_x_coeffs([1, Fraction(1, 2), 3], nx=2)
+    assert isinstance(unit.coeff(1), Polynomial)
+    assert isinstance(unit.coeff(2, 0, 0), Polynomial)
+    assert isinstance(power_derivative(unit, 2, 3), Polynomial)
+    assert isinstance(lagrange_coefficient(unit, f_reversible, 2), Polynomial)
+    with pytest.raises(TypeError):
+        Series.from_x_coeffs([1, 0.5])

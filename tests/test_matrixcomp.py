@@ -1,6 +1,6 @@
 import pytest
 
-from bellpaths import compositions, lagrange, matrixcomp, motzkin
+from bellpaths import matrixcomp, verify
 from bellpaths.core import EnumerationBoundError
 from bellpaths.polyring import Polynomial, WeightSpec
 
@@ -74,16 +74,7 @@ def test_closed_examples():
 
 
 def test_closed_matches_enumeration_and_series():
-    for p in range(4):
-        for j in range(5):
-            series = lagrange.bipartite_matrix_series(SYM, p, j, 5)
-            for m in range(6):
-                brute = Polynomial.zero()
-                for matrix in matrixcomp.enumerate_bipartite(m, p, j):
-                    brute = brute + matrixcomp.matrix_weight(matrix, SYM)
-                closed = matrixcomp.weighted_sum_closed(m, p, j, SYM)
-                assert closed == brute, (m, p, j)
-                assert series.coeff(m) == closed, (m, p, j)
+    assert verify.check("matrixcomp", "closed-vs-enumeration", 5) is None
 
 
 def test_nonzero_refinement():
@@ -216,28 +207,4 @@ def test_column_stability():
 
 
 def test_general_matrix_series_matches_enumeration():
-    top = 5
-    for p in range(3):
-        for j in range(4):
-            series = lagrange.matrix_composition_series(SYM, p, j, top, top)
-            table = {}
-            for m in range(top + 1):
-                for flat in compositions.enumerate_compositions(m, p * j):
-                    rows = [flat.parts[row * j : (row + 1) * j] for row in range(p)]
-                    weight = Polynomial.const(1)
-                    zeros = 0
-                    for row in rows:
-                        path = compositions.composition_to_motzkin(
-                            compositions.Composition(row)
-                        )
-                        weight = weight * motzkin.path_weight(path, SYM)
-                        zeros += sum(1 for e in row if e == 0)
-                    key = (m, zeros)
-                    table[key] = table.get(key, Polynomial.zero()) + weight
-                if p == 0 and m == 0:
-                    table[(0, 0)] = Polynomial.const(1)
-            for m in range(top + 1):
-                for k in range(top + 1):
-                    assert series.coeff(m, k) == table.get(
-                        (m, k), Polynomial.zero()
-                    ), (p, j, m, k)
+    assert verify.check("matrixcomp", "general-matrix-series", 5) is None
