@@ -72,7 +72,8 @@ class WeightVector:
                 for i in range(1, nn - rr + 2):
                     prev = rows[nn - i][rr - 1]
                     if prev and xs[i]:
-                        acc = acc + xs[i] * prev * binomials[i]
+                        # one copy of the large prev, not two
+                        acc = acc + prev * (xs[i] * binomials[i])
                 row[rr] = acc
             rows.append(tuple(row))
         return rows[n]

@@ -23,15 +23,35 @@ EXIT_VERIFY = 2
 EXIT_BOUND = 3
 
 
+def _split_list(text: str, option: str) -> list[str]:
+    """The comma-separated pieces of an option value; an empty piece is a
+    usage error, never silently skipped."""
+    pieces = [piece.strip() for piece in text.split(",")]
+    if not all(pieces):
+        raise ValueError(f"{option} has an empty item in {text!r}")
+    return pieces
+
+
+def _int_list(text: str, option: str) -> list[int]:
+    pieces = _split_list(text, option)
+    try:
+        return [int(piece) for piece in pieces]
+    except ValueError:
+        raise ValueError(f"{option} needs comma-separated integers, got {text!r}") from None
+
+
 def _parse_params(text: str) -> dict:
     params = {}
-    for piece in text.split(","):
-        if not piece:
-            continue
+    for piece in _split_list(text, "--weights"):
         key, sep, value = piece.partition("=")
         if not sep:
-            raise ValueError(f"weight parameter {piece!r} is not of the form key=value")
-        params[key.strip()] = Fraction(value.strip())
+            raise ValueError(f"--weights parameter {piece!r} is not of the form key=value")
+        try:
+            params[key.strip()] = Fraction(value.strip())
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(
+                f"--weights parameter {piece!r} needs an exact rational value"
+            ) from None
     return params
 
 
@@ -110,11 +130,11 @@ def cmd_motzkin(args) -> int:
         return EXIT_OK
     if args.mode == "weighted":
         weights = parse_weights(args.weights)
-        if args.by_segments:
-            r_text, _, l_text = args.by_segments.partition(",")
-            poly = motzkin.weighted_sum_by_segments(
-                args.m, args.k, int(r_text), int(l_text), weights
-            )
+        if args.by_segments is not None:
+            segments = _int_list(args.by_segments, "--by-segments")
+            if len(segments) != 2:
+                raise ValueError(f"--by-segments needs R,L, got {args.by_segments!r}")
+            poly = motzkin.weighted_sum_by_segments(args.m, args.k, *segments, weights)
         else:
             poly = motzkin.weighted_sum_closed(args.m, args.k, weights)
         _print_value(poly, args.format, {"m": args.m, "k": args.k})
@@ -156,8 +176,8 @@ def cmd_comp(args) -> int:
         _print_value(poly, args.format, {"m": args.m, "k": k, "j": args.j})
         return EXIT_OK
     allowed = None
-    if args.allowed:
-        allowed = {int(piece) for piece in args.allowed.split(",") if piece}
+    if args.allowed is not None:
+        allowed = set(_int_list(args.allowed, "--allowed"))
     print(compositions.restricted_count(args.m, args.j, allowed, args.forbid))
     return EXIT_OK
 

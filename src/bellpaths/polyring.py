@@ -1,7 +1,9 @@
 """Multivariate polynomials in the weight variables t1, t2, ... and
-s1, s2, ... over exact rationals, and truncated formal power series in up to
-three grading variables (x, y, and a part-marking grade) whose coefficients
-are weight-ring values: ints, Fractions or Polynomials.
+s1, s2, ... with exact int or Fraction coefficients (integral values are
+stored as ints, so integer arithmetic never builds a Fraction), and truncated
+formal power series in up to three grading variables (x, y, and a
+part-marking grade) whose coefficients are weight-ring values: ints,
+Fractions or Polynomials.
 
 Terms are kept in a canonical order so printed output and comparisons are
 byte-stable.  Series store explicit truncation orders; reading a coefficient
@@ -55,14 +57,37 @@ class Monomial:
         return Monomial((((family, index), exp),))
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        if not other.items:
+        b = other.items
+        if not b:
             return self
-        if not self.items:
+        a = self.items
+        if not a:
             return other
-        merged = dict(self.items)
-        for var, exp in other.items:
-            merged[var] = merged.get(var, 0) + exp
-        return Monomial(merged.items())
+        # both item tuples are canonical, so one linear merge in the
+        # canonical variable order (t before s, then index) gives a
+        # canonical product; plain tuple order would put s before t
+        merged = []
+        i = j = 0
+        na, nb = len(a), len(b)
+        while i < na and j < nb:
+            va, ea = a[i]
+            vb, eb = b[j]
+            if va == vb:
+                merged.append((va, ea + eb))
+                i += 1
+                j += 1
+            elif (va[1] < vb[1]) if va[0] == vb[0] else (va[0] == "t"):
+                merged.append(a[i])
+                i += 1
+            else:
+                merged.append(b[j])
+                j += 1
+        merged.extend(a[i:])
+        merged.extend(b[j:])
+        out = Monomial.__new__(Monomial)
+        out.items = items = tuple(merged)
+        out._hash = hash(items)
+        return out
 
     def __pow__(self, exp: int) -> "Monomial":
         if exp < 0:
@@ -97,18 +122,23 @@ class Monomial:
 _MONOMIAL_ONE = Monomial()
 
 
-def _coerce_coeff(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
+def _coerce_coeff(value) -> int | Fraction:
+    """An exact coefficient, with integral values as ints."""
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     raise TypeError(f"polynomial coefficients must be exact rationals, got {value!r}")
 
 
 class Polynomial:
-    """Exact multivariate polynomial: a finite map Monomial -> Fraction.
+    """Exact multivariate polynomial: a finite map Monomial -> int or
+    Fraction.
 
-    Zero coefficients are never stored, so structural equality after
+    Integral values enter as ints, so integer polynomials never build a
+    Fraction; a Fraction result that happens to be integral may stay a
+    Fraction, which compares, hashes and prints like the int.  Zero
+    coefficients are never stored, so structural equality after
     normalization is exact mathematical equality.
     """
 
@@ -134,7 +164,7 @@ class Polynomial:
 
     @staticmethod
     def variable(family: str, index: int) -> "Polynomial":
-        return Polynomial({Monomial.variable(family, index): Fraction(1)})
+        return Polynomial({Monomial.variable(family, index): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -143,11 +173,12 @@ class Polynomial:
         return not self.terms or (len(self.terms) == 1 and _MONOMIAL_ONE in self.terms)
 
     def constant_value(self) -> Fraction:
-        """The value of a constant polynomial; rejects non-constant input."""
+        """The value of a constant polynomial, always as a Fraction (so that
+        `/` on it stays exact); rejects non-constant input."""
         if not self.terms:
             return Fraction(0)
         if self.is_constant():
-            return self.terms[_MONOMIAL_ONE]
+            return Fraction(self.terms[_MONOMIAL_ONE])
         raise ValueError(f"polynomial {self} is not constant")
 
     @staticmethod
@@ -160,7 +191,7 @@ class Polynomial:
         other = Polynomial._coerce(other)
         result = dict(self.terms)
         for mono, coeff in other.terms.items():
-            new = result.get(mono, Fraction(0)) + coeff
+            new = result.get(mono, 0) + coeff
             if new:
                 result[mono] = new
             else:
@@ -191,16 +222,27 @@ class Polynomial:
             out.terms = {mono: coeff * c for mono, coeff in self.terms.items()}
             return out
         other = Polynomial._coerce(other)
+        ta, tb = self.terms, other.terms
+        out = Polynomial.__new__(Polynomial)
+        # one-term factor: multiplying by a fixed monomial is injective and
+        # nonzero exact coefficients have a nonzero product, so no merging
+        if len(tb) == 1:
+            ((m2, c2),) = tb.items()
+            out.terms = {m1 * m2: c1 * c2 for m1, c1 in ta.items()}
+            return out
+        if len(ta) == 1:
+            ((m1, c1),) = ta.items()
+            out.terms = {m1 * m2: c1 * c2 for m2, c2 in tb.items()}
+            return out
         result = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+        for m1, c1 in ta.items():
+            for m2, c2 in tb.items():
                 mono = m1 * m2
-                new = result.get(mono, Fraction(0)) + c1 * c2
+                new = result.get(mono, 0) + c1 * c2
                 if new:
                     result[mono] = new
                 else:
                     del result[mono]
-        out = Polynomial.__new__(Polynomial)
         out.terms = result
         return out
 
@@ -272,7 +314,7 @@ class Polynomial:
                     raise ValueError(f"bad variable token {tok!r}")
                 items.append(((name[0], int(name[1:])), exp))
             mono = Monomial(items)
-            terms[mono] = terms.get(mono, Fraction(0)) + coeff
+            terms[mono] = terms.get(mono, 0) + coeff
         return cls(terms)
 
     def __str__(self):
@@ -317,8 +359,9 @@ class WeightSpec:
     cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def entry(self, family: str, index: int):
-        """Weight `family`_index as an exact rational, or as its variable
-        when the rule keeps it SYMBOLIC; each index is evaluated once."""
+        """Weight `family`_index as an exact int (integral values) or
+        Fraction, or as its variable when the rule keeps it SYMBOLIC; each
+        index is evaluated once."""
         key = (family, index)
         if key not in self.cache:
             if family not in _FAMILIES:

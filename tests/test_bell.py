@@ -345,3 +345,78 @@ def test_numeric_closed_forms_specialize_the_symbolic_ones():
         for (m, p, j), poly in mat_sym.items():
             value = matrixcomp.weighted_sum_closed(m, p, j, weights)
             assert value == specialize(poly, weights), (kind, m, p, j)
+
+
+def _exact_types(poly: Polynomial, label):
+    """Every coefficient is an int or a Fraction."""
+    for coeff in poly.terms.values():
+        assert type(coeff) in (int, Fraction), (label, coeff)
+
+
+def test_public_results_hold_no_float():
+    sym = WeightSpec.symbolic()
+    specs = [sym] + [cli.parse_weights(kind) for kind in NUMERIC_KINDS]
+    for weights in specs:
+        label = weights.name
+        for m, k in ((0, 0), (2, 1), (3, 4), (5, 0)):
+            _exact_types(motzkin.weighted_sum_closed(m, k, weights), (label, m, k))
+        for m, k, j in ((2, 1, 3), (4, 2, 5), (5, 0, 3)):
+            _exact_types(compositions.weighted_sum_closed(m, k, j, weights), label)
+        for m, p, j in ((2, 2, 1), (4, 3, 2), (5, 2, 3)):
+            _exact_types(matrixcomp.weighted_sum_closed(m, p, j, weights), label)
+        for family in ("t", "s"):
+            vector = WeightVector.from_weights(weights, family)
+            for n in range(8):
+                for r in range(n + 1):
+                    _exact_types(partial_bell(n, r, vector), (label, family, n, r))
+                for power in (-3, -1, 2, 5):
+                    _exact_types(potential(n, power, vector), (label, family, n, power))
+
+    # every named kind reads an int (integral weights) or a Fraction
+    for kind in motzkin._KIND_PARAMS:
+        weights = motzkin.named_weights(kind)
+        for family in ("t", "s"):
+            for i in range(1, 9):
+                value = weights.entry(family, i)
+                if kind == "symbolic":
+                    assert value == Polynomial.variable(family, i)
+                    continue
+                assert type(value) in (int, Fraction), (kind, family, i, value)
+                if type(value) is Fraction:
+                    assert value.denominator != 1, (kind, family, i)
+
+    # constant_value is always a Fraction, so `/` on it stays exact
+    ones = WeightSpec.all_ones()
+    for m, k in ((0, 0), (2, 1), (3, 3)):
+        value = motzkin.weighted_sum_closed(m, k, ones).constant_value()
+        assert type(value) is Fraction and value == motzkin.count_paths(m, k)
+    series = lagrange.motzkin_series(ones, 4, 3)
+    for i in range(5):
+        for j in range(4):
+            assert type(series.coeff(i, j).constant_value()) is Fraction, (i, j)
+    f = Series.from_x_coeffs([1, 1], nx=6)
+    for m in range(7):
+        value = power_derivative(f, m, m + 1).constant_value()
+        assert type(value) is Fraction and value / factorial(m) == binomial(m + 1, m)
+
+    # the b-ary, r-ary and abel weight families and the weights carved out
+    # of unit series stay Fractions, and so do their closed values
+    series_specs = [
+        motzkin.named_weights("b-ary", b=2, d=3),
+        motzkin.named_weights("r-ary", r=2),
+        motzkin.named_weights("abel", q=Fraction(-1, 2)),
+        motzkin.series_coefficient_weights(f, Series.from_x_coeffs([1, 2, 1], nx=6)),
+    ]
+    for weights in series_specs:
+        for i in range(1, 6):
+            for rule in (weights.t_rule, weights.s_rule):
+                assert type(rule(i)) is Fraction, (weights.name, i)
+    for m, k in ((0, 0), (1, 2), (3, 1)):
+        for value in (
+            motzkin.bary_d1_closed_value(m, k, 2),
+            motzkin.bary_general_closed_value(m, k, 2, 3),
+            motzkin.rary_closed_value(m, k, 2),
+            motzkin.abel_closed_value(m, k, Fraction(-1, 2)),
+            motzkin.series_family_closed_value(m, k, f),
+        ):
+            assert type(value) is Fraction, (m, k, value)

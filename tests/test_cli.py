@@ -87,6 +87,35 @@ def test_bad_weight_parameters_exit_1(capsys):
         assert captured.err.startswith("error: "), spec
 
 
+def test_malformed_list_options_exit_1(capsys):
+    # an empty piece of a comma list is an error, never a skipped piece
+    weighted = ["motzkin", "weighted", "--m", "2", "--k", "1"]
+    restricted = ["comp", "restricted", "--m", "3", "--j", "2"]
+    for argv, message in (
+        ([*restricted, "--allowed", ""], "--allowed has an empty item in ''"),
+        ([*restricted, "--allowed", "1,,2"], "--allowed has an empty item in '1,,2'"),
+        ([*restricted, "--allowed", ","], "--allowed has an empty item in ','"),
+        ([*restricted, "--allowed", "1,x"],
+         "--allowed needs comma-separated integers, got '1,x'"),
+        ([*weighted, "--weights", "b-ary:b=2,,d=1"],
+         "--weights has an empty item in 'b=2,,d=1'"),
+        ([*weighted, "--weights", "abel:q=-2,"], "--weights has an empty item in 'q=-2,'"),
+        ([*weighted, "--weights", "abel:"], "--weights has an empty item in ''"),
+        ([*weighted, "--weights", "abel:q=x"],
+         "--weights parameter 'q=x' needs an exact rational value"),
+        ([*weighted, "--weights", "abel:q"],
+         "--weights parameter 'q' is not of the form key=value"),
+        ([*weighted, "--by-segments", "1,1,1"], "--by-segments needs R,L, got '1,1,1'"),
+        ([*weighted, "--by-segments", "1"], "--by-segments needs R,L, got '1'"),
+        ([*weighted, "--by-segments", ""], "--by-segments has an empty item in ''"),
+        ([*weighted, "--by-segments", "1,"], "--by-segments has an empty item in '1,'"),
+    ):
+        assert cli.main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err == f"error: {message}\n", argv
+
+
 def test_motzkin_weighted_rejects_negative_arguments(capsys):
     for args in (
         ("--m", "1", "--k", "-2"),

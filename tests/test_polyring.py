@@ -23,16 +23,39 @@ coefficients = st.fractions(
 
 
 @st.composite
+def monomials(draw, max_index=3, max_exp=3):
+    items = []
+    for family in ("t", "s"):
+        for index in range(1, max_index + 1):
+            exp = draw(st.integers(0, max_exp))
+            if exp:
+                items.append(((family, index), exp))
+    return Monomial(items)
+
+
+@st.composite
 def polynomials(draw, max_terms=4, max_index=3, max_exp=3):
     terms = {}
     for _ in range(draw(st.integers(0, max_terms))):
-        items = []
-        for family in ("t", "s"):
-            for index in range(1, max_index + 1):
-                exp = draw(st.integers(0, max_exp))
-                if exp:
-                    items.append(((family, index), exp))
-        terms[Monomial(items)] = draw(coefficients)
+        terms[draw(monomials(max_index, max_exp))] = draw(coefficients)
+    return Polynomial(terms)
+
+
+def product_by_exponents(a: Monomial, b: Monomial) -> Monomial:
+    """a * b through the validating constructor, from summed exponents."""
+    exponents = {}
+    for var, exp in a.items + b.items:
+        exponents[var] = exponents.get(var, 0) + exp
+    return Monomial(exponents.items())
+
+
+def product_by_double_loop(p: Polynomial, q: Polynomial) -> Polynomial:
+    """p * q by the general term-pair loop, with no one-term shortcut."""
+    terms = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            mono = product_by_exponents(m1, m2)
+            terms[mono] = terms.get(mono, 0) + c1 * c2
     return Polynomial(terms)
 
 
@@ -61,6 +84,68 @@ def test_ring_axioms(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a + b == b + a
     assert a * b == b * a
+
+
+def assert_same_monomial(got: Monomial, expected: Monomial):
+    assert got.items == expected.items
+    assert hash(got) == hash(expected)
+    assert got == expected
+
+
+def test_monomial_product_interleaves_families_canonically():
+    t1, t2, t3 = (Monomial.variable("t", i) for i in (1, 2, 3))
+    s1, s2 = Monomial.variable("s", 1), Monomial.variable("s", 2)
+    t2_s1 = ((("t", 2), 1), (("s", 1), 1))
+    assert (t2 * s1).items == t2_s1
+    assert (s1 * t2).items == t2_s1
+    assert (t1 * s1 * t3).items == ((("t", 1), 1), (("t", 3), 1), (("s", 1), 1))
+    assert_same_monomial(t1 * s1 * t3, s1 * t3 * t1)
+    t1_sq_s1_s2 = Monomial([(("t", 1), 2), (("s", 1), 1), (("s", 2), 1)])
+    assert_same_monomial((t1 * s2) * (s1 * t1), t1_sq_s1_s2)
+    assert_same_monomial(s2 * Monomial(), s2)
+    assert_same_monomial(Monomial() * t3, t3)
+
+
+@settings(max_examples=150)
+@given(monomials(), monomials())
+def test_monomial_product_matches_summed_exponents(a, b):
+    expected = product_by_exponents(a, b)
+    assert_same_monomial(a * b, expected)
+    assert_same_monomial(b * a, expected)
+    assert {a * b: 1}[expected] == 1
+
+
+nonzero_coefficients = coefficients.filter(bool)
+
+
+@settings(max_examples=100)
+@given(polynomials(), monomials(), nonzero_coefficients)
+def test_one_term_product_matches_the_double_loop(p, mono, coeff):
+    single = Polynomial({mono: coeff})
+    for product, expected in (
+        (p * single, product_by_double_loop(p, single)),
+        (single * p, product_by_double_loop(single, p)),
+    ):
+        assert product == expected
+        assert product.terms == expected.terms
+        assert all(product.terms.values())
+        for term in product.terms:
+            assert_same_monomial(term, Monomial(term.items))
+
+
+def test_integral_coefficients_are_stored_as_ints():
+    assert T1.terms == {Monomial.variable("t", 1): 1}
+    assert type(next(iter(T1.terms.values()))) is int
+    assert type(Polynomial.const(Fraction(6, 3)).terms[Monomial()]) is int
+    assert type(((T1 + S1) ** 3 * 2).terms[Monomial.variable("t", 1, 3)]) is int
+    assert Polynomial.from_text("4/2*t1 + 1/2*s1").terms == {
+        Monomial.variable("t", 1): 2,
+        Monomial.variable("s", 1): Fraction(1, 2),
+    }
+    # constant_value stays a Fraction, so dividing it never gives a float
+    for value in (Polynomial.const(3), Polynomial.zero(), Polynomial.const(Fraction(1, 2))):
+        assert type(value.constant_value()) is Fraction
+    assert Polynomial.const(3).constant_value() / 2 == Fraction(3, 2)
 
 
 def test_specialize_examples():
