@@ -323,16 +323,8 @@ class BinomialSequence:
                 f"index {n} requested"
             )
         lam = Series.from_x_coeffs([Fraction(0), *self.exponent_coeffs[:n]], nx=n)
-        total = Fraction(0)
-        power = Series.one(n)
-        for j in range(n + 1):
-            cj = power.coeff(n).constant_value()
-            if cj:
-                total += x**j / factorial(j) * cj
-            power = power * lam
-            if power.is_zero():
-                break
-        return total * factorial(n)
+        exp_x = Series.from_x_coeffs([x**j / factorial(j) for j in range(n + 1)])
+        return exp_x.compose_x(lam).coeff(n).constant_value() * factorial(n)
 
     def name(self) -> str:
         if self.kind == "abel":

@@ -58,25 +58,34 @@ def _parse_params(text: str) -> dict:
 def _load_csv_weights(path: str) -> WeightSpec:
     """Weight tables from a CSV file with rows family,index,numerator,denominator.
 
-    Indices not listed in the file get weight 0.
+    Each (family, index >= 1) is listed at most once, and indices not listed
+    get weight 0.  A bad row is an error that names the file and line.
     """
-    t_table: dict[int, Fraction] = {}
-    s_table: dict[int, Fraction] = {}
+    tables: dict[str, dict[int, Fraction]] = {"t": {}, "s": {}}
     with open(path, newline="") as handle:
-        for row in csv.reader(handle):
+        reader = csv.reader(handle)
+        for row in reader:
             if not row or row[0].strip().startswith("#"):
                 continue
+            where = f"{path} line {reader.line_num}"
             if len(row) != 4:
-                raise ValueError(f"weight row {row!r} needs family,index,num,den")
+                raise ValueError(f"{where}: weight row {row!r} needs family,index,num,den")
             family, index, num, den = (field.strip() for field in row)
-            value = Fraction(int(num), int(den))
-            if family == "t":
-                t_table[int(index)] = value
-            elif family == "s":
-                s_table[int(index)] = value
-            else:
-                raise ValueError(f"unknown weight family {family!r} in {row!r}")
-    return WeightSpec.from_tables(t_table, s_table, name=f"csv:{path}")
+            if family not in tables:
+                raise ValueError(f"{where}: unknown weight family {family!r} in {row!r}")
+            try:
+                index, value = int(index), Fraction(int(num), int(den))
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(
+                    f"{where}: weight row {row!r} needs an integer index, "
+                    "numerator and nonzero denominator"
+                ) from None
+            if index < 1:
+                raise ValueError(f"{where}: weight index must be >= 1, got {index}")
+            if index in tables[family]:
+                raise ValueError(f"{where}: weight {family}{index} is listed twice")
+            tables[family][index] = value
+    return WeightSpec.from_tables(tables["t"], tables["s"], name=f"csv:{path}")
 
 
 def parse_weights(spec: str) -> WeightSpec:

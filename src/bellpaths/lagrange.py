@@ -74,23 +74,6 @@ def lagrange_coefficient(phi: Series, f: Series, n: int) -> Polynomial:
     return product.coeff(n - 1) * Fraction(1, n)
 
 
-def _t_at(weights: WeightSpec, z: Series, order: int) -> Series:
-    """The weight series T evaluated at z: 1 + sum_i t_i z^i.
-
-    z must have no x-constant part, so powers past the x-truncation vanish.
-    """
-    result = Series.one(z.nx, z.ny, z.nq)
-    power = result
-    for i in range(1, order + 1):
-        power = power * z
-        if power.is_zero():
-            break
-        ti = weights.entry("t", i)
-        if ti:
-            result = result + power.scale(ti)
-    return result
-
-
 def _s_series(weights: WeightSpec, nx: int, ny: int, nq: int = 0) -> Series:
     cells = {(0, 0, 0): 1}
     for i in range(1, ny + 1):
@@ -118,16 +101,17 @@ def motzkin_series(weights: WeightSpec, nx: int, ny: int) -> Series:
 
         M = T(z) / (1 - ((S(y) - 1) / S(y)) T(z)),   z = x M,
 
-    starting from M = 1; each pass gains at least one order of x-accuracy,
-    so failing to stabilize within nx + ny + 2 passes is an internal bug.
+    starting from M = 1, with T(z) = t.compose_x(z) for T built once; each
+    pass gains at least one order of x-accuracy, so failing to stabilize
+    within nx + ny + 2 passes is an internal bug.
     """
     one = Series.one(nx, ny)
     s = _s_series(weights, nx, ny)
     a = one - s.reciprocal()
+    t = _t_minus_one(weights, nx) + 1
     m = one
     for _ in range(nx + ny + 2):
-        z = m.shift(di=1)
-        tz = _t_at(weights, z, nx)
+        tz = t.compose_x(m.shift(di=1))
         m_next = tz * (one - a * tz).reciprocal()
         if m_next == m:
             return m
@@ -191,15 +175,8 @@ def bipartite_matrix_series(weights: WeightSpec, rows: int, cols: int, nx: int) 
     """
     if rows < 0 or cols < 0:
         raise ValueError("matrix dimensions must be >= 0")
-    t_minus_one = _t_minus_one(weights, nx)
-    geometric = Series.one(nx)
-    power = Series.one(nx)
-    for _ in range(cols):
-        power = power * t_minus_one
-        if power.is_zero():
-            break
-        geometric = geometric + power
-    return geometric.pow(rows)
+    geometric = Series.from_x_coeffs([1] * (cols + 1))
+    return geometric.compose_x(_t_minus_one(weights, nx)).pow(rows)
 
 
 def matrix_composition_series(

@@ -439,24 +439,16 @@ def bary_general_closed_value(m: int, k: int, b: int, d: int) -> Fraction:
                 * C((b+1)m+j+1, m) * h_factor(j, k, d)
 
     where h_factor is taken in its series form (bary_h_factor_series) so the
-    degenerate dk = j cases carry their natural values; one series is built
-    and its j-th power read off for every j.
+    degenerate dk = j cases carry their natural values: the j-th rational
+    factor is the j-th coefficient of an outer series, composed with the
+    h-run series (S(y) - 1)/S(y), and the sum is its y^k coefficient.
     """
-    h_run = _h_run_series(d, k)
-    h_power = Series.one(0, k)
-    total = Fraction(0)
+    factors = []
     for j in range(k + 1):
-        h_factor = h_power.coeff(0, k).constant_value()
-        h_power = h_power * h_run
-        if not h_factor:
-            continue
         top = (b + 1) * m + j + 1
-        total += (
-            Fraction(binomial(m + j, j) * (m + j + 1), top)
-            * binomial(top, m)
-            * h_factor
-        )
-    return total / (m + 1)
+        factors.append(Fraction(binomial(m + j, j) * (m + j + 1), top) * binomial(top, m))
+    summed = Series.from_x_coeffs(factors).compose_x(_h_run_series(d, k))
+    return summed.coeff(0, k).constant_value() / (m + 1)
 
 
 def series_family_closed_value(m: int, k: int, f: Series) -> Fraction:

@@ -430,7 +430,10 @@ class Series:
     Cells keep the ring value they are given, zero is tested by truthiness
     and any operand that is not a Series is a scalar, so numeric series stay
     rationals and symbolic ones stay polynomials on the same code path.
-    coeff is the one public reader and returns a Polynomial.
+    coeff is the one public reader and returns a Polynomial.  No series is
+    changed after construction, so scale(1) returns self.  compose_x is the
+    one substitution loop: the reciprocal and every power sum a series
+    builder needs (T(xM), a geometric sum, exp(x lam)) go through it.
     """
 
     __slots__ = ("nx", "ny", "nq", "cells")
@@ -544,6 +547,8 @@ class Series:
     def scale(self, value) -> "Series":
         if not value:
             return Series(self.orders())
+        if value == 1:
+            return self
         return Series(self.orders(), {k: p * value for k, p in self.cells.items()})
 
     def shift(self, di: int = 0, dj: int = 0, dl: int = 0) -> "Series":
@@ -572,17 +577,10 @@ class Series:
             )
         inverse = Fraction(1) / c0
         # f = c0 (1 + g) with g of positive total order, so 1/f is the
-        # geometric sum over powers of -g, which terminates within the box.
+        # geometric series in -g; its powers vanish past the total order.
         g = self.scale(inverse) - 1
-        total_order = self.nx + self.ny + self.nq
-        result = Series.one(self.nx, self.ny, self.nq)
-        power = result
-        for _ in range(total_order):
-            power = power * (-g)
-            if power.is_zero():
-                break
-            result = result + power
-        return result.scale(inverse)
+        geometric = Series.from_x_coeffs([1] * (self.nx + self.ny + self.nq + 1))
+        return geometric.compose_x(-g).scale(inverse)
 
     def pow(self, exp: int) -> "Series":
         if exp < 0:
@@ -608,7 +606,9 @@ class Series:
         return Series((self.nx - 1, self.ny, self.nq), cells)
 
     def compose_x(self, inner: "Series") -> "Series":
-        """Substitute a series with zero constant term for x in a univariate one."""
+        """Substitute a series with zero constant term for x in a univariate
+        one: sum_i c_i inner^i in the box of `inner`, which may have any
+        grading.  The sum stops at the first power of `inner` that vanishes."""
         if not self.is_univariate():
             raise ValueError("compose_x needs a univariate outer series")
         if (0, 0, 0) in inner.cells:

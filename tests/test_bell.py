@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bellpaths import cli, compositions, lagrange, matrixcomp, motzkin
+from bellpaths import cli, compositions, lagrange, matrixcomp, motzkin, verify
 from bellpaths.bell import (
     BinomialSequence,
     WeightVector,
@@ -77,12 +77,7 @@ def test_partition_sum_bound():
 
 
 def test_recurrence_matches_partition_sum_symbolically():
-    for n in range(13):
-        for r in range(n + 1):
-            assert partial_bell(n, r, SYM) == partial_bell_by_partitions(n, r, SYM), (
-                n,
-                r,
-            )
+    assert verify.check("bell", "recurrence-vs-partition-sum", 12) is None
 
 
 @settings(max_examples=25, deadline=None)
@@ -119,23 +114,13 @@ def test_potential_of_order_zero():
 
 
 def test_potential_shifted_bell_arguments():
-    # positive order r: potential(n, r) recovered from B(n+r, r) of the
-    # shifted vector (1, 2 f_1, 3 f_2, ...) with f_k = entry_k / k!
-    shifted = WeightVector(
-        lambda k: Polynomial.const(1)
-        if k == 1
-        else Polynomial.variable("t", k - 1) * k
-    )
-    for n in range(9):
-        for r in range(1, 7):
-            lhs = potential(n, r, SYM)
-            rhs = partial_bell(n + r, r, shifted) * Fraction(1, binomial(n + r, r))
-            assert lhs == rhs, (n, r)
+    assert verify.check("bell", "potential-shifted-arguments", 8) is None
 
 
 def test_potential_matches_series_power():
+    assert verify.check("bell", "potential-vs-series-power", 6) is None
     top = 6
-    for label, vec in [("symbolic", SYM), *numeric_vectors()]:
+    for label, vec in numeric_vectors():
         a_series = Series.from_x_coeffs(
             [1] + [vec[k] * Fraction(1, factorial(k)) for k in range(1, top + 1)]
         )
@@ -180,13 +165,14 @@ FAMILIES = [
 
 
 def test_bell_of_binomial_sequences():
-    for phi in FAMILIES:
-        vec = WeightVector(lambda k, phi=phi: Polynomial.const(k * phi.value(k - 1, 1)))
-        for m in range(1, 9):
-            for r in range(1, m + 1):
-                lhs = partial_bell(m, r, vec).constant_value()
-                rhs = binomial(m, r) * phi.value(m - r, r)
-                assert lhs == rhs, (phi.name(), m, r)
+    assert verify.check("bell", "bell-of-binomial-sequences", 8) is None
+    # the registry's families lack abel(1/2)
+    phi = BinomialSequence.abel(Fraction(1, 2))
+    vec = WeightVector(lambda k: Polynomial.const(k * phi.value(k - 1, 1)))
+    for m in range(1, 9):
+        for r in range(1, m + 1):
+            lhs = partial_bell(m, r, vec).constant_value()
+            assert lhs == binomial(m, r) * phi.value(m - r, r), (m, r)
 
 
 def test_binomial_sequence_values():

@@ -230,6 +230,35 @@ def test_csv_weights_default_zero(tmp_path, capsys):
     assert capsys.readouterr().out == "1\n"  # only (1,1,1) survives
 
 
+def test_bad_csv_rows_exit_1(tmp_path, capsys):
+    # a bad row is never dropped or overwritten: the error names file and line
+    weight_file = tmp_path / "weights.csv"
+    argv = ["motzkin", "weighted", "--m", "1", "--k", "1",
+            "--weights", f"csv:{weight_file}"]
+    for text, message in (
+        ("t,0,5,1\n", "line 1: weight index must be >= 1, got 0"),
+        ("# header\nt,1,1,1\nt,-2,1,1\n", "line 3: weight index must be >= 1, got -2"),
+        ("t,1,1,1\nt,1,2,1\n", "line 2: weight t1 is listed twice"),
+        ("s,2,1,1\n\ns,2,1,1\n", "line 3: weight s2 is listed twice"),
+        ("t,x,1,1\n", "line 1: weight row ['t', 'x', '1', '1'] needs an integer "
+                      "index, numerator and nonzero denominator"),
+        ("t,1,1,1\ns,1,1,0\n", "line 2: weight row ['s', '1', '1', '0'] needs an "
+                               "integer index, numerator and nonzero denominator"),
+        ("t,1,1\n", "line 1: weight row ['t', '1', '1'] needs family,index,num,den"),
+        ("u,1,1,1\n", "line 1: unknown weight family 'u' in ['u', '1', '1', '1']"),
+    ):
+        weight_file.write_text(text)
+        assert cli.main(argv) == 1, text
+        captured = capsys.readouterr()
+        assert captured.out == "", text
+        assert captured.err == f"error: {weight_file} {message}\n", text
+
+    # the same index in t and s names two different weights: 3 t1 s1 at 1, 2
+    weight_file.write_text("t,1,1,1\ns,1,2,1\n")
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == "6\n"
+
+
 def test_exit_codes_via_subprocess():
     code, out, err = run_cli("motzkin", "count", "--m", "9", "--k", "9")
     assert code == 3

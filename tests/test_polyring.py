@@ -1,4 +1,5 @@
 from fractions import Fraction
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -279,6 +280,79 @@ def test_series_reciprocal_rejects_bad_constant():
 def test_series_pow_addition_law(tail, a, b):
     f = Series.from_x_coeffs([Fraction(1), *tail], nx=4)
     assert f.pow(a) * f.pow(b) == f.pow(a + b)
+
+
+# the three kinds of cell a series holds: ints, Fractions and Polynomials
+ring_values = st.one_of(
+    st.integers(-3, 3), coefficients, polynomials(max_terms=2, max_index=2, max_exp=2)
+)
+
+
+@st.composite
+def series(draw, gradings=st.integers(1, 3), max_order=3, constant=ring_values):
+    """A Series over the first `gradings` of x, y, q with up to four cells
+    of positive order, and its constant term drawn from `constant`."""
+    used = draw(gradings)
+    orders = tuple(draw(st.integers(0, max_order)) for _ in range(used))
+    orders += (0,) * (3 - used)
+    keys = [key for key in itertools.product(*(range(n + 1) for n in orders)) if any(key)]
+    cells = {(0, 0, 0): draw(constant)}
+    if keys:
+        for key in draw(st.lists(st.sampled_from(keys), max_size=4)):
+            cells[key] = draw(ring_values)
+    return Series(orders, cells)
+
+
+def power_sum(f: Series, g: Series) -> Series:
+    """sum_i f_i g^i with each power by binary powering, not by compose_x."""
+    total = Series.zero(*g.orders())
+    for (i, _, _), c in f.cells.items():
+        total = total + g.pow(i) * c
+    return total
+
+
+@settings(max_examples=80, deadline=None)
+@given(series(gradings=st.just(1), max_order=5), series(constant=st.just(0)))
+def test_compose_x_is_the_power_sum(f, g):
+    composed = f.compose_x(g)
+    assert composed.orders() == g.orders()
+    assert composed == power_sum(f, g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    series(gradings=st.integers(2, 3), constant=nonzero_coefficients),
+    st.tuples(st.integers(1, 3), st.integers(0, 2), st.integers(0, 2)),
+    polynomials(max_terms=2, max_index=2, max_exp=2),
+)
+def test_reciprocal_multiplies_back_symbolically(f, key, symbolic):
+    # one non-constant symbolic cell of positive order, inside the box
+    key = tuple(min(k, n) for k, n in zip(key, f.orders()))
+    if any(key):
+        f = Series(f.orders(), f.cells | {key: symbolic * T1 + T2})
+    assert f * f.reciprocal() == Series.one(*f.orders())
+    assert f.reciprocal() * f == Series.one(*f.orders())
+
+
+@settings(max_examples=40, deadline=None)
+@given(series())
+def test_scale_by_one_is_identity(s):
+    for one in (1, Fraction(1), Polynomial.const(1)):
+        assert s.scale(one) == s
+        assert s * one == s
+
+
+def test_compose_x_stops_at_the_first_vanishing_power():
+    # (1 + x + x^2 + ...)(y) in a box of y-order 2: y^3 and beyond vanish
+    geometric = Series.from_x_coeffs([1] * 6)
+    y = Series((0, 2, 0), {(0, 1, 0): T1})
+    expected = Series((0, 2, 0), {(0, 0, 0): 1, (0, 1, 0): T1, (0, 2, 0): T1**2})
+    assert geometric.compose_x(y) == expected
+    assert Series.from_x_coeffs([5]).compose_x(y) == Series((0, 2, 0), {(0, 0, 0): 5})
+    with pytest.raises(ValueError):
+        geometric.compose_x(y + 1)
+    with pytest.raises(ValueError):
+        y.compose_x(Series.from_x_coeffs([0, 1]))
 
 
 def test_series_three_gradings():
