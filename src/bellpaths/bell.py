@@ -42,12 +42,17 @@ class WeightVector:
     Fractions or Polynomials, zero is tested by truthiness and the empty sum
     is plain 0, so numeric weights stay rationals and symbolic ones stay
     polynomials on the same code path.
+
+    A vector may be shared between threads: new rows are built in a local
+    list and published with one assignment, so a reader sees the old rows
+    or the grown ones, never a row appended twice.  Racing builders compute
+    identical exact rows, so whichever publishes last is correct.
     """
 
     def __init__(self, rule):
         self._rule = rule
         self._entries: dict = {}
-        self._rows = [(1,)]
+        self._rows: tuple = ((1,),)
         self._potentials: dict = {}
 
     def __getitem__(self, index: int):
@@ -63,6 +68,9 @@ class WeightVector:
         if n < 0:
             raise ValueError(f"Bell table rows start at 0, got {n}")
         rows = self._rows
+        if n < len(rows):
+            return rows[n]
+        grown = list(rows)
         for nn in range(len(rows), n + 1):
             xs = [None] + [self[i] for i in range(1, nn + 1)]
             binomials = [None] + [comb(nn - 1, i - 1) for i in range(1, nn + 1)]
@@ -70,13 +78,14 @@ class WeightVector:
             for rr in range(1, nn + 1):
                 acc = 0
                 for i in range(1, nn - rr + 2):
-                    prev = rows[nn - i][rr - 1]
+                    prev = grown[nn - i][rr - 1]
                     if prev and xs[i]:
                         # one copy of the large prev, not two
                         acc = acc + prev * (xs[i] * binomials[i])
                 row[rr] = acc
-            rows.append(tuple(row))
-        return rows[n]
+            grown.append(tuple(row))
+        self._rows = tuple(grown)
+        return grown[n]
 
     def bell(self, n: int, r: int):
         """B(n, r), with B(n, r) = 0 outside 0 <= r <= n."""
@@ -117,8 +126,9 @@ class WeightVector:
         if family not in ("t", "s"):
             raise ValueError(f"unknown weight family {family!r}")
         if family not in weights.cache:
-            weights.cache[family] = cls(
-                lambda k: weights.entry(family, k) * factorial(k)
+            # setdefault: threads that race here all get the one vector
+            weights.cache.setdefault(
+                family, cls(lambda k: weights.entry(family, k) * factorial(k))
             )
         return weights.cache[family]
 

@@ -1,7 +1,8 @@
 """Command-line interface: tables, weighted counts, and the verification suite.
 
 Exit codes: 0 success, 1 usage or input error, 2 verification or oracle
-failure, 3 enumeration bound exceeded.  All output is deterministic.
+failure, 3 enumeration or symbolic term bound exceeded.  All output is
+deterministic.
 """
 
 from __future__ import annotations
@@ -9,8 +10,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import compositions, matrixcomp, motzkin, verify
 from .bell import WeightVector, partial_bell, partial_bell_by_partitions
@@ -21,6 +24,43 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_BOUND = 3
+
+# symbolic `bell` and `motzkin weighted`/`table` results are refused, before
+# any work, when they would have more terms than this
+MAX_SYMBOLIC_TERMS = 20_000
+
+
+def _partition_counts(limit: int) -> tuple:
+    """p(0), p(1), ... through the first partition count above `limit`, from
+    the counts of partitions of n into exactly k parts,
+    p(n, k) = p(n-1, k-1) + p(n-k, k)."""
+    by_parts = [[1]]  # by_parts[n][k] = p(n, k)
+    while sum(by_parts[-1]) <= limit:
+        n = len(by_parts)
+        row = [0] * (n + 1)
+        for k in range(1, n + 1):
+            row[k] = by_parts[n - 1][k - 1] + (by_parts[n - k][k] if 2 * k <= n else 0)
+        by_parts.append(row)
+    return tuple(sum(row) for row in by_parts)
+
+
+_PARTITION_COUNTS = _partition_counts(MAX_SYMBOLIC_TERMS)
+
+
+def _check_symbolic_terms(weights: WeightSpec, **sizes: int) -> None:
+    """Refuse a symbolic result read from the Bell rows `sizes` when it
+    would have more than MAX_SYMBOLIC_TERMS terms.  Row n holds one term per
+    partition of n, and a product of rows multiplies their counts.  A size
+    past the table counts as its last entry, already above the bound."""
+    last = len(_PARTITION_COUNTS) - 1
+    terms = math.prod(_PARTITION_COUNTS[min(size, last)] for size in sizes.values())
+    if terms > MAX_SYMBOLIC_TERMS and any(
+        isinstance(weights.entry(family, 1), Polynomial) for family in ("t", "s")
+    ):
+        at = ", ".join(f"{name}={size}" for name, size in sizes.items())
+        raise EnumerationBoundError(
+            f"symbolic result at {at} exceeds the term bound {MAX_SYMBOLIC_TERMS}"
+        )
 
 
 def _split_list(text: str, option: str) -> list[str]:
@@ -91,7 +131,11 @@ def _load_csv_weights(path: str) -> WeightSpec:
 def parse_weights(spec: str) -> WeightSpec:
     """Weight specs on the command line: named kinds like `all-ones`,
     `stirling`, `b-ary:b=2,d=1`, `abel:q=-2`, `r-ary:r=1`, `bell-numbers`,
-    `factorial-psi`, `symbolic`, or `csv:<file>`."""
+    `factorial-psi`, `symbolic`, or `csv:<file>`.
+
+    A named kind is the process-wide spec of motzkin.named_weights, so its
+    Bell rows outlive one query; a csv file is read again on every call,
+    since it may have changed."""
     if spec.startswith("csv:"):
         return _load_csv_weights(spec[4:])
     kind, sep, param_text = spec.partition(":")
@@ -113,11 +157,19 @@ def _require_nonnegative(*values) -> None:
         raise ValueError("arguments must be >= 0")
 
 
+def _plain_t_vector(weights: WeightSpec) -> WeightVector:
+    """The vector with x_i the t-weight itself (symbolic entries stay t_i),
+    kept in the spec's cache next to the from_weights vectors."""
+    if "plain t" not in weights.cache:
+        weights.cache.setdefault("plain t", WeightVector(lambda k: weights.entry("t", k)))
+    return weights.cache["plain t"]
+
+
 def cmd_bell(args) -> int:
     _require_nonnegative(args.n, args.r)
     weights = parse_weights(args.weights)
-    # plain entries: x_i is the t-weight itself, symbolic entries stay t_i
-    vector = WeightVector(lambda k: weights.entry("t", k))
+    _check_symbolic_terms(weights, n=args.n)
+    vector = _plain_t_vector(weights)
     # the oracle goes first, so its size bound is checked before any work
     check = partial_bell_by_partitions(args.n, args.r, vector) if args.oracle else None
     value = partial_bell(args.n, args.r, vector)
@@ -138,7 +190,9 @@ def cmd_motzkin(args) -> int:
         print(motzkin.count_paths(args.m, args.k, bound=args.bound))
         return EXIT_OK
     if args.mode == "weighted":
+        _require_nonnegative(args.m, args.k)
         weights = parse_weights(args.weights)
+        _check_symbolic_terms(weights, m=args.m, k=args.k)
         if args.by_segments is not None:
             segments = _int_list(args.by_segments, "--by-segments")
             if len(segments) != 2:
@@ -151,6 +205,8 @@ def cmd_motzkin(args) -> int:
     # triangle over (m, k) for each length n: one row per n, entries by m
     _require_nonnegative(args.max_n)
     weights = parse_weights(args.weights)
+    for m in range(args.max_n // 2 + 1):
+        _check_symbolic_terms(weights, m=m, k=args.max_n - 2 * m)
     rows = []
     for n in range(args.max_n + 1):
         values = [
@@ -248,7 +304,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    """The one parser of the process; parsing leaves it unchanged."""
     parser = _Parser(prog="bellpaths", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -259,7 +317,8 @@ def _build_parser() -> _Parser:
         "--weights",
         default="symbolic",
         help="symbolic, all-ones, stirling, b-ary:b=2,d=1, r-ary:r=1, "
-        "abel:q=-2, bell-numbers, factorial-psi, or csv:<file>",
+        "abel:q=-2, bell-numbers, factorial-psi, or csv:<file>; symbolic "
+        f"Bell rows are held to {MAX_SYMBOLIC_TERMS} terms",
     )
     bell.add_argument(
         "--oracle",
@@ -273,7 +332,10 @@ def _build_parser() -> _Parser:
     motz.add_argument("--m", type=int, default=0, help="up-steps")
     motz.add_argument("--k", type=int, default=0, help="horizontal steps")
     motz.add_argument(
-        "--weights", default=None, help="default: symbolic, or all-ones for table"
+        "--weights",
+        default=None,
+        help="default: symbolic, or all-ones for table; a symbolic result is "
+        f"held to {MAX_SYMBOLIC_TERMS} terms",
     )
     motz.add_argument(
         "--by-segments",

@@ -101,22 +101,25 @@ def motzkin_series(weights: WeightSpec, nx: int, ny: int) -> Series:
 
         M = T(z) / (1 - ((S(y) - 1) / S(y)) T(z)),   z = x M,
 
-    starting from M = 1, with T(z) = t.compose_x(z) for T built once; each
-    pass gains at least one order of x-accuracy, so failing to stabilize
-    within nx + ny + 2 passes is an internal bug.
+    starting from M = 1, with T(z) = t.compose_x(z) for T built once.  A
+    pass gains one order of x, since z = x M reads M one order lower, so
+    pass p runs at x-order p and pass nx gives the full box.  The result is
+    checked against the equation M (1 - a T(xM)) = T(xM) at the full box; a
+    failure is an internal bug.
     """
     one = Series.one(nx, ny)
     s = _s_series(weights, nx, ny)
     a = one - s.reciprocal()
     t = _t_minus_one(weights, nx) + 1
     m = one
-    for _ in range(nx + ny + 2):
-        tz = t.compose_x(m.shift(di=1))
-        m_next = tz * (one - a * tz).reciprocal()
-        if m_next == m:
-            return m
-        m = m_next
-    raise RuntimeError("Motzkin fixed point failed to stabilize; this is a bug")
+    for order in range(nx + 1):
+        # exact through x^(order-1); the shift reads no further
+        tz = t.compose_x(Series((order, ny), m.cells).shift(di=1))
+        m = tz * (one - a * tz).reciprocal()
+    tz = t.compose_x(m.shift(di=1))
+    if m * (one - a * tz) != tz:
+        raise RuntimeError("Motzkin fixed point does not solve its equation; this is a bug")
+    return m
 
 
 def composition_series(weights: WeightSpec, nx: int, ny: int, nq: int) -> Series:

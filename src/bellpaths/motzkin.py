@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator
 
 from .bell import (
@@ -273,8 +274,19 @@ _KIND_PARAMS = {
 }
 
 
+# distinct (kind, parameters) specs kept alive at once; the CLI and the
+# verify suites use fewer than this, so none of theirs is ever evicted
+_SHARED_SPECS = 64
+
+
+@lru_cache(maxsize=_SHARED_SPECS)
 def named_weights(kind: str, **params) -> WeightSpec:
     """Weight specs by name.
+
+    The returned spec is shared: every call with the same kind and
+    parameters returns the same object, so the weight entries, Bell rows
+    and potentials memoised in its cache carry over from one caller to the
+    next.
 
     Kinds (parameters in parentheses):
       symbolic        keep every weight as its variable

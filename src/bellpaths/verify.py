@@ -942,8 +942,10 @@ def run(suite: str, max_n: int, jobs: int = 1) -> list[IdentityResult]:
     assembled in suite order regardless of completion order, so it is
     byte-identical to a sequential run.
     """
-    if max_n < 0 or jobs < 1:
-        raise ValueError("arguments must be >= 0")
+    if max_n < 0:
+        raise ValueError("--max-n must be >= 0")
+    if jobs < 1:
+        raise ValueError("--jobs must be >= 1")
     names = list(SUITES) if suite == "all" else [suite]
     for name in names:
         if name not in _SUITE_FUNCTIONS:

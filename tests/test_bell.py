@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -278,6 +280,50 @@ def test_bell_table_reads_each_entry_once():
             potential(n, power, vec)
     partial_bell_by_partitions(8, 2, vec)
     assert calls == {k: 1 for k in range(1, 9)}
+
+
+def _bell_and_potential_values(spec, top):
+    # rows first, one new row per call, so that threads running this at
+    # once spend their time growing the same rows
+    values = []
+    for family in ("t", "s"):
+        vec = WeightVector.from_weights(spec, family)
+        for n in range(top + 1):
+            values += [partial_bell(n, r, vec) for r in range(n + 1)]
+        for n in range(top + 1):
+            values += [potential(n, power, vec) for power in (-2, 1, 3)]
+    return values
+
+
+def test_shared_spec_is_safe_across_threads():
+    # named_weights hands one spec to every caller: threads growing its Bell
+    # rows at once must read what a serial run reads, and leave rows that a
+    # later read past them can still trust
+    serial = _bell_and_potential_values(WeightSpec.symbolic(), 12)
+    further = _bell_and_potential_values(WeightSpec.symbolic(), 14)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            motzkin.named_weights.cache_clear()
+            shared = motzkin.named_weights("symbolic")
+            barrier = threading.Barrier(4)
+            results = [None] * 4
+
+            def work(slot):
+                barrier.wait()
+                results[slot] = _bell_and_potential_values(shared, 12)
+
+            threads = [threading.Thread(target=work, args=(slot,)) for slot in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+            assert results == [serial] * 4
+            assert _bell_and_potential_values(shared, 14) == further
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_weight_spec_builds_each_table_once():

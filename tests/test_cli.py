@@ -131,23 +131,55 @@ def test_motzkin_weighted_rejects_negative_arguments(capsys):
 
 
 def test_negative_sizes_and_jobs_exit_1(capsys):
-    for argv in (
-        ["verify", "--suite", "core-identities", "--max-n", "-1"],
-        ["verify", "--suite", "bell", "--max-n", "-1"],
-        ["verify", "--suite", "all", "--max-n", "-1", "--jobs", "4"],
-        ["verify", "--suite", "core-identities", "--jobs", "0"],
-        ["verify", "--suite", "all", "--max-n", "2", "--jobs", "-3"],
-        ["motzkin", "table", "--max-n", "-3"],
-        ["bell", "--n", "-1", "--r", "0"],
-        ["bell", "--n", "3", "--r", "-2"],
-        ["matcomp", "trees", "--v", "3", "--j", "-1"],
-        ["comp", "count", "--m", "3", "--j", "2", "--k", "-1"],
-        ["motzkin", "count", "--m", "1", "--k", "1", "--bound", "-1"],
+    sizes = "arguments must be >= 0"
+    for argv, message in (
+        (["verify", "--suite", "core-identities", "--max-n", "-1"],
+         "--max-n must be >= 0"),
+        (["verify", "--suite", "bell", "--max-n", "-1"], "--max-n must be >= 0"),
+        (["verify", "--suite", "all", "--max-n", "-1", "--jobs", "4"],
+         "--max-n must be >= 0"),
+        (["verify", "--suite", "core-identities", "--jobs", "0"], "--jobs must be >= 1"),
+        (["verify", "--suite", "all", "--max-n", "2", "--jobs", "-3"],
+         "--jobs must be >= 1"),
+        (["motzkin", "table", "--max-n", "-3"], sizes),
+        (["bell", "--n", "-1", "--r", "0"], sizes),
+        (["bell", "--n", "3", "--r", "-2"], sizes),
+        (["matcomp", "trees", "--v", "3", "--j", "-1"], sizes),
+        (["comp", "count", "--m", "3", "--j", "2", "--k", "-1"], sizes),
+        (["motzkin", "count", "--m", "1", "--k", "1", "--bound", "-1"], sizes),
     ):
         assert cli.main(argv) == 1, argv
         captured = capsys.readouterr()
         assert captured.out == "", argv
-        assert captured.err == "error: arguments must be >= 0\n", argv
+        assert captured.err == f"error: {message}\n", argv
+
+
+def test_symbolic_term_bound_exits_3(capsys):
+    # p(24)^2, p(16) p(14), p(40) and p(37) terms are all past the bound
+    for argv, at in (
+        (["motzkin", "weighted", "--m", "24", "--k", "24"], "m=24, k=24"),
+        (["motzkin", "weighted", "--m", "16", "--k", "14", "--by-segments", "2,2"],
+         "m=16, k=14"),
+        (["motzkin", "table", "--max-n", "40", "--weights", "symbolic"], "m=0, k=40"),
+        (["bell", "--n", "37", "--r", "2"], "n=37"),
+    ):
+        assert cli.main(argv) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err == (
+            f"error: symbolic result at {at} exceeds the term bound "
+            f"{cli.MAX_SYMBOLIC_TERMS}\n"
+        ), argv
+    # numeric weights are not held to it, and p(14)^2 = 18225 terms still run
+    for argv in (
+        ["motzkin", "weighted", "--m", "24", "--k", "24", "--weights", "all-ones"],
+        ["motzkin", "weighted", "--m", "14", "--k", "14"],
+    ):
+        assert cli.main(argv) == 0, argv
+        assert capsys.readouterr().out, argv
+    for command in ("bell", "motzkin"):
+        assert cli.main([command, "--help"]) == 0
+        assert str(cli.MAX_SYMBOLIC_TERMS) in capsys.readouterr().out, command
 
 
 def test_motzkin_count_bound_has_a_ceiling(capsys):
@@ -218,6 +250,23 @@ def test_csv_weights(tmp_path, capsys):
     ) == 0
     # t1^2 + t2 at t1=1, t2=1/2
     assert capsys.readouterr().out == "3/2\n"
+
+
+def test_csv_weights_are_read_on_every_call(tmp_path, capsys):
+    weight_file = tmp_path / "weights.csv"
+    argv = ["bell", "--n", "2", "--r", "1", "--weights", f"csv:{weight_file}"]
+    weight_file.write_text("t,2,1,1\n")
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == "1\n"
+    weight_file.write_text("t,2,5,1\n")
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == "5\n"
+
+
+def test_named_weights_are_shared():
+    assert motzkin.named_weights("stirling") is motzkin.named_weights("stirling")
+    assert cli.parse_weights("abel:q=-2") is motzkin.named_weights("abel", q=-2)
+    assert cli.parse_weights("b-ary:b=2,d=1") is cli.parse_weights("b-ary:b=2,d=1")
 
 
 def test_csv_weights_default_zero(tmp_path, capsys):
@@ -340,6 +389,28 @@ def test_verify_reports_a_broken_fast_path(capsys, monkeypatch):
     assert "motzkin/catalan-slice [m <= 2]: PASS" in lines
     assert sum(line.endswith(": PASS") for line in lines) == 38
     assert lines[-1] == "FAILED: 5 of 43 identities"
+
+
+def test_inprocess_calls_match_fresh_processes(capsys, monkeypatch):
+    # one process reuses the parser and the named weight specs from call to
+    # call; each call must still print what a fresh interpreter prints
+    monkeypatch.setenv("COLUMNS", "80")
+    sequence = (
+        ["--help"],
+        ["bell", "--n", "4"],
+        ["bell", "--n", "31", "--r", "3", "--oracle"],
+        ["motzkin", "weighted", "--m", "8", "--k", "8"],
+        ["motzkin", "weighted", "--m", "2", "--k", "1"],
+        ["motzkin", "table", "--max-n", "8", "--weights", "stirling"],
+    )
+    expected = [run_cli(*argv) for argv in sequence]
+    assert [code for code, _, _ in expected] == [0, 1, 3, 0, 0, 0]
+    assert expected[1][2].startswith("usage: bellpaths bell")
+    for _ in range(2):
+        for argv, (code, out, err) in zip(sequence, expected):
+            assert cli.main(argv) == code, argv
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == (out, err), argv
 
 
 def test_help_exits_zero():

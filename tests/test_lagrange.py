@@ -119,6 +119,19 @@ def test_motzkin_series_symbolic_cells():
         assert series.coeff(0, k) == Polynomial.variable("s", k)
 
 
+def test_motzkin_series_checks_its_equation(monkeypatch):
+    # a reciprocal that is off at the top x-order gives a series that does
+    # not solve the fixed-point equation: that must raise, never return
+    exact = Series.reciprocal
+
+    def off_at_top(self):
+        return exact(self) + Series(self.orders(), {(self.nx, 0, 0): 1})
+
+    monkeypatch.setattr(Series, "reciprocal", off_at_top)
+    with pytest.raises(RuntimeError, match="this is a bug"):
+        motzkin_series(WeightSpec.all_ones(), 3, 3)
+
+
 def test_motzkin_series_dyck_weights():
     dyck = WeightSpec(lambda i: Fraction(1), lambda i: Fraction(0), name="dyck")
     series = motzkin_series(dyck, 5, 3)
