@@ -117,20 +117,26 @@ class WeightVector:
         return self._potentials[key]
 
     @classmethod
-    def from_weights(cls, weights: WeightSpec, family: str) -> "WeightVector":
-        """Entry k = k! * (weight k of the chosen family).
+    def from_weights(
+        cls, weights: WeightSpec, family: str, plain: bool = False
+    ) -> "WeightVector":
+        """Entry k = k! * (weight k of the chosen family), or with `plain`
+        the weight itself (x_k = t_k, as the `bell` command reads it).
 
-        Built once per spec and family, so every closed form evaluated over
-        the same spec shares one set of Bell rows.
+        Built once per spec, family and convention, so every closed form
+        evaluated over the same spec shares one set of Bell rows.
         """
         if family not in ("t", "s"):
             raise ValueError(f"unknown weight family {family!r}")
-        if family not in weights.cache:
+        key = f"{family} plain" if plain else family
+        if key not in weights.cache:
+            if plain:
+                vector = cls(lambda k: weights.entry(family, k))
+            else:
+                vector = cls(lambda k: weights.entry(family, k) * factorial(k))
             # setdefault: threads that race here all get the one vector
-            weights.cache.setdefault(
-                family, cls(lambda k: weights.entry(family, k) * factorial(k))
-            )
-        return weights.cache[family]
+            weights.cache.setdefault(key, vector)
+        return weights.cache[key]
 
     @classmethod
     def constant(cls, value) -> "WeightVector":

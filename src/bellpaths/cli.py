@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -25,41 +24,47 @@ EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_BOUND = 3
 
-# symbolic `bell` and `motzkin weighted`/`table` results are refused, before
-# any work, when they would have more terms than this
+# symbolic `bell` and `motzkin weighted`/`table` queries are refused, before
+# any work, when the Bell rows they build or their result would have more
+# terms than this
 MAX_SYMBOLIC_TERMS = 20_000
 
 
-def _partition_counts(limit: int) -> tuple:
-    """p(0), p(1), ... through the first partition count above `limit`, from
-    the counts of partitions of n into exactly k parts,
-    p(n, k) = p(n-1, k-1) + p(n-k, k)."""
-    by_parts = [[1]]  # by_parts[n][k] = p(n, k)
-    while sum(by_parts[-1]) <= limit:
-        n = len(by_parts)
-        row = [0] * (n + 1)
-        for k in range(1, n + 1):
-            row[k] = by_parts[n - 1][k - 1] + (by_parts[n - k][k] if 2 * k <= n else 0)
-        by_parts.append(row)
-    return tuple(sum(row) for row in by_parts)
+def _partitions_by_parts(limit: int) -> list:
+    """rows[n][k] = p(n, k), the partitions of n into exactly k parts, by
+    p(n, k) = p(n-1, k-1) + p(n-k, k), through the first n with more than
+    `limit` partitions in all."""
+    rows = [[1]]
+    while sum(rows[-1]) <= limit:
+        n = len(rows)
+        rows.append([0] + [
+            rows[n - 1][k - 1] + (rows[n - k][k] if 2 * k <= n else 0)
+            for k in range(1, n + 1)
+        ])
+    return rows
 
 
-_PARTITION_COUNTS = _partition_counts(MAX_SYMBOLIC_TERMS)
+_PARTITIONS = _partitions_by_parts(MAX_SYMBOLIC_TERMS)
 
 
-def _check_symbolic_terms(weights: WeightSpec, **sizes: int) -> None:
-    """Refuse a symbolic result read from the Bell rows `sizes` when it
-    would have more than MAX_SYMBOLIC_TERMS terms.  Row n holds one term per
-    partition of n, and a product of rows multiplies their counts.  A size
-    past the table counts as its last entry, already above the bound."""
-    last = len(_PARTITION_COUNTS) - 1
-    terms = math.prod(_PARTITION_COUNTS[min(size, last)] for size in sizes.values())
+def _bell_terms(n: int, r: int | None = None) -> int:
+    """Terms of the symbolic Bell row n, p(n), or of its entry B(n, r),
+    p(n, r).  A row past the table has more terms than the bound."""
+    if n >= len(_PARTITIONS):
+        return MAX_SYMBOLIC_TERMS + 1
+    row = _PARTITIONS[n]
+    return sum(row) if r is None else (row[r] if r <= n else 0)
+
+
+def _check_symbolic_terms(weights: WeightSpec, terms: int, **sizes: int) -> None:
+    """Refuse a query at `sizes` whose symbolic rows or result would have
+    `terms` > MAX_SYMBOLIC_TERMS terms; numeric weights pass."""
     if terms > MAX_SYMBOLIC_TERMS and any(
         isinstance(weights.entry(family, 1), Polynomial) for family in ("t", "s")
     ):
         at = ", ".join(f"{name}={size}" for name, size in sizes.items())
         raise EnumerationBoundError(
-            f"symbolic result at {at} exceeds the term bound {MAX_SYMBOLIC_TERMS}"
+            f"symbolic query at {at} exceeds the term bound {MAX_SYMBOLIC_TERMS}"
         )
 
 
@@ -157,19 +162,13 @@ def _require_nonnegative(*values) -> None:
         raise ValueError("arguments must be >= 0")
 
 
-def _plain_t_vector(weights: WeightSpec) -> WeightVector:
-    """The vector with x_i the t-weight itself (symbolic entries stay t_i),
-    kept in the spec's cache next to the from_weights vectors."""
-    if "plain t" not in weights.cache:
-        weights.cache.setdefault("plain t", WeightVector(lambda k: weights.entry("t", k)))
-    return weights.cache["plain t"]
-
-
 def cmd_bell(args) -> int:
     _require_nonnegative(args.n, args.r)
     weights = parse_weights(args.weights)
-    _check_symbolic_terms(weights, n=args.n)
-    vector = _plain_t_vector(weights)
+    # the recurrence builds the whole row n
+    _check_symbolic_terms(weights, _bell_terms(args.n), n=args.n)
+    # plain entries: x_i is the t-weight itself, symbolic entries stay t_i
+    vector = WeightVector.from_weights(weights, "t", plain=True)
     # the oracle goes first, so its size bound is checked before any work
     check = partial_bell_by_partitions(args.n, args.r, vector) if args.oracle else None
     value = partial_bell(args.n, args.r, vector)
@@ -192,13 +191,20 @@ def cmd_motzkin(args) -> int:
     if args.mode == "weighted":
         _require_nonnegative(args.m, args.k)
         weights = parse_weights(args.weights)
-        _check_symbolic_terms(weights, m=args.m, k=args.k)
         if args.by_segments is not None:
             segments = _int_list(args.by_segments, "--by-segments")
             if len(segments) != 2:
                 raise ValueError(f"--by-segments needs R,L, got {args.by_segments!r}")
-            poly = motzkin.weighted_sum_by_segments(args.m, args.k, *segments, weights)
+            r, l = segments
+            _require_nonnegative(r, l)
+            # rows m and k are built whole; the result is B(m, r) B(k, l)
+            terms = max(_bell_terms(args.m), _bell_terms(args.k),
+                        _bell_terms(args.m, r) * _bell_terms(args.k, l))
+            _check_symbolic_terms(weights, terms, m=args.m, k=args.k, r=r, l=l)
+            poly = motzkin.weighted_sum_by_segments(args.m, args.k, r, l, weights)
         else:
+            terms = _bell_terms(args.m) * _bell_terms(args.k)
+            _check_symbolic_terms(weights, terms, m=args.m, k=args.k)
             poly = motzkin.weighted_sum_closed(args.m, args.k, weights)
         _print_value(poly, args.format, {"m": args.m, "k": args.k})
         return EXIT_OK
@@ -206,7 +212,8 @@ def cmd_motzkin(args) -> int:
     _require_nonnegative(args.max_n)
     weights = parse_weights(args.weights)
     for m in range(args.max_n // 2 + 1):
-        _check_symbolic_terms(weights, m=m, k=args.max_n - 2 * m)
+        k = args.max_n - 2 * m
+        _check_symbolic_terms(weights, _bell_terms(m) * _bell_terms(k), m=m, k=k)
     rows = []
     for n in range(args.max_n + 1):
         values = [

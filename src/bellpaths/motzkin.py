@@ -286,7 +286,8 @@ def named_weights(kind: str, **params) -> WeightSpec:
     The returned spec is shared: every call with the same kind and
     parameters returns the same object, so the weight entries, Bell rows
     and potentials memoised in its cache carry over from one caller to the
-    next.
+    next.  They are kept for the life of the process (or until the spec is
+    evicted from the last _SHARED_SPECS used), with no limit on their size.
 
     Kinds (parameters in parentheses):
       symbolic        keep every weight as its variable

@@ -353,10 +353,9 @@ class WeightSpec:
     t_rule: Callable[[int], object]
     s_rule: Callable[[int], object]
     name: str = "custom"
-    # (family, index) -> entry, family -> the bell.WeightVector built by
-    # bell.WeightVector.from_weights, and the CLI's plain t-vector for
-    # `bell`, so each rule index is evaluated once and every closed form
-    # over the spec shares one Bell table per vector
+    # (family, index) -> entry, and family -> the bell.WeightVector built by
+    # bell.WeightVector.from_weights, so each rule index is evaluated once
+    # and every closed form over the spec shares one Bell table per family
     cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def entry(self, family: str, index: int):

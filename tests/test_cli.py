@@ -155,11 +155,14 @@ def test_negative_sizes_and_jobs_exit_1(capsys):
 
 
 def test_symbolic_term_bound_exits_3(capsys):
-    # p(24)^2, p(16) p(14), p(40) and p(37) terms are all past the bound
+    # p(24)^2, p(40) and p(37) terms are past the bound; by segments, row 37
+    # alone is, and so is the result B(24, 7) B(24, 7) with p(24, 7)^2 terms
     for argv, at in (
         (["motzkin", "weighted", "--m", "24", "--k", "24"], "m=24, k=24"),
-        (["motzkin", "weighted", "--m", "16", "--k", "14", "--by-segments", "2,2"],
-         "m=16, k=14"),
+        (["motzkin", "weighted", "--m", "37", "--k", "2", "--by-segments", "2,2"],
+         "m=37, k=2, r=2, l=2"),
+        (["motzkin", "weighted", "--m", "24", "--k", "24", "--by-segments", "7,7"],
+         "m=24, k=24, r=7, l=7"),
         (["motzkin", "table", "--max-n", "40", "--weights", "symbolic"], "m=0, k=40"),
         (["bell", "--n", "37", "--r", "2"], "n=37"),
     ):
@@ -167,16 +170,23 @@ def test_symbolic_term_bound_exits_3(capsys):
         captured = capsys.readouterr()
         assert captured.out == "", argv
         assert captured.err == (
-            f"error: symbolic result at {at} exceeds the term bound "
+            f"error: symbolic query at {at} exceeds the term bound "
             f"{cli.MAX_SYMBOLIC_TERMS}\n"
         ), argv
-    # numeric weights are not held to it, and p(14)^2 = 18225 terms still run
+    # numeric weights are not held to it, p(14)^2 = 18225 terms still run,
+    # and by segments only the rows and the one product are counted
     for argv in (
         ["motzkin", "weighted", "--m", "24", "--k", "24", "--weights", "all-ones"],
         ["motzkin", "weighted", "--m", "14", "--k", "14"],
+        ["motzkin", "weighted", "--m", "16", "--k", "14", "--by-segments", "2,2"],
+        ["motzkin", "weighted", "--m", "24", "--k", "24", "--by-segments", "1,1"],
     ):
         assert cli.main(argv) == 0, argv
         assert capsys.readouterr().out, argv
+    # a malformed segment list is a usage error whatever the size
+    argv = ["motzkin", "weighted", "--m", "40", "--k", "40", "--by-segments", "1,"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: --by-segments has an empty item in '1,'\n"
     for command in ("bell", "motzkin"):
         assert cli.main([command, "--help"]) == 0
         assert str(cli.MAX_SYMBOLIC_TERMS) in capsys.readouterr().out, command
