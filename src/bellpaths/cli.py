@@ -24,9 +24,9 @@ EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_BOUND = 3
 
-# symbolic `bell` and `motzkin weighted`/`table` queries are refused, before
-# any work, when the Bell rows they build or their result would have more
-# terms than this
+# symbolic `bell`, `motzkin weighted`/`table`, `comp weighted` and `matcomp
+# weighted` queries are refused, before any work, when the Bell rows they
+# build or their result would have more terms than this
 MAX_SYMBOLIC_TERMS = 20_000
 
 
@@ -242,8 +242,14 @@ def cmd_comp(args) -> int:
         print(total)
         return EXIT_OK
     if args.mode == "weighted":
+        _require_nonnegative(args.m, args.j)
         weights = parse_weights(args.weights)
         k = args.k if args.k is not None else 0
+        # rows m (t) and k (s) are built whole; the result is a potential
+        # over row k times B(m, j-k), and zero when j < k
+        result = _bell_terms(args.m, args.j - k) * _bell_terms(k) if args.j >= k else 0
+        terms = max(_bell_terms(args.m), _bell_terms(k), result)
+        _check_symbolic_terms(weights, terms, m=args.m, k=k, j=args.j)
         poly = compositions.weighted_sum_closed(args.m, k, args.j, weights)
         _print_value(poly, args.format, {"m": args.m, "k": k, "j": args.j})
         return EXIT_OK
@@ -270,7 +276,10 @@ def cmd_matcomp(args) -> int:
     if args.mode == "zero-one":
         print(matrixcomp.zero_one_count(args.p, args.j, args.m))
         return EXIT_OK
+    _require_nonnegative(args.m, args.p, args.j)
     weights = parse_weights(args.weights)
+    # row m is built whole and the result sums it
+    _check_symbolic_terms(weights, _bell_terms(args.m), m=args.m, p=args.p, j=args.j)
     poly = matrixcomp.weighted_sum_closed(args.m, args.p, args.j, weights)
     _print_value(poly, args.format, {"m": args.m, "p": args.p, "j": args.j})
     return EXIT_OK
@@ -368,7 +377,11 @@ def _build_parser() -> _Parser:
     comp.add_argument(
         "--k", type=int, default=None, help="zero parts; all k for count, 0 for weighted"
     )
-    comp.add_argument("--weights", default="symbolic")
+    comp.add_argument(
+        "--weights",
+        default="symbolic",
+        help=f"as for bell; a symbolic query is held to {MAX_SYMBOLIC_TERMS} terms",
+    )
     comp.add_argument("--allowed", default=None, help="comma-separated part values")
     comp.add_argument("--forbid", type=int, default=None, help="excluded part value")
     comp.add_argument("--format", choices=["text", "json"], default="text")
@@ -380,7 +393,11 @@ def _build_parser() -> _Parser:
     mat.add_argument("--p", type=int, default=None)
     mat.add_argument("--j", type=int, required=True)
     mat.add_argument("--v", type=int, default=None, help="vertex count for trees")
-    mat.add_argument("--weights", default="symbolic")
+    mat.add_argument(
+        "--weights",
+        default="symbolic",
+        help=f"as for bell; a symbolic query is held to {MAX_SYMBOLIC_TERMS} terms",
+    )
     mat.add_argument("--format", choices=["text", "json"], default="text")
     mat.set_defaults(handler=cmd_matcomp)
 

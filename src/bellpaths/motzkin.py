@@ -262,15 +262,16 @@ def _tree_weight(branching: int, i: int) -> Fraction:
     return Fraction(binomial(branching * i + 1, i), branching * i + 1)
 
 
+# every kind with the defaults of its parameters
 _KIND_PARAMS = {
-    "symbolic": (),
-    "all-ones": (),
-    "stirling": (),
-    "b-ary": ("b", "d"),
-    "r-ary": ("r",),
-    "abel": ("q",),
-    "bell-numbers": (),
-    "factorial-psi": (),
+    "symbolic": {},
+    "all-ones": {},
+    "stirling": {},
+    "b-ary": {"b": 1, "d": 1},
+    "r-ary": {"r": 1},
+    "abel": {"q": 0},
+    "bell-numbers": {},
+    "factorial-psi": {},
 }
 
 
@@ -279,32 +280,40 @@ _KIND_PARAMS = {
 _SHARED_SPECS = 64
 
 
-@lru_cache(maxsize=_SHARED_SPECS)
 def named_weights(kind: str, **params) -> WeightSpec:
     """Weight specs by name.
 
-    The returned spec is shared: every call with the same kind and
-    parameters returns the same object, so the weight entries, Bell rows
+    The returned spec is shared: every call naming the same kind and
+    parameter values, spelled with `_` or `-` and with defaults given or
+    left out, returns the same object, so the weight entries, Bell rows
     and potentials memoised in its cache carry over from one caller to the
     next.  They are kept for the life of the process (or until the spec is
     evicted from the last _SHARED_SPECS used), with no limit on their size.
 
-    Kinds (parameters in parentheses):
+    Kinds (parameters and their defaults in parentheses):
       symbolic        keep every weight as its variable
       all-ones        t_i = s_i = 1
       stirling        t_i = s_i = 1/i!            (set-partition weights)
-      b-ary (b, d)    t_i, s_i = plane-tree weights C(bi+1, i)/(bi+1) etc.
-      r-ary (r)       t_i = ((r+1)i + 1)^{i-1} / i!, s_i = 1  (labeled trees)
-      abel (q)        t_i = (1 - qi)^{i-1} / i!,    s_i = 1
+      b-ary (b=1,d=1) t_i, s_i = plane-tree weights C(bi+1, i)/(bi+1) etc.
+      r-ary (r=1)     t_i = ((r+1)i + 1)^{i-1} / i!, s_i = 1  (labeled trees)
+      abel (q=0)      t_i = (1 - qi)^{i-1} / i!,    s_i = 1
       bell-numbers    t_i = B_i / i!,               s_i = 1
       factorial-psi   t_i = s_i = 1 via the rising-factorial family
     """
     kind = kind.replace("_", "-")
     if kind not in _KIND_PARAMS:
         raise ValueError(f"unknown weight kind {kind!r}")
-    unknown = sorted(set(params) - set(_KIND_PARAMS[kind]))
+    defaults = _KIND_PARAMS[kind]
+    unknown = sorted(set(params) - set(defaults))
     if unknown:
         raise ValueError(f"weight kind {kind!r} takes no parameter {', '.join(unknown)}")
+    return _named_spec(kind, tuple(sorted((defaults | params).items())))
+
+
+@lru_cache(maxsize=_SHARED_SPECS)
+def _named_spec(kind: str, params: tuple) -> WeightSpec:
+    """The one spec of a known kind with every parameter given, in name order."""
+    params = dict(params)
     one = Fraction(1)
     if kind == "symbolic":
         return WeightSpec.symbolic()
@@ -314,8 +323,7 @@ def named_weights(kind: str, **params) -> WeightSpec:
         rule = lambda i: Fraction(1, factorial(i))
         return WeightSpec(rule, rule, name="stirling")
     if kind == "b-ary":
-        b = as_integer(params.get("b", 1))
-        d = as_integer(params.get("d", 1))
+        b, d = as_integer(params["b"]), as_integer(params["d"])
         if b < 0 or d < 0:
             raise ValueError("b-ary weights need b, d >= 0")
         return WeightSpec(
@@ -324,7 +332,7 @@ def named_weights(kind: str, **params) -> WeightSpec:
             name=f"b-ary(b={b},d={d})",
         )
     if kind == "r-ary":
-        r = as_integer(params.get("r", 1))
+        r = as_integer(params["r"])
         if r < 0:
             raise ValueError("r-ary weights need r >= 0")
         return WeightSpec(
@@ -333,7 +341,7 @@ def named_weights(kind: str, **params) -> WeightSpec:
             name=f"r-ary(r={r})",
         )
     if kind == "abel":
-        q = Fraction(params.get("q", 0))
+        q = Fraction(params["q"])
         return WeightSpec(
             lambda i: (1 - q * i) ** (i - 1) / factorial(i),
             lambda i: one,

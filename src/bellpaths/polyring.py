@@ -89,11 +89,6 @@ class Monomial:
         out._hash = hash(items)
         return out
 
-    def __pow__(self, exp: int) -> "Monomial":
-        if exp < 0:
-            raise ValueError("monomials only take nonnegative powers")
-        return Monomial((var, e * exp) for var, e in self.items)
-
     def weighted_degree(self, family: str) -> int:
         """Sum of index * exponent over the variables of one family."""
         return sum(idx * e for (fam, idx), e in self.items if fam == family)

@@ -16,6 +16,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterator
 
 from . import compositions, lagrange, matrixcomp, motzkin
@@ -43,6 +44,12 @@ FAMILIES = (
     BinomialSequence.exponential(),
 )
 
+# the symbolic identities read the process-wide symbolic spec, and the bell
+# suite its plain t-vector, the one `bell` reads: the Bell rows they build
+# are shared with every other caller in the process
+SYM = motzkin.named_weights("symbolic")
+SYM_T = WeightVector.from_weights(SYM, "t", plain=True)
+
 
 @dataclass(frozen=True)
 class IdentityResult:
@@ -57,27 +64,6 @@ class IdentityResult:
         return self.status == "PASS"
 
 
-class _Shared:
-    """What several identities build alike, made once per suite run.
-
-    The symbolic weights memoise their Bell tables, so sharing them (and
-    the composition series) keeps one suite run from rebuilding either
-    once per identity.
-    """
-
-    def __init__(self) -> None:
-        self.sym = WeightSpec.symbolic()
-        self.sym_t = WeightVector(lambda k: Polynomial.variable("t", k))
-        self._composition_series: dict[int, Series] = {}
-
-    def composition_series(self, top: int) -> Series:
-        if top not in self._composition_series:
-            self._composition_series[top] = lagrange.composition_series(
-                self.sym, top, top, top
-            )
-        return self._composition_series[top]
-
-
 def _one_size(n: int) -> tuple[int, ...]:
     return (n,)
 
@@ -86,7 +72,7 @@ def _one_size(n: int) -> tuple[int, ...]:
 class Identity:
     """One registered identity.
 
-    `check(shared, *sizes)` yields a counterexample per failing case, in
+    `check(*sizes)` yields a counterexample per failing case, in
     case order.  The sizes are `derive(n)`, where n is the requested size
     limited to `cap`; `range` is a `str.format` template over the same
     sizes.
@@ -99,12 +85,12 @@ class Identity:
     cap: int | None = None
     derive: Callable[[int], tuple[int, ...]] = _one_size
 
-    def first_counterexample(self, n: int, shared: _Shared) -> str | None:
-        return next(self.check(shared, *self.derive(n)), None)
+    def first_counterexample(self, n: int) -> str | None:
+        return next(self.check(*self.derive(n)), None)
 
-    def result(self, requested: int, shared: _Shared) -> IdentityResult:
+    def result(self, requested: int) -> IdentityResult:
         n = requested if self.cap is None else min(requested, self.cap)
-        counterexample = self.first_counterexample(n, shared)
+        counterexample = self.first_counterexample(n)
         status = "PASS" if counterexample is None else "FAIL"
         return IdentityResult(
             self.suite,
@@ -130,7 +116,7 @@ def _identity(suite, name, range_template, cap=None, derive=_one_size):
 def check(suite: str, identity: str, n: int) -> str | None:
     """First counterexample of one registered identity at size n, with no
     cap applied; None when the identity holds over the whole range."""
-    return REGISTRY[(suite, identity)].first_counterexample(n, _Shared())
+    return REGISTRY[(suite, identity)].first_counterexample(n)
 
 
 def _random_unit_series(rng: random.Random, order: int) -> Series:
@@ -154,7 +140,7 @@ def pairs_up_to(total: int) -> Iterator[tuple[int, int]]:
 
 
 @_identity("core-identities", "upper-negation-convolution", "0 <= l, j <= {}")
-def _upper_negation_convolution(_, n):
+def _upper_negation_convolution(n):
     for l in range(n + 1):
         for j in range(n + 1):
             lhs = sum(
@@ -166,7 +152,7 @@ def _upper_negation_convolution(_, n):
 
 
 @_identity("core-identities", "binomial-orthogonality", "0 <= j <= k <= {}")
-def _binomial_orthogonality(_, n):
+def _binomial_orthogonality(n):
     for k in range(n + 1):
         for j in range(k + 1):
             lhs = sum(
@@ -178,7 +164,7 @@ def _binomial_orthogonality(_, n):
 
 
 @_identity("core-identities", "kronecker-convolution", "0 <= n, r <= {}")
-def _kronecker_convolution(_, top):
+def _kronecker_convolution(top):
     for n in range(top + 1):
         for r in range(top + 1):
             lhs = sum(
@@ -189,7 +175,7 @@ def _kronecker_convolution(_, top):
 
 
 @_identity("core-identities", "pascal-recurrence", "1 <= a, b <= {}")
-def _pascal_recurrence(_, n):
+def _pascal_recurrence(n):
     for a in range(1, n + 1):
         for b in range(1, n + 1):
             if binomial(a, b) != binomial(a - 1, b - 1) + binomial(a - 1, b):
@@ -202,30 +188,27 @@ def _pascal_recurrence(_, n):
 
 
 @_identity("bell", "recurrence-vs-partition-sum", "0 <= r <= n <= {}", cap=10)
-def _recurrence_vs_partition_sum(shared, top):
-    sym = shared.sym_t
+def _recurrence_vs_partition_sum(top):
     for n in range(top + 1):
         for r in range(n + 1):
-            if partial_bell(n, r, sym) != partial_bell_by_partitions(n, r, sym):
+            if partial_bell(n, r, SYM_T) != partial_bell_by_partitions(n, r, SYM_T):
                 yield f"n={n}, r={r}"
 
 
 @_identity("bell", "homogeneity", "0 <= r <= m <= {}, q=5/3", cap=8)
-def _homogeneity(shared, top):
-    sym = shared.sym_t
+def _homogeneity(top):
     q = Fraction(5, 3)
     scaled = WeightVector(lambda k: Polynomial.variable("t", k) * q)
     for m in range(top + 1):
         for r in range(m + 1):
-            if partial_bell(m, r, scaled) != partial_bell(m, r, sym) * q**r:
+            if partial_bell(m, r, scaled) != partial_bell(m, r, SYM_T) * q**r:
                 yield f"m={m}, r={r}, q={q}"
 
 
 @_identity("bell", "potential-shifted-arguments", "n <= {}, 1 <= r <= 6", cap=8)
-def _potential_shifted_arguments(shared, top):
+def _potential_shifted_arguments(top):
     # potential of positive order r from the Bell polynomial with the
     # shifted argument vector (1, 2 f_1, 3 f_2, ...), f_k = entry_k / k!
-    sym = shared.sym_t
     shifted = WeightVector(
         lambda k: Polynomial.const(1)
         if k == 1
@@ -233,7 +216,7 @@ def _potential_shifted_arguments(shared, top):
     )
     for n in range(top + 1):
         for r in range(1, 7):
-            lhs = potential(n, r, sym)
+            lhs = potential(n, r, SYM_T)
             rhs = partial_bell(n + r, r, shifted) * Fraction(1, binomial(n + r, r))
             if lhs != rhs:
                 yield f"n={n}, r={r}"
@@ -242,7 +225,7 @@ def _potential_shifted_arguments(shared, top):
 @_identity(
     "bell", "bell-of-power-coefficients", "5 seeded series, 1 <= r <= m <= {}", cap=8
 )
-def _bell_of_power_coefficients(_, top):
+def _bell_of_power_coefficients(top):
     # B(m, r) of the vector (1, f_1(2), f_2(3), ...) built from powers of a
     # unit series f, against C(m-1, r-1) f_{m-r}(m)
     rng = random.Random(_SERIES_SEED)
@@ -261,7 +244,7 @@ def _bell_of_power_coefficients(_, top):
 @_identity(
     "bell", "bell-of-binomial-sequences", "4 families, 1 <= r <= m <= {}", cap=8
 )
-def _bell_of_binomial_sequences(_, top):
+def _bell_of_binomial_sequences(top):
     # B(m, r) of (1, 2 phi_1(1), 3 phi_2(1), ...) against C(m, r) phi_{m-r}(r)
     for phi in FAMILIES:
         vec = WeightVector(
@@ -276,9 +259,8 @@ def _bell_of_binomial_sequences(_, top):
 
 
 @_identity("bell", "potential-vs-series-power", "-4 <= power <= 4, n <= {}", cap=8)
-def _potential_vs_series_power(shared, top):
+def _potential_vs_series_power(top):
     # potential(n, power) against n! [x^n] A(x)^power with A from the same vector
-    sym = shared.sym_t
     a_series = Series(
         (top, 0, 0),
         {(0, 0, 0): 1}
@@ -290,14 +272,14 @@ def _potential_vs_series_power(shared, top):
     for power in range(-4, 5):
         powered = a_series.pow(power)
         for n in range(top + 1):
-            lhs = potential(n, power, sym)
+            lhs = potential(n, power, SYM_T)
             rhs = powered.coeff(n) * factorial(n)
             if lhs != rhs:
                 yield f"power={power}, n={n}"
 
 
 @_identity("bell", "stirling-recurrence-agreement", "0 <= k <= n <= {}", cap=12)
-def _stirling_recurrence_agreement(_, top):
+def _stirling_recurrence_agreement(top):
     classic = {(0, 0): 1}
     for n in range(1, top + 1):
         for k in range(n + 1):
@@ -311,7 +293,7 @@ def _stirling_recurrence_agreement(_, top):
 
 
 @_identity("bell", "binomial-convolution", "4 families, n <= {}", cap=8)
-def _binomial_convolution(_, top):
+def _binomial_convolution(top):
     points = [
         (Fraction(2), Fraction(3)),
         (Fraction(-1, 2), Fraction(5, 3)),
@@ -345,6 +327,14 @@ def _bruteforce_mismatches(label, weights, closed_value, top, k_min=0):
             yield f"{label}m={m}, k={k}"
 
 
+def _tally(pairs) -> dict:
+    """Sum the values of (key, value) pairs by key, keys in first-seen order."""
+    table = {}
+    for key, value in pairs:
+        table[key] = table.get(key, 0) + value
+    return table
+
+
 def _type_key(profile) -> tuple:
     return (
         tuple(sorted(profile.u_counts.items())),
@@ -353,44 +343,44 @@ def _type_key(profile) -> tuple:
 
 
 @_identity("motzkin", "path-sum-triple-agreement", "2m+k <= {}")
-def _path_sum_triple_agreement(shared, top):
-    sym = shared.sym
+def _path_sum_triple_agreement(top):
     for m, k in pairs_up_to(top):
-        brute = motzkin.weighted_sum_bruteforce(m, k, sym)
-        if brute != motzkin.weighted_sum_closed(m, k, sym):
+        brute = motzkin.weighted_sum_bruteforce(m, k, SYM)
+        if brute != motzkin.weighted_sum_closed(m, k, SYM):
             yield f"m={m}, k={k}: closed form differs from enumeration"
-        if brute != lagrange.motzkin_series(sym, m, k).coeff(m, k):
+        if brute != lagrange.motzkin_series(SYM, m, k).coeff(m, k):
             yield f"m={m}, k={k}: series fixed point differs from enumeration"
 
 
 @_identity("motzkin", "segment-refinement", "2m+k <= {}", cap=8)
-def _segment_refinement(shared, top):
-    sym = shared.sym
+def _segment_refinement(top):
     for m, k in pairs_up_to(top):
-        by_split = {}
-        for path in motzkin.enumerate_paths(m, k):
-            profile = motzkin.segment_profile(path)
-            key = (profile.u_segments, profile.h_segments)
-            weight = motzkin.path_weight(path, sym)
-            by_split[key] = by_split.get(key, Polynomial.zero()) + weight
+        by_split = _tally(
+            (
+                (profile.u_segments, profile.h_segments),
+                motzkin.path_weight(path, SYM),
+            )
+            for path in motzkin.enumerate_paths(m, k)
+            for profile in [motzkin.segment_profile(path)]
+        )
         total = Polynomial.zero()
         for r in range(m + 1):
             for l in range(k + 1):
-                refined = motzkin.weighted_sum_by_segments(m, k, r, l, sym)
+                refined = motzkin.weighted_sum_by_segments(m, k, r, l, SYM)
                 total = total + refined
                 if refined != by_split.get((r, l), Polynomial.zero()):
                     yield f"m={m}, k={k}, r={r}, l={l}"
-        if total != motzkin.weighted_sum_closed(m, k, sym):
+        if total != motzkin.weighted_sum_closed(m, k, SYM):
             yield f"m={m}, k={k}: refinement does not repartition the total"
 
 
 @_identity("motzkin", "type-counts", "2m+k <= {}", cap=8)
-def _motzkin_type_counts(_, top):
+def _motzkin_type_counts(top):
     for m, k in pairs_up_to(top):
-        by_type = {}
-        for path in motzkin.enumerate_paths(m, k):
-            key = _type_key(motzkin.segment_profile(path))
-            by_type[key] = by_type.get(key, 0) + 1
+        by_type = _tally(
+            (_type_key(motzkin.segment_profile(path)), 1)
+            for path in motzkin.enumerate_paths(m, k)
+        )
         total = 0
         for (u_items, h_items), expected in sorted(by_type.items()):
             got = motzkin.count_by_type(m, k, dict(u_items), dict(h_items))
@@ -402,7 +392,7 @@ def _motzkin_type_counts(_, top):
 
 
 @_identity("motzkin", "motzkin-numbers", "n <= {}")
-def _motzkin_numbers(_, top):
+def _motzkin_numbers(top):
     motzkin_numbers = [1]
     for n in range(1, top + 1):
         value = motzkin_numbers[n - 1]
@@ -410,7 +400,7 @@ def _motzkin_numbers(_, top):
             motzkin_numbers[i] * motzkin_numbers[n - 2 - i] for i in range(n - 1)
         )
         motzkin_numbers.append(value)
-    ones = WeightSpec.all_ones()
+    ones = motzkin.named_weights("all-ones")
     for n in range(top + 1):
         row = sum(
             motzkin.weighted_sum_closed(m, n - 2 * m, ones).constant_value()
@@ -421,7 +411,7 @@ def _motzkin_numbers(_, top):
 
 
 @_identity("motzkin", "catalan-slice", "m <= {}", derive=lambda n: (n // 2,))
-def _catalan_slice(_, top):
+def _catalan_slice(top):
     catalan = [1]
     for n in range(1, top + 1):
         catalan.append(sum(catalan[i] * catalan[n - 1 - i] for i in range(n)))
@@ -438,11 +428,10 @@ def _catalan_slice(_, top):
 
 
 @_identity("motzkin", "set-partition-weights", "2m+k <= {}", cap=8)
-def _set_partition_weights(shared, top):
-    sym = shared.sym
+def _set_partition_weights(top):
     stirling_weights = motzkin.named_weights("stirling")
     for m, k in pairs_up_to(top):
-        lhs = specialize(motzkin.weighted_sum_closed(m, k, sym), stirling_weights)
+        lhs = specialize(motzkin.weighted_sum_closed(m, k, SYM), stirling_weights)
         if lhs != motzkin.stirling_closed_value(m, k):
             yield f"m={m}, k={k}"
 
@@ -450,7 +439,7 @@ def _set_partition_weights(shared, top):
 @_identity(
     "motzkin", "plane-tree-weights-single", "b in 1..3, 2m+k <= {}", cap=8
 )
-def _plane_tree_weights_single(_, top):
+def _plane_tree_weights_single(top):
     for b in (1, 2, 3):
         yield from _bruteforce_mismatches(
             f"b={b}, ",
@@ -466,7 +455,7 @@ def _plane_tree_weights_single(_, top):
     "b in 1..2, d in 1..3, 2m+k <= {}",
     cap=6,
 )
-def _plane_tree_weights_general(_, top):
+def _plane_tree_weights_general(top):
     for b in (1, 2):
         for d in (1, 2, 3):
             weights = motzkin.named_weights("b-ary", b=b, d=d)
@@ -483,7 +472,7 @@ def _plane_tree_weights_general(_, top):
 
 
 @_identity("motzkin", "series-coefficient-weights", "2 series, 2m+k <= {}", cap=8)
-def _series_coefficient_weights(_, top):
+def _series_coefficient_weights(top):
     rng = random.Random(_SERIES_SEED + 1)
     fs = [Series.from_x_coeffs([1, 1], nx=top), _random_unit_series(rng, top)]
     for idx, f in enumerate(fs):
@@ -502,7 +491,7 @@ def _series_coefficient_weights(_, top):
     cap=8,
     derive=lambda n: (n, min(n, 7)),
 )
-def _series_pair_double_sum(_, skipped_order, top):
+def _series_pair_double_sum(skipped_order, top):
     # g and f are the next two draws of series-coefficient-weights' generator
     # after the order-`skipped_order` series that identity uses
     rng = random.Random(_SERIES_SEED + 1)
@@ -519,7 +508,7 @@ def _series_pair_double_sum(_, skipped_order, top):
 
 
 @_identity("motzkin", "labeled-tree-weights", "r in 0..2, 2m+k <= {}", cap=8)
-def _labeled_tree_weights(_, top):
+def _labeled_tree_weights(top):
     for r in (0, 1, 2):
         yield from _bruteforce_mismatches(
             f"r={r}, ",
@@ -530,7 +519,7 @@ def _labeled_tree_weights(_, top):
 
 
 @_identity("motzkin", "binomial-sequence-weights", "4 families, 2m+k <= {}", cap=8)
-def _binomial_sequence_weights(_, top):
+def _binomial_sequence_weights(top):
     for phi in FAMILIES:
         yield from _bruteforce_mismatches(
             f"phi={phi.name()}, ",
@@ -541,7 +530,7 @@ def _binomial_sequence_weights(_, top):
 
 
 @_identity("motzkin", "abel-weights", "q in {{0, -1, 1/2}}, 2m+k <= {}", cap=8)
-def _abel_weights(_, top):
+def _abel_weights(top):
     for q in (Fraction(0), Fraction(-1), Fraction(1, 2)):
         yield from _bruteforce_mismatches(
             f"q={q}, ",
@@ -552,7 +541,7 @@ def _abel_weights(_, top):
 
 
 @_identity("motzkin", "bell-number-weights", "2m+k <= {}", cap=8)
-def _bell_number_weights(_, top):
+def _bell_number_weights(top):
     yield from _bruteforce_mismatches(
         "",
         motzkin.named_weights("bell-numbers"),
@@ -562,7 +551,7 @@ def _bell_number_weights(_, top):
 
 
 @_identity("motzkin", "two-sequence-double-sum", "4 families, 2m+k <= {}", cap=8)
-def _two_sequence_double_sum(_, top):
+def _two_sequence_double_sum(top):
     psi = BinomialSequence.factorial()
     for phi in FAMILIES:
         yield from _bruteforce_mismatches(
@@ -574,10 +563,9 @@ def _two_sequence_double_sum(_, top):
 
 
 @_identity("motzkin", "coefficient-degree-grading", "2m+k <= {}", cap=8)
-def _coefficient_degree_grading(shared, top):
-    sym = shared.sym
+def _coefficient_degree_grading(top):
     for m, k in pairs_up_to(top):
-        for mono in motzkin.weighted_sum_closed(m, k, sym).terms:
+        for mono in motzkin.weighted_sum_closed(m, k, SYM).terms:
             if mono.weighted_degree("t") != m or mono.weighted_degree("s") != k:
                 yield f"m={m}, k={k}, monomial {mono.to_text()}"
 
@@ -598,39 +586,40 @@ def _compositions_with_paths(top):
 
 
 @_identity("compositions", "closed-vs-enumeration", "m, j <= {}, all k", cap=6)
-def _composition_closed_vs_enumeration(shared, top):
-    sym = shared.sym
+def _composition_closed_vs_enumeration(top):
     for m, j, items in _compositions_with_paths(top):
-        by_zeros = {}
-        for comp, path in items:
-            weight = motzkin.path_weight(path, sym)
-            by_zeros[comp.zero_parts] = (
-                by_zeros.get(comp.zero_parts, Polynomial.zero()) + weight
-            )
+        by_zeros = _tally(
+            (comp.zero_parts, motzkin.path_weight(path, SYM)) for comp, path in items
+        )
         for k in range(j + 1):
-            closed = compositions.weighted_sum_closed(m, k, j, sym)
+            closed = compositions.weighted_sum_closed(m, k, j, SYM)
             if closed != by_zeros.get(k, Polynomial.zero()):
                 yield f"m={m}, k={k}, j={j}"
 
 
+@lru_cache(maxsize=None)
+def _composition_series(top: int) -> Series:
+    """The symbolic composition series to order `top` in every grade, shared
+    by series-agreement and fixed-parts-slice."""
+    return lagrange.composition_series(SYM, top, top, top)
+
+
 @_identity("compositions", "series-agreement", "m, k, j <= {}", cap=5)
-def _composition_series_agreement(shared, top):
-    sym = shared.sym
-    series = shared.composition_series(top)
+def _composition_series_agreement(top):
+    series = _composition_series(top)
     for m in range(top + 1):
         for j in range(top + 1):
             for k in range(j + 1):
-                closed = compositions.weighted_sum_closed(m, k, j, sym)
+                closed = compositions.weighted_sum_closed(m, k, j, SYM)
                 if series.coeff(m, k, j) != closed:
                     yield f"m={m}, k={k}, j={j}"
 
 
 @_identity("compositions", "fixed-parts-slice", "m, k, j <= {}", cap=5)
-def _composition_fixed_parts_slice(shared, top):
-    sym = shared.sym
-    series = shared.composition_series(top)
+def _composition_fixed_parts_slice(top):
+    series = _composition_series(top)
     for j in range(top + 1):
-        slice_series = lagrange.composition_series_fixed_parts(sym, j, top, top)
+        slice_series = lagrange.composition_series_fixed_parts(SYM, j, top, top)
         for m in range(top + 1):
             for k in range(top + 1):
                 if slice_series.coeff(m, k) != series.coeff(m, k, j):
@@ -638,32 +627,30 @@ def _composition_fixed_parts_slice(shared, top):
 
 
 @_identity("compositions", "h-segment-refinement", "m, j <= {}, all k, l", cap=6)
-def _composition_h_segment_refinement(shared, top):
-    sym = shared.sym
+def _composition_h_segment_refinement(top):
     for m, j, items in _compositions_with_paths(top):
-        by_runs = {}
-        for comp, path in items:
-            key = (comp.zero_parts, motzkin.segment_profile(path).h_segments)
-            weight = motzkin.path_weight(path, sym)
-            by_runs[key] = by_runs.get(key, Polynomial.zero()) + weight
+        by_runs = _tally(
+            (
+                (comp.zero_parts, motzkin.segment_profile(path).h_segments),
+                motzkin.path_weight(path, SYM),
+            )
+            for comp, path in items
+        )
         for k in range(j + 1):
             total = Polynomial.zero()
             for l in range(k + 1):
-                refined = compositions.weighted_sum_by_hsegments(m, k, j, l, sym)
+                refined = compositions.weighted_sum_by_hsegments(m, k, j, l, SYM)
                 total = total + refined
                 if refined != by_runs.get((k, l), Polynomial.zero()):
                     yield f"m={m}, k={k}, j={j}, l={l}"
-            if total != compositions.weighted_sum_closed(m, k, j, sym):
+            if total != compositions.weighted_sum_closed(m, k, j, SYM):
                 yield f"m={m}, k={k}, j={j}: refinement sum"
 
 
 @_identity("compositions", "type-counts", "m, j <= {}", cap=6)
-def _composition_type_counts(_, top):
+def _composition_type_counts(top):
     for m, j, items in _compositions_with_paths(top):
-        by_type = {}
-        for _, path in items:
-            key = _type_key(motzkin.segment_profile(path))
-            by_type[key] = by_type.get(key, 0) + 1
+        by_type = _tally((_type_key(motzkin.segment_profile(path)), 1) for _, path in items)
         total = 0
         for (u_items, h_items), expected in sorted(by_type.items()):
             got = compositions.count_by_type(j, dict(u_items), dict(h_items))
@@ -675,7 +662,7 @@ def _composition_type_counts(_, top):
 
 
 @_identity("compositions", "embedding-consistency", "m, j <= {}", cap=6)
-def _composition_embedding_consistency(_, top):
+def _composition_embedding_consistency(top):
     for _, j, items in _compositions_with_paths(top):
         for comp, path in items:
             profile = motzkin.segment_profile(path)
@@ -698,7 +685,7 @@ def _composition_embedding_consistency(_, top):
     cap=10,
     derive=lambda n: (n, min(n, 8)),
 )
-def _composition_restricted_counts(_, sum_top, parts_top):
+def _composition_restricted_counts(sum_top, parts_top):
     for m in range(sum_top + 1):
         for j in range(parts_top + 1):
             direct = sum(
@@ -733,16 +720,15 @@ def _matrix_shapes(top):
 @_identity(
     "matrixcomp", "closed-vs-enumeration", "m <= {}, p <= 3, j <= 4", cap=6
 )
-def _matrix_closed_vs_enumeration(shared, top):
-    sym = shared.sym
+def _matrix_closed_vs_enumeration(top):
     for p in range(4):
         for j in range(5):
-            series = lagrange.bipartite_matrix_series(sym, p, j, top)
+            series = lagrange.bipartite_matrix_series(SYM, p, j, top)
             for m in range(top + 1):
-                closed = matrixcomp.weighted_sum_closed(m, p, j, sym)
+                closed = matrixcomp.weighted_sum_closed(m, p, j, SYM)
                 brute = Polynomial.zero()
                 for matrix in matrixcomp.enumerate_bipartite(m, p, j):
-                    brute = brute + matrixcomp.matrix_weight(matrix, sym)
+                    brute = brute + matrixcomp.matrix_weight(matrix, SYM)
                 if closed != brute:
                     yield f"m={m}, p={p}, j={j}: closed vs enumeration"
                 if series.coeff(m) != closed:
@@ -752,61 +738,55 @@ def _matrix_closed_vs_enumeration(shared, top):
 @_identity(
     "matrixcomp", "row-power-law", "order x^{}, p <= 3, j <= 4", cap=8
 )
-def _matrix_row_power_law(shared, top):
-    sym = shared.sym
+def _matrix_row_power_law(top):
     for p in range(4):
         for j in range(5):
-            single = lagrange.bipartite_matrix_series(sym, 1, j, top)
-            if lagrange.bipartite_matrix_series(sym, p, j, top) != single.pow(p):
+            single = lagrange.bipartite_matrix_series(SYM, 1, j, top)
+            if lagrange.bipartite_matrix_series(SYM, p, j, top) != single.pow(p):
                 yield f"p={p}, j={j}"
 
 
 @_identity(
     "matrixcomp", "nonzero-refinement", "m <= {}, p <= 3, j <= 4", cap=6
 )
-def _matrix_nonzero_refinement(shared, top):
-    sym = shared.sym
+def _matrix_nonzero_refinement(top):
     for m, p, j in _matrix_shapes(top):
-        by_nonzeros = {}
-        for matrix in matrixcomp.enumerate_bipartite(m, p, j):
-            r = len(matrix.nonzero_entries())
-            by_nonzeros[r] = by_nonzeros.get(
-                r, Polynomial.zero()
-            ) + matrixcomp.matrix_weight(matrix, sym)
+        by_nonzeros = _tally(
+            (len(matrix.nonzero_entries()), matrixcomp.matrix_weight(matrix, SYM))
+            for matrix in matrixcomp.enumerate_bipartite(m, p, j)
+        )
         total = Polynomial.zero()
         for r in range(m + 1):
-            refined = matrixcomp.weighted_sum_by_nonzeros(m, p, j, r, sym)
+            refined = matrixcomp.weighted_sum_by_nonzeros(m, p, j, r, SYM)
             total = total + refined
             if refined != by_nonzeros.get(r, Polynomial.zero()):
                 yield f"m={m}, p={p}, j={j}, r={r}"
-        if total != matrixcomp.weighted_sum_closed(m, p, j, sym):
+        if total != matrixcomp.weighted_sum_closed(m, p, j, SYM):
             yield f"m={m}, p={p}, j={j}: refinement sum"
 
 
 @_identity("matrixcomp", "type-counts", "m <= {}, p <= 3, j <= 4", cap=6)
-def _matrix_type_counts(_, top):
+def _matrix_type_counts(top):
     for m, p, j in _matrix_shapes(top):
-        by_type = {}
-        count = 0
-        for matrix in matrixcomp.enumerate_bipartite(m, p, j):
-            entries = matrix.nonzero_entries()
-            key = tuple(sorted((v, entries.count(v)) for v in set(entries)))
-            by_type[key] = by_type.get(key, 0) + 1
-            count += 1
+        by_type = _tally(
+            (tuple(sorted((v, entries.count(v)) for v in set(entries))), 1)
+            for matrix in matrixcomp.enumerate_bipartite(m, p, j)
+            for entries in [matrix.nonzero_entries()]
+        )
         total = 0
         for key, expected in sorted(by_type.items()):
             got = matrixcomp.count_by_type(p, j, dict(key))
             total += got
             if got != expected:
                 yield f"m={m}, p={p}, j={j}, type={dict(key)}"
-        if total != count:
+        if total != sum(by_type.values()):
             yield f"m={m}, p={p}, j={j}: type counts do not sum"
 
 
 @_identity(
     "matrixcomp", "zero-one-matrices", "m <= {}, p <= 3, j <= 4", cap=8
 )
-def _matrix_zero_one(_, top):
+def _matrix_zero_one(top):
     zero_one_weights = WeightSpec.from_tables({1: 1}, {}, name="zero-one")
     for m, p, j in _matrix_shapes(top):
         direct = None
@@ -825,7 +805,7 @@ def _matrix_zero_one(_, top):
 
 
 @_identity("matrixcomp", "tree-correspondence", "m <= {}, j <= 4", cap=8)
-def _matrix_tree_correspondence(_, top):
+def _matrix_tree_correspondence(top):
     for m in range(top + 1):
         for j in range(5):
             trees = matrixcomp.bounded_outdegree_tree_count(m + 1, j)
@@ -843,7 +823,7 @@ def _matrix_tree_correspondence(_, top):
 
 
 @_identity("matrixcomp", "column-stability", "p <= 3, r <= {}, j >= r", cap=8)
-def _matrix_column_stability(_, top):
+def _matrix_column_stability(top):
     for p in range(4):
         for r in range(top + 1):
             reference = matrixcomp.bounded_composition_count(p, r, r)
@@ -858,11 +838,10 @@ def _matrix_column_stability(_, top):
     "m, k <= {}, p <= 2, j <= 3",
     cap=5,
 )
-def _general_matrix_series(shared, top):
-    sym = shared.sym
+def _general_matrix_series(top):
     for p in range(3):
         for j in range(4):
-            series = lagrange.matrix_composition_series(sym, p, j, top, top)
+            series = lagrange.matrix_composition_series(SYM, p, j, top, top)
             table = {}
             for m in range(top + 1):
                 for flat in compositions.enumerate_compositions(m, p * j):
@@ -875,7 +854,7 @@ def _general_matrix_series(shared, top):
                         path = compositions.composition_to_motzkin(
                             compositions.Composition(row)
                         )
-                        weight = weight * motzkin.path_weight(path, sym)
+                        weight = weight * motzkin.path_weight(path, SYM)
                         zeros += sum(1 for e in row if e == 0)
                     key = (m, zeros)
                     table[key] = table.get(key, Polynomial.zero()) + weight
@@ -893,12 +872,7 @@ def _general_matrix_series(shared, top):
 
 
 def _run_suite(suite: str, max_n: int) -> list[IdentityResult]:
-    shared = _Shared()
-    return [
-        entry.result(max_n, shared)
-        for entry in REGISTRY.values()
-        if entry.suite == suite
-    ]
+    return [entry.result(max_n) for entry in REGISTRY.values() if entry.suite == suite]
 
 
 def suite_core(max_n: int) -> list[IdentityResult]:

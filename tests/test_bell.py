@@ -305,7 +305,7 @@ def test_shared_spec_is_safe_across_threads():
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
-            motzkin.named_weights.cache_clear()
+            motzkin._named_spec.cache_clear()
             shared = motzkin.named_weights("symbolic")
             barrier = threading.Barrier(4)
             results = [None] * 4

@@ -146,6 +146,9 @@ def test_negative_sizes_and_jobs_exit_1(capsys):
         (["bell", "--n", "3", "--r", "-2"], sizes),
         (["matcomp", "trees", "--v", "3", "--j", "-1"], sizes),
         (["comp", "count", "--m", "3", "--j", "2", "--k", "-1"], sizes),
+        # a negative size is a usage error before the term bound is counted
+        (["comp", "weighted", "--m", "-1", "--j", "2"], sizes),
+        (["matcomp", "weighted", "--m", "-1", "--p", "2", "--j", "1"], sizes),
         (["motzkin", "count", "--m", "1", "--k", "1", "--bound", "-1"], sizes),
     ):
         assert cli.main(argv) == 1, argv
@@ -156,7 +159,8 @@ def test_negative_sizes_and_jobs_exit_1(capsys):
 
 def test_symbolic_term_bound_exits_3(capsys):
     # p(24)^2, p(40) and p(37) terms are past the bound; by segments, row 37
-    # alone is, and so is the result B(24, 7) B(24, 7) with p(24, 7)^2 terms
+    # alone is, and so is the result B(24, 7) B(24, 7) with p(24, 7)^2 terms;
+    # comp and matcomp build the whole row 60
     for argv, at in (
         (["motzkin", "weighted", "--m", "24", "--k", "24"], "m=24, k=24"),
         (["motzkin", "weighted", "--m", "37", "--k", "2", "--by-segments", "2,2"],
@@ -165,6 +169,8 @@ def test_symbolic_term_bound_exits_3(capsys):
          "m=24, k=24, r=7, l=7"),
         (["motzkin", "table", "--max-n", "40", "--weights", "symbolic"], "m=0, k=40"),
         (["bell", "--n", "37", "--r", "2"], "n=37"),
+        (["comp", "weighted", "--m", "60", "--j", "30"], "m=60, k=0, j=30"),
+        (["matcomp", "weighted", "--m", "60", "--p", "2", "--j", "3"], "m=60, p=2, j=3"),
     ):
         assert cli.main(argv) == 3, argv
         captured = capsys.readouterr()
@@ -180,6 +186,9 @@ def test_symbolic_term_bound_exits_3(capsys):
         ["motzkin", "weighted", "--m", "14", "--k", "14"],
         ["motzkin", "weighted", "--m", "16", "--k", "14", "--by-segments", "2,2"],
         ["motzkin", "weighted", "--m", "24", "--k", "24", "--by-segments", "1,1"],
+        ["comp", "weighted", "--m", "60", "--j", "30", "--weights", "all-ones"],
+        ["matcomp", "weighted", "--m", "60", "--p", "2", "--j", "3",
+         "--weights", "all-ones"],
     ):
         assert cli.main(argv) == 0, argv
         assert capsys.readouterr().out, argv
@@ -187,7 +196,7 @@ def test_symbolic_term_bound_exits_3(capsys):
     argv = ["motzkin", "weighted", "--m", "40", "--k", "40", "--by-segments", "1,"]
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == "error: --by-segments has an empty item in '1,'\n"
-    for command in ("bell", "motzkin"):
+    for command in ("bell", "motzkin", "comp", "matcomp"):
         assert cli.main([command, "--help"]) == 0
         assert str(cli.MAX_SYMBOLIC_TERMS) in capsys.readouterr().out, command
 
@@ -277,6 +286,10 @@ def test_named_weights_are_shared():
     assert motzkin.named_weights("stirling") is motzkin.named_weights("stirling")
     assert cli.parse_weights("abel:q=-2") is motzkin.named_weights("abel", q=-2)
     assert cli.parse_weights("b-ary:b=2,d=1") is cli.parse_weights("b-ary:b=2,d=1")
+    # aliases of one spec: `_` for `-`, defaults left out, parameters reordered
+    assert motzkin.named_weights("all_ones") is motzkin.named_weights("all-ones")
+    assert cli.parse_weights("b-ary") is cli.parse_weights("b-ary:b=1,d=1")
+    assert cli.parse_weights("b-ary:d=1,b=2") is cli.parse_weights("b-ary:b=2,d=1")
 
 
 def test_csv_weights_default_zero(tmp_path, capsys):
@@ -402,8 +415,9 @@ def test_verify_reports_a_broken_fast_path(capsys, monkeypatch):
 
 
 def test_inprocess_calls_match_fresh_processes(capsys, monkeypatch):
-    # one process reuses the parser and the named weight specs from call to
-    # call; each call must still print what a fresh interpreter prints
+    # one process reuses the parser, the named weight specs and the verify
+    # suites' series from call to call; each call must still print what a
+    # fresh interpreter prints
     monkeypatch.setenv("COLUMNS", "80")
     sequence = (
         ["--help"],
@@ -412,9 +426,12 @@ def test_inprocess_calls_match_fresh_processes(capsys, monkeypatch):
         ["motzkin", "weighted", "--m", "8", "--k", "8"],
         ["motzkin", "weighted", "--m", "2", "--k", "1"],
         ["motzkin", "table", "--max-n", "8", "--weights", "stirling"],
+        ["verify", "--suite", "bell", "--max-n", "4"],
+        ["bell", "--n", "6", "--r", "3", "--oracle"],
+        ["verify", "--suite", "compositions", "--max-n", "3"],
     )
     expected = [run_cli(*argv) for argv in sequence]
-    assert [code for code, _, _ in expected] == [0, 1, 3, 0, 0, 0]
+    assert [code for code, _, _ in expected] == [0, 1, 3, 0, 0, 0, 0, 0, 0]
     assert expected[1][2].startswith("usage: bellpaths bell")
     for _ in range(2):
         for argv, (code, out, err) in zip(sequence, expected):
