@@ -237,18 +237,25 @@ def potential(n: int, power: int, entries: WeightVector) -> Polynomial:
     return as_polynomial(entries.potential(n, power))
 
 
+def unit_power(f: Series, i: int) -> Series:
+    """f(x)^i for a univariate f with constant term 1, the series whose
+    coefficients power_derivative reads."""
+    if not f.is_univariate():
+        raise ValueError("power_derivative needs a univariate series")
+    if f.coeff(0) != 1:
+        raise ValueError("power_derivative needs constant term 1")
+    return f.pow(i)
+
+
 def power_derivative(f: Series, m: int, i: int) -> Polynomial:
     """m-th derivative of f(x)^i at x = 0, i.e. m! * [x^m] f(x)^i.
 
     f must be univariate with constant term 1 and truncated at order >= m.
     """
-    if not f.is_univariate():
-        raise ValueError("power_derivative needs a univariate series")
-    if f.coeff(0) != 1:
-        raise ValueError("power_derivative needs constant term 1")
+    power = unit_power(f, i)
     if m > f.nx:
         raise IndexError(f"order {m} beyond series truncation {f.nx}")
-    return f.pow(i).coeff(m) * factorial(m)
+    return power.coeff(m) * factorial(m)
 
 
 # all-ones entries: B(n, k) is the Stirling number S(n, k), kept as ints

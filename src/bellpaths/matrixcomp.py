@@ -88,13 +88,16 @@ def enumerate_bipartite(
             f"p <= {rows_bound}, j <= {cols_bound}"
         )
 
+    # the rows of each sum, listed once per call rather than once per prefix
+    rows_of_sum = [tuple(_bipartite_rows(row_sum, j)) for row_sum in range(m + 1)]
+
     def rec(rows: list, remaining: int, slots: int):
         if slots == 0:
             if remaining == 0:
                 yield BipartiteMatrixComposition(tuple(rows))
             return
         for row_sum in range(remaining + 1):
-            for row in _bipartite_rows(row_sum, j):
+            for row in rows_of_sum[row_sum]:
                 rows.append(row)
                 yield from rec(rows, remaining - row_sum, slots - 1)
                 rows.pop()
@@ -102,12 +105,18 @@ def enumerate_bipartite(
     yield from rec([], m, p)
 
 
+def entries_weight(entries, weights: WeightSpec):
+    """Product of t-weights over the given nonzero entries, as a weight-ring
+    value."""
+    result = 1
+    for entry in entries:
+        result = result * weights.entry("t", entry)
+    return result
+
+
 def matrix_weight(matrix: BipartiteMatrixComposition, weights: WeightSpec) -> Polynomial:
     """Product of t-weights over the nonzero entries of the matrix."""
-    result = 1
-    for entry in matrix.nonzero_entries():
-        result = result * weights.entry("t", entry)
-    return as_polynomial(result)
+    return as_polynomial(entries_weight(matrix.nonzero_entries(), weights))
 
 
 def bounded_composition_count(p: int, j: int, r: int) -> int:

@@ -23,6 +23,7 @@ from .bell import (
     partial_bell,
     power_derivative,
     stirling2,
+    unit_power,
 )
 from .core import EnumerationBoundError, as_integer, binomial, factorial, multinomial
 from .polyring import Polynomial, Series, WeightSpec
@@ -74,6 +75,11 @@ class SegmentProfile:
     @property
     def h_segments(self) -> int:
         return sum(self.h_counts.values())
+
+    def type_key(self) -> tuple:
+        """The (length, count) pairs of the u-runs and of the h-runs, each in
+        length order: equal for exactly the paths with the same profile."""
+        return (tuple(sorted(self.u_counts.items())), tuple(sorted(self.h_counts.items())))
 
 
 def segment_profile(path: MotzkinPath) -> SegmentProfile:
@@ -134,25 +140,37 @@ def enumerate_paths(
     yield from rec(m, m, k)
 
 
+def profile_weight(type_key: tuple, weights: WeightSpec):
+    """Product of t-weights over the u-runs and s-weights over the h-runs of a
+    profile given by its type_key, as a weight-ring value."""
+    u_items, h_items = type_key
+    result = 1
+    for length, count in u_items:
+        result = result * weights.entry("t", length) ** count
+    for length, count in h_items:
+        result = result * weights.entry("s", length) ** count
+    return result
+
+
 def path_weight(path: MotzkinPath, weights: WeightSpec) -> Polynomial:
     """Product of t-weights over u-runs and s-weights over h-runs."""
-    profile = segment_profile(path)
-    result = 1
-    for length, count in profile.u_counts.items():
-        result = result * weights.entry("t", length) ** count
-    for length, count in profile.h_counts.items():
-        result = result * weights.entry("s", length) ** count
-    return as_polynomial(result)
+    return as_polynomial(profile_weight(segment_profile(path).type_key(), weights))
 
 
 def weighted_sum_bruteforce(
     m: int, k: int, weights: WeightSpec, bound: int = DEFAULT_PATH_BOUND
 ) -> Polynomial:
-    """Weighted path sum by direct enumeration; the oracle for every closed form."""
-    total = Polynomial.zero()
+    """Weighted path sum by direct enumeration; the oracle for every closed
+    form.  Every path is enumerated and its profile tallied; each distinct
+    profile is then weighed once, times the number of its paths."""
+    counts = {}
     for path in enumerate_paths(m, k, bound=bound):
-        total = total + path_weight(path, weights)
-    return total
+        key = segment_profile(path).type_key()
+        counts[key] = counts.get(key, 0) + 1
+    total = 0
+    for key, count in counts.items():
+        total = total + profile_weight(key, weights) * count
+    return as_polynomial(total)
 
 
 def count_paths(m: int, k: int, bound: int = DEFAULT_PATH_BOUND) -> int:
@@ -489,17 +507,18 @@ def series_pair_closed_value(m: int, k: int, f: Series, g: Series) -> Fraction:
     """
     if k < 1:
         raise ValueError("the double-sum form needs k >= 1")
+    # power_derivative(g, k - l, k) / (k - l)! for every l, from one g^k
+    g_power = unit_power(g, k)
     total = Fraction(0)
     for j in range(k + 1):
         fm = power_derivative(f, m, 2 * m + j + 1).constant_value()
         for l in range(j, k + 1):
             sign = 1 if (l - j) % 2 == 0 else -1
-            gk = power_derivative(g, k - l, k).constant_value()
+            gk = g_power.coeff(k - l).constant_value()
             total += (
                 sign
                 * binomial(l, j)
                 * gk
-                / factorial(k - l)
                 * Fraction(j * (m + j + 1), k * (2 * m + j + 1))
                 * binomial(m + j, j)
                 * fm

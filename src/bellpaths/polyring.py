@@ -427,8 +427,9 @@ class Series:
     rationals and symbolic ones stay polynomials on the same code path.
     coeff is the one public reader and returns a Polynomial.  No series is
     changed after construction, so scale(1) returns self.  compose_x is the
-    one substitution loop: the reciprocal and every power sum a series
-    builder needs (T(xM), a geometric sum, exp(x lam)) go through it.
+    one substitution loop: every power sum a series builder needs (T(xM), a
+    geometric sum, exp(x lam)) goes through it; the reciprocal is a
+    coefficient recurrence.
     """
 
     __slots__ = ("nx", "ny", "nq", "cells")
@@ -457,6 +458,15 @@ class Series:
                 if value:
                     cleaned[(i, j, l)] = value
         self.cells = cleaned
+
+    @staticmethod
+    def _direct(orders, cells) -> "Series":
+        """A series from nonzero ring-value cells already inside the box, with
+        none of the constructor's checks."""
+        out = Series.__new__(Series)
+        out.nx, out.ny, out.nq = orders
+        out.cells = cells
+        return out
 
     @staticmethod
     def zero(nx: int, ny: int = 0, nq: int = 0) -> "Series":
@@ -535,7 +545,7 @@ class Series:
                     cells[key] = cells[key] + p1 * p2
                 else:
                     cells[key] = p1 * p2
-        return Series(orders, cells)
+        return Series._direct(orders, {key: value for key, value in cells.items() if value})
 
     __rmul__ = __mul__
 
@@ -562,7 +572,12 @@ class Series:
 
     def reciprocal(self) -> "Series":
         """1/f for a series whose constant term is a nonzero rational, given
-        as such or as a constant Polynomial."""
+        as such or as a constant Polynomial.
+
+        By the coefficient recurrence h_0 = 1/c0 and
+        h_key = -(1/c0) sum_{a != 0, a <= key} f_a h_(key-a), with the keys of
+        the box taken in lexicographic order, so that every h_(key-a) is
+        final before h_key is formed."""
         c0 = self.cells.get((0, 0, 0), 0)
         if isinstance(c0, Polynomial) and c0.is_constant():
             c0 = c0.constant_value()
@@ -570,12 +585,30 @@ class Series:
             raise ValueError(
                 "series reciprocal needs a nonzero rational constant term"
             )
-        inverse = Fraction(1) / c0
-        # f = c0 (1 + g) with g of positive total order, so 1/f is the
-        # geometric series in -g; its powers vanish past the total order.
-        g = self.scale(inverse) - 1
-        geometric = Series.from_x_coeffs([1] * (self.nx + self.ny + self.nq + 1))
-        return geometric.compose_x(-g).scale(inverse)
+        inverse = _coerce_coeff(Fraction(1) / c0)
+        negated = -inverse
+        nx, ny, nq = self.orders()
+        terms = [(key, value) for key, value in self.cells.items() if any(key)]
+        # each h_key, once known, adds f_a h_key to the pending sum of key + a
+        pending = {}
+        cells = {}
+        for i in range(nx + 1):
+            for j in range(ny + 1):
+                for l in range(nq + 1):
+                    if i or j or l:
+                        total = pending.pop((i, j, l), 0)
+                        if not total:
+                            continue
+                        h = cells[(i, j, l)] = total * negated
+                    else:
+                        h = cells[(0, 0, 0)] = inverse
+                    for (a, b, c), value in terms:
+                        key = (i + a, j + b, l + c)
+                        if key[0] <= nx and key[1] <= ny and key[2] <= nq:
+                            pending[key] = (
+                                pending[key] + value * h if key in pending else value * h
+                            )
+        return Series._direct((nx, ny, nq), cells)
 
     def pow(self, exp: int) -> "Series":
         if exp < 0:

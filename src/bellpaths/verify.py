@@ -13,7 +13,6 @@ sequential one.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -28,6 +27,7 @@ from .bell import (
     potential,
     power_derivative,
     stirling2,
+    unit_power,
 )
 from .core import binomial, factorial
 from .polyring import Polynomial, Series, WeightSpec, specialize
@@ -44,11 +44,17 @@ FAMILIES = (
     BinomialSequence.exponential(),
 )
 
-# the symbolic identities read the process-wide symbolic spec, and the bell
-# suite its plain t-vector, the one `bell` reads: the Bell rows they build
-# are shared with every other caller in the process
-SYM = motzkin.named_weights("symbolic")
-SYM_T = WeightVector.from_weights(SYM, "t", plain=True)
+
+def _sym() -> WeightSpec:
+    """The process-wide symbolic spec, looked up when a check runs, so the
+    Bell rows a check builds are shared with every other caller in the
+    process, `bell` and `motzkin weighted` included."""
+    return motzkin.named_weights("symbolic")
+
+
+def _sym_t() -> WeightVector:
+    """The plain t-vector of the symbolic spec, the one `bell` reads."""
+    return WeightVector.from_weights(_sym(), "t", plain=True)
 
 
 @dataclass(frozen=True)
@@ -189,9 +195,10 @@ def _pascal_recurrence(n):
 
 @_identity("bell", "recurrence-vs-partition-sum", "0 <= r <= n <= {}", cap=10)
 def _recurrence_vs_partition_sum(top):
+    sym_t = _sym_t()
     for n in range(top + 1):
         for r in range(n + 1):
-            if partial_bell(n, r, SYM_T) != partial_bell_by_partitions(n, r, SYM_T):
+            if partial_bell(n, r, sym_t) != partial_bell_by_partitions(n, r, sym_t):
                 yield f"n={n}, r={r}"
 
 
@@ -199,9 +206,10 @@ def _recurrence_vs_partition_sum(top):
 def _homogeneity(top):
     q = Fraction(5, 3)
     scaled = WeightVector(lambda k: Polynomial.variable("t", k) * q)
+    sym_t = _sym_t()
     for m in range(top + 1):
         for r in range(m + 1):
-            if partial_bell(m, r, scaled) != partial_bell(m, r, SYM_T) * q**r:
+            if partial_bell(m, r, scaled) != partial_bell(m, r, sym_t) * q**r:
                 yield f"m={m}, r={r}, q={q}"
 
 
@@ -214,9 +222,10 @@ def _potential_shifted_arguments(top):
         if k == 1
         else Polynomial.variable("t", k - 1) * k
     )
+    sym_t = _sym_t()
     for n in range(top + 1):
         for r in range(1, 7):
-            lhs = potential(n, r, SYM_T)
+            lhs = potential(n, r, sym_t)
             rhs = partial_bell(n + r, r, shifted) * Fraction(1, binomial(n + r, r))
             if lhs != rhs:
                 yield f"n={n}, r={r}"
@@ -234,9 +243,11 @@ def _bell_of_power_coefficients(top):
         # entry k is the (k-1)-th derivative of f^k at 0; entry 1 is then 1
         vec = WeightVector(lambda k, f=f: power_derivative(f, k - 1, k))
         for m in range(1, top + 1):
+            # power_derivative(f, m - r, m) for every r, from one f^m
+            f_power = unit_power(f, m)
             for r in range(1, m + 1):
                 lhs = partial_bell(m, r, vec)
-                rhs = power_derivative(f, m - r, m) * binomial(m - 1, r - 1)
+                rhs = f_power.coeff(m - r) * (factorial(m - r) * binomial(m - 1, r - 1))
                 if lhs != rhs:
                     yield f"trial={trial}, m={m}, r={r}"
 
@@ -269,10 +280,11 @@ def _potential_vs_series_power(top):
             for k in range(1, top + 1)
         },
     )
+    sym_t = _sym_t()
     for power in range(-4, 5):
         powered = a_series.pow(power)
         for n in range(top + 1):
-            lhs = potential(n, power, SYM_T)
+            lhs = potential(n, power, sym_t)
             rhs = powered.coeff(n) * factorial(n)
             if lhs != rhs:
                 yield f"power={power}, n={n}"
@@ -335,42 +347,45 @@ def _tally(pairs) -> dict:
     return table
 
 
-def _type_key(profile) -> tuple:
-    return (
-        tuple(sorted(profile.u_counts.items())),
-        tuple(sorted(profile.h_counts.items())),
-    )
+def _weigh(shapes: dict, weight, group) -> dict:
+    """Sum count * weight(shape) over a tally of shapes, by group(shape): each
+    distinct shape is weighed once, however many objects share it."""
+    return _tally((group(shape), weight(shape) * count) for shape, count in shapes.items())
 
 
 @_identity("motzkin", "path-sum-triple-agreement", "2m+k <= {}")
 def _path_sum_triple_agreement(top):
+    sym = _sym()
     for m, k in pairs_up_to(top):
-        brute = motzkin.weighted_sum_bruteforce(m, k, SYM)
-        if brute != motzkin.weighted_sum_closed(m, k, SYM):
+        brute = motzkin.weighted_sum_bruteforce(m, k, sym)
+        if brute != motzkin.weighted_sum_closed(m, k, sym):
             yield f"m={m}, k={k}: closed form differs from enumeration"
-        if brute != lagrange.motzkin_series(SYM, m, k).coeff(m, k):
+        if brute != lagrange.motzkin_series(sym, m, k).coeff(m, k):
             yield f"m={m}, k={k}: series fixed point differs from enumeration"
 
 
 @_identity("motzkin", "segment-refinement", "2m+k <= {}", cap=8)
 def _segment_refinement(top):
+    sym = _sym()
     for m, k in pairs_up_to(top):
-        by_split = _tally(
-            (
-                (profile.u_segments, profile.h_segments),
-                motzkin.path_weight(path, SYM),
-            )
+        profiles = _tally(
+            (motzkin.segment_profile(path).type_key(), 1)
             for path in motzkin.enumerate_paths(m, k)
-            for profile in [motzkin.segment_profile(path)]
+        )
+        # (u-segments, h-segments) of a profile are its numbers of runs
+        by_split = _weigh(
+            profiles,
+            lambda key: motzkin.profile_weight(key, sym),
+            lambda key: (sum(c for _, c in key[0]), sum(c for _, c in key[1])),
         )
         total = Polynomial.zero()
         for r in range(m + 1):
             for l in range(k + 1):
-                refined = motzkin.weighted_sum_by_segments(m, k, r, l, SYM)
+                refined = motzkin.weighted_sum_by_segments(m, k, r, l, sym)
                 total = total + refined
-                if refined != by_split.get((r, l), Polynomial.zero()):
+                if refined != by_split.get((r, l), 0):
                     yield f"m={m}, k={k}, r={r}, l={l}"
-        if total != motzkin.weighted_sum_closed(m, k, SYM):
+        if total != motzkin.weighted_sum_closed(m, k, sym):
             yield f"m={m}, k={k}: refinement does not repartition the total"
 
 
@@ -378,7 +393,7 @@ def _segment_refinement(top):
 def _motzkin_type_counts(top):
     for m, k in pairs_up_to(top):
         by_type = _tally(
-            (_type_key(motzkin.segment_profile(path)), 1)
+            (motzkin.segment_profile(path).type_key(), 1)
             for path in motzkin.enumerate_paths(m, k)
         )
         total = 0
@@ -430,8 +445,9 @@ def _catalan_slice(top):
 @_identity("motzkin", "set-partition-weights", "2m+k <= {}", cap=8)
 def _set_partition_weights(top):
     stirling_weights = motzkin.named_weights("stirling")
+    sym = _sym()
     for m, k in pairs_up_to(top):
-        lhs = specialize(motzkin.weighted_sum_closed(m, k, SYM), stirling_weights)
+        lhs = specialize(motzkin.weighted_sum_closed(m, k, sym), stirling_weights)
         if lhs != motzkin.stirling_closed_value(m, k):
             yield f"m={m}, k={k}"
 
@@ -564,8 +580,9 @@ def _two_sequence_double_sum(top):
 
 @_identity("motzkin", "coefficient-degree-grading", "2m+k <= {}", cap=8)
 def _coefficient_degree_grading(top):
+    sym = _sym()
     for m, k in pairs_up_to(top):
-        for mono in motzkin.weighted_sum_closed(m, k, SYM).terms:
+        for mono in motzkin.weighted_sum_closed(m, k, sym).terms:
             if mono.weighted_degree("t") != m or mono.weighted_degree("s") != k:
                 yield f"m={m}, k={k}, monomial {mono.to_text()}"
 
@@ -585,15 +602,29 @@ def _compositions_with_paths(top):
             ]
 
 
+def _composition_shapes(top):
+    """(m, j, {(zero parts, run-length profile of its path): count}) for
+    m, j <= top."""
+    for m in range(top + 1):
+        for j in range(top + 1):
+            shapes = {}
+            for comp in compositions.enumerate_compositions(m, j):
+                path = compositions.composition_to_motzkin(comp)
+                key = (comp.zero_parts, motzkin.segment_profile(path).type_key())
+                shapes[key] = shapes.get(key, 0) + 1
+            yield m, j, shapes
+
+
 @_identity("compositions", "closed-vs-enumeration", "m, j <= {}, all k", cap=6)
 def _composition_closed_vs_enumeration(top):
-    for m, j, items in _compositions_with_paths(top):
-        by_zeros = _tally(
-            (comp.zero_parts, motzkin.path_weight(path, SYM)) for comp, path in items
+    sym = _sym()
+    for m, j, shapes in _composition_shapes(top):
+        by_zeros = _weigh(
+            shapes, lambda shape: motzkin.profile_weight(shape[1], sym), lambda shape: shape[0]
         )
         for k in range(j + 1):
-            closed = compositions.weighted_sum_closed(m, k, j, SYM)
-            if closed != by_zeros.get(k, Polynomial.zero()):
+            closed = compositions.weighted_sum_closed(m, k, j, sym)
+            if closed != by_zeros.get(k, 0):
                 yield f"m={m}, k={k}, j={j}"
 
 
@@ -601,16 +632,17 @@ def _composition_closed_vs_enumeration(top):
 def _composition_series(top: int) -> Series:
     """The symbolic composition series to order `top` in every grade, shared
     by series-agreement and fixed-parts-slice."""
-    return lagrange.composition_series(SYM, top, top, top)
+    return lagrange.composition_series(_sym(), top, top, top)
 
 
 @_identity("compositions", "series-agreement", "m, k, j <= {}", cap=5)
 def _composition_series_agreement(top):
     series = _composition_series(top)
+    sym = _sym()
     for m in range(top + 1):
         for j in range(top + 1):
             for k in range(j + 1):
-                closed = compositions.weighted_sum_closed(m, k, j, SYM)
+                closed = compositions.weighted_sum_closed(m, k, j, sym)
                 if series.coeff(m, k, j) != closed:
                     yield f"m={m}, k={k}, j={j}"
 
@@ -618,8 +650,9 @@ def _composition_series_agreement(top):
 @_identity("compositions", "fixed-parts-slice", "m, k, j <= {}", cap=5)
 def _composition_fixed_parts_slice(top):
     series = _composition_series(top)
+    sym = _sym()
     for j in range(top + 1):
-        slice_series = lagrange.composition_series_fixed_parts(SYM, j, top, top)
+        slice_series = lagrange.composition_series_fixed_parts(sym, j, top, top)
         for m in range(top + 1):
             for k in range(top + 1):
                 if slice_series.coeff(m, k) != series.coeff(m, k, j):
@@ -628,29 +661,29 @@ def _composition_fixed_parts_slice(top):
 
 @_identity("compositions", "h-segment-refinement", "m, j <= {}, all k, l", cap=6)
 def _composition_h_segment_refinement(top):
-    for m, j, items in _compositions_with_paths(top):
-        by_runs = _tally(
-            (
-                (comp.zero_parts, motzkin.segment_profile(path).h_segments),
-                motzkin.path_weight(path, SYM),
-            )
-            for comp, path in items
+    sym = _sym()
+    for m, j, shapes in _composition_shapes(top):
+        # (zero parts, h-segments), the h-segments being the profile's h-runs
+        by_runs = _weigh(
+            shapes,
+            lambda shape: motzkin.profile_weight(shape[1], sym),
+            lambda shape: (shape[0], sum(c for _, c in shape[1][1])),
         )
         for k in range(j + 1):
             total = Polynomial.zero()
             for l in range(k + 1):
-                refined = compositions.weighted_sum_by_hsegments(m, k, j, l, SYM)
+                refined = compositions.weighted_sum_by_hsegments(m, k, j, l, sym)
                 total = total + refined
-                if refined != by_runs.get((k, l), Polynomial.zero()):
+                if refined != by_runs.get((k, l), 0):
                     yield f"m={m}, k={k}, j={j}, l={l}"
-            if total != compositions.weighted_sum_closed(m, k, j, SYM):
+            if total != compositions.weighted_sum_closed(m, k, j, sym):
                 yield f"m={m}, k={k}, j={j}: refinement sum"
 
 
 @_identity("compositions", "type-counts", "m, j <= {}", cap=6)
 def _composition_type_counts(top):
     for m, j, items in _compositions_with_paths(top):
-        by_type = _tally((_type_key(motzkin.segment_profile(path)), 1) for _, path in items)
+        by_type = _tally((motzkin.segment_profile(path).type_key(), 1) for _, path in items)
         total = 0
         for (u_items, h_items), expected in sorted(by_type.items()):
             got = compositions.count_by_type(j, dict(u_items), dict(h_items))
@@ -717,18 +750,29 @@ def _matrix_shapes(top):
                 yield m, p, j
 
 
+def _matrix_shapes_of(m, p, j) -> dict:
+    """{sorted nonzero entries: count} over the p x j bipartite matrix
+    compositions of m."""
+    return _tally(
+        (tuple(sorted(matrix.nonzero_entries())), 1)
+        for matrix in matrixcomp.enumerate_bipartite(m, p, j)
+    )
+
+
 @_identity(
     "matrixcomp", "closed-vs-enumeration", "m <= {}, p <= 3, j <= 4", cap=6
 )
 def _matrix_closed_vs_enumeration(top):
+    sym = _sym()
     for p in range(4):
         for j in range(5):
-            series = lagrange.bipartite_matrix_series(SYM, p, j, top)
+            series = lagrange.bipartite_matrix_series(sym, p, j, top)
             for m in range(top + 1):
-                closed = matrixcomp.weighted_sum_closed(m, p, j, SYM)
-                brute = Polynomial.zero()
-                for matrix in matrixcomp.enumerate_bipartite(m, p, j):
-                    brute = brute + matrixcomp.matrix_weight(matrix, SYM)
+                closed = matrixcomp.weighted_sum_closed(m, p, j, sym)
+                brute = sum(
+                    matrixcomp.entries_weight(shape, sym) * count
+                    for shape, count in _matrix_shapes_of(m, p, j).items()
+                )
                 if closed != brute:
                     yield f"m={m}, p={p}, j={j}: closed vs enumeration"
                 if series.coeff(m) != closed:
@@ -739,10 +783,11 @@ def _matrix_closed_vs_enumeration(top):
     "matrixcomp", "row-power-law", "order x^{}, p <= 3, j <= 4", cap=8
 )
 def _matrix_row_power_law(top):
+    sym = _sym()
     for p in range(4):
         for j in range(5):
-            single = lagrange.bipartite_matrix_series(SYM, 1, j, top)
-            if lagrange.bipartite_matrix_series(SYM, p, j, top) != single.pow(p):
+            single = lagrange.bipartite_matrix_series(sym, 1, j, top)
+            if lagrange.bipartite_matrix_series(sym, p, j, top) != single.pow(p):
                 yield f"p={p}, j={j}"
 
 
@@ -750,18 +795,20 @@ def _matrix_row_power_law(top):
     "matrixcomp", "nonzero-refinement", "m <= {}, p <= 3, j <= 4", cap=6
 )
 def _matrix_nonzero_refinement(top):
+    sym = _sym()
     for m, p, j in _matrix_shapes(top):
-        by_nonzeros = _tally(
-            (len(matrix.nonzero_entries()), matrixcomp.matrix_weight(matrix, SYM))
-            for matrix in matrixcomp.enumerate_bipartite(m, p, j)
+        by_nonzeros = _weigh(
+            _matrix_shapes_of(m, p, j),
+            lambda shape: matrixcomp.entries_weight(shape, sym),
+            len,
         )
         total = Polynomial.zero()
         for r in range(m + 1):
-            refined = matrixcomp.weighted_sum_by_nonzeros(m, p, j, r, SYM)
+            refined = matrixcomp.weighted_sum_by_nonzeros(m, p, j, r, sym)
             total = total + refined
-            if refined != by_nonzeros.get(r, Polynomial.zero()):
+            if refined != by_nonzeros.get(r, 0):
                 yield f"m={m}, p={p}, j={j}, r={r}"
-        if total != matrixcomp.weighted_sum_closed(m, p, j, SYM):
+        if total != matrixcomp.weighted_sum_closed(m, p, j, sym):
             yield f"m={m}, p={p}, j={j}: refinement sum"
 
 
@@ -839,23 +886,30 @@ def _matrix_column_stability(top):
     cap=5,
 )
 def _general_matrix_series(top):
+    sym = _sym()
     for p in range(3):
         for j in range(4):
-            series = lagrange.matrix_composition_series(SYM, p, j, top, top)
+            series = lagrange.matrix_composition_series(sym, p, j, top, top)
+            # row -> (its path weight, its zero entries), each row weighed once
+            row_weights = {}
             table = {}
             for m in range(top + 1):
                 for flat in compositions.enumerate_compositions(m, p * j):
-                    rows = [
-                        flat.parts[row * j : (row + 1) * j] for row in range(p)
-                    ]
                     weight = Polynomial.const(1)
                     zeros = 0
-                    for row in rows:
-                        path = compositions.composition_to_motzkin(
-                            compositions.Composition(row)
-                        )
-                        weight = weight * motzkin.path_weight(path, SYM)
-                        zeros += sum(1 for e in row if e == 0)
+                    for index in range(p):
+                        row = flat.parts[index * j : (index + 1) * j]
+                        if row not in row_weights:
+                            path = compositions.composition_to_motzkin(
+                                compositions.Composition(row)
+                            )
+                            row_weights[row] = (
+                                motzkin.path_weight(path, sym),
+                                sum(1 for e in row if e == 0),
+                            )
+                        row_weight, row_zeros = row_weights[row]
+                        weight = weight * row_weight
+                        zeros += row_zeros
                     key = (m, zeros)
                     table[key] = table.get(key, Polynomial.zero()) + weight
                 if p == 0 and m == 0:
@@ -925,6 +979,9 @@ def run(suite: str, max_n: int, jobs: int = 1) -> list[IdentityResult]:
         if name not in _SUITE_FUNCTIONS:
             raise ValueError(f"unknown suite {name!r}")
     if jobs > 1 and len(names) > 1:
+        # imported here: a sequential run never pays for the pool machinery
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(names))) as pool:
             chunks = list(pool.map(_run_one, [(name, max_n) for name in names]))
     else:

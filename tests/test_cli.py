@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
-from bellpaths import cli, motzkin
+from hypothesis import given, settings, strategies as st
+
+from bellpaths import cli, motzkin, verify
+from bellpaths.bell import WeightVector
 from bellpaths.polyring import Polynomial
 
 
@@ -292,6 +297,42 @@ def test_named_weights_are_shared():
     assert cli.parse_weights("b-ary:d=1,b=2") is cli.parse_weights("b-ary:b=2,d=1")
 
 
+def test_symbolic_checks_read_the_shared_spec_when_they_run():
+    # the symbolic identities look the shared spec up when they run, so after
+    # it is dropped from the cache of named specs they grow the Bell rows of
+    # the new spec, the one `bell` and `motzkin weighted` read
+    def evict_by_use():
+        for q in range(motzkin._SHARED_SPECS + 6):
+            motzkin.named_weights("abel", q=q)
+
+    for evict in (motzkin._named_spec.cache_clear, evict_by_use):
+        old = motzkin.named_weights("symbolic")
+        evict()
+        spec = motzkin.named_weights("symbolic")
+        assert spec is not old
+        assert verify._sym() is spec
+        plain = WeightVector.from_weights(spec, "t", plain=True)
+        graded = WeightVector.from_weights(spec, "t")
+        assert len(plain._rows) == len(graded._rows) == 1
+        assert verify.check("bell", "recurrence-vs-partition-sum", 5) is None
+        assert verify.check("motzkin", "path-sum-triple-agreement", 4) is None
+        assert len(plain._rows) == 6
+        assert len(graded._rows) >= 3
+
+
+def test_import_and_sequential_verify_leave_the_process_pool_out():
+    code = (
+        "import sys, contextlib, io\n"
+        "import bellpaths.cli as cli\n"
+        "print('concurrent.futures' in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    cli.main(['verify', '--suite', 'all', '--max-n', '2', '--jobs', '1'])\n"
+        "print('concurrent.futures' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\nFalse\n", "")
+
+
 def test_csv_weights_default_zero(tmp_path, capsys):
     weight_file = tmp_path / "weights.csv"
     weight_file.write_text("t,1,1,1\n")
@@ -444,3 +485,83 @@ def test_help_exits_zero():
     code, out, err = run_cli("--help")
     assert code == 0
     assert "bellpaths" in out
+
+
+# argv fuzz over the five commands.  Half the draws use only well-formed
+# values and every required option; the other half mix in bad values and
+# drop options at random.  Every draw must end in a documented exit code.
+_SIZES = st.integers(0, 6).map(str)
+_BAD_SIZES = st.one_of(_SIZES, st.sampled_from(["-1", "", "x", "1.5", "40", "--m"]))
+_WEIGHTS = st.sampled_from([
+    "symbolic", "all-ones", "all_ones", "stirling", "b-ary:b=2,d=1", "abel:q=-2",
+    "bell-numbers", "factorial-psi",
+])
+_BAD_WEIGHTS = st.one_of(_WEIGHTS, st.sampled_from([
+    "b-ary:b", "abel:q=1/0", "abel:x=1", "r-ary:r=-1", "nosuch", "",
+    "csv:/nonexistent/weights.csv",
+]))
+_LISTS = st.sampled_from(["1,1", "1,2", "0,2"])
+_BAD_LISTS = st.one_of(_LISTS, st.sampled_from(["", "1,,2", "x", "1", "-1,0"]))
+
+
+@st.composite
+def _argvs(draw):
+    clean = draw(st.booleans())
+    sizes = _SIZES if clean else _BAD_SIZES
+    weights = _WEIGHTS if clean else _BAD_WEIGHTS
+    lists = _LISTS if clean else _BAD_LISTS
+    command = draw(st.sampled_from(["bell", "motzkin", "comp", "matcomp", "verify"]))
+    argv = [command]
+    # (option, values, required)
+    options = []
+    if command == "bell":
+        options = [("--n", sizes, True), ("--r", sizes, True), ("--weights", weights, False)]
+        if draw(st.booleans()):
+            argv.append("--oracle")
+    elif command == "motzkin":
+        argv.append(draw(st.sampled_from(["count", "weighted", "table"])))
+        options = [
+            ("--m", sizes, False), ("--k", sizes, False), ("--weights", weights, False),
+            ("--by-segments", lists, False), ("--max-n", sizes, False),
+            ("--bound", st.sampled_from(["16", "20"]) if clean else sizes, False),
+            ("--format", st.sampled_from(["text", "json", "csv"]), False),
+        ]
+    elif command == "comp":
+        argv.append(draw(st.sampled_from(["count", "weighted", "restricted"])))
+        options = [
+            ("--m", sizes, True), ("--j", sizes, True), ("--k", sizes, False),
+            ("--weights", weights, False), ("--allowed", lists, False),
+            ("--forbid", st.sampled_from(["1", "2"]) if clean else sizes, False),
+            ("--format", st.sampled_from(["text", "json"]), False),
+        ]
+    elif command == "matcomp":
+        argv.append(draw(st.sampled_from(["count", "weighted", "zero-one", "trees"])))
+        options = [
+            ("--m", st.integers(0, 4).map(str) if clean else sizes, True),
+            ("--p", st.integers(0, 3).map(str) if clean else sizes, True),
+            ("--j", st.integers(0, 4).map(str) if clean else sizes, True),
+            ("--v", st.integers(1, 6).map(str) if clean else sizes, False),
+            ("--weights", weights, False),
+        ]
+    else:
+        options = [
+            ("--suite", st.sampled_from([*verify.SUITES, "all"]), False),
+            # the uncapped identities make large sizes slow, not wrong
+            ("--max-n", st.sampled_from(["0", "2", "3"] if clean else ["-1", "3", "x"]), False),
+            ("--jobs", st.just("1") if clean else st.sampled_from(["-1", "0", "x"]), False),
+            ("--format", st.sampled_from(["text", "json"]), False),
+        ]
+    if not clean:
+        argv.append(draw(st.sampled_from(["", "--nope", "extra", "--format", "-h"])))
+    for name, values, required in options:
+        if (required and clean) or draw(st.booleans()):
+            argv += [name, draw(values)]
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(_argvs())
+def test_fuzzed_argv_exits_with_a_documented_code(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3), argv

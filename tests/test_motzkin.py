@@ -1,8 +1,11 @@
+import os
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bellpaths import motzkin, verify
+from bellpaths import cli, lagrange, motzkin, verify
 from bellpaths.core import EnumerationBoundError, binomial
 from bellpaths.polyring import Polynomial, Series, WeightSpec
 from bellpaths.verify import pairs_up_to
@@ -51,6 +54,58 @@ def test_bruteforce_weighted_sums():
     assert motzkin.weighted_sum_bruteforce(1, 1, SYM) == T1 * S1 * 3
     assert motzkin.weighted_sum_bruteforce(2, 0, SYM) == T1**2 + T2
     assert motzkin.weighted_sum_bruteforce(0, 3, SYM) == Polynomial.variable("s", 3)
+
+
+def test_path_weight_is_the_weight_of_the_path_profile():
+    weights = motzkin.named_weights("b-ary", b=2, d=3)
+    path = motzkin.MotzkinPath("uhhduudhd")
+    assert motzkin.segment_profile(path).type_key() == (((1, 1), (2, 1)), ((1, 1), (2, 1)))
+    expected = (
+        weights.entry("t", 1) * weights.entry("t", 2)
+        * weights.entry("s", 1) * weights.entry("s", 2)
+    )
+    assert motzkin.path_weight(path, weights) == expected
+    assert motzkin.path_weight(path, SYM) == T1 * T2 * S1 * Polynomial.variable("s", 2)
+
+
+_FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_NAMED = st.one_of(
+    st.sampled_from(["all-ones", "stirling", "bell-numbers", "factorial-psi"]),
+    st.builds("b-ary:b={},d={}".format, st.integers(0, 3), st.integers(0, 3)),
+    st.builds("r-ary:r={}".format, st.integers(0, 2)),
+    st.builds("abel:q={}".format, _FRACTIONS),
+)
+# rows family,index,numerator,denominator of a csv: weight file
+_CSV_ROWS = st.lists(
+    st.tuples(st.sampled_from("ts"), st.integers(1, 6), st.integers(-4, 4), st.integers(1, 3)),
+    max_size=8,
+    unique_by=lambda row: row[:2],
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(_NAMED, _CSV_ROWS),
+    st.integers(0, 3),
+    st.integers(0, 3),
+)
+def test_numeric_path_sums_agree_four_ways(spec, m, k):
+    # closed form, tallied brute force, per-path weights and the series
+    # fixed point, for a drawn named or csv weight spec
+    with tempfile.TemporaryDirectory() as folder:
+        if isinstance(spec, list):
+            path = os.path.join(folder, "weights.csv")
+            with open(path, "w") as handle:
+                handle.writelines(",".join(map(str, row)) + "\n" for row in spec)
+            spec = f"csv:{path}"
+        weights = cli.parse_weights(spec)
+    closed = motzkin.weighted_sum_closed(m, k, weights)
+    tallied = motzkin.weighted_sum_bruteforce(m, k, weights)
+    per_path = Polynomial.zero()
+    for path in motzkin.enumerate_paths(m, k):
+        per_path = per_path + motzkin.path_weight(path, weights)
+    series = lagrange.motzkin_series(weights, m, k).coeff(m, k)
+    assert closed == tallied == per_path == series, spec
 
 
 def test_closed_weighted_sums():

@@ -4,6 +4,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bellpaths import lagrange, motzkin
 from bellpaths.polyring import (
     SYMBOLIC,
     Monomial,
@@ -332,6 +333,68 @@ def test_reciprocal_multiplies_back_symbolically(f, key, symbolic):
         f = Series(f.orders(), f.cells | {key: symbolic * T1 + T2})
     assert f * f.reciprocal() == Series.one(*f.orders())
     assert f.reciprocal() * f == Series.one(*f.orders())
+
+
+def geometric_reciprocal(f: Series) -> Series:
+    """1/f as the geometric sum in -g for f = c0 (1 + g), by compose_x: the
+    powers of g vanish past the total order of the box."""
+    c0 = f.cells[(0, 0, 0)]
+    if isinstance(c0, Polynomial):
+        c0 = c0.constant_value()
+    inverse = Fraction(1) / c0
+    g = f.scale(inverse) - 1
+    geometric = Series.from_x_coeffs([1] * (f.nx + f.ny + f.nq + 1))
+    return geometric.compose_x(-g).scale(inverse)
+
+
+# a nonzero rational constant term as an int, a Fraction or a constant Polynomial
+nonzero_constants = st.one_of(
+    st.integers(-3, 3).filter(bool),
+    nonzero_coefficients,
+    nonzero_coefficients.map(Polynomial.const),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(series(constant=nonzero_constants))
+def test_reciprocal_is_the_geometric_sum(f):
+    inverse = f.reciprocal()
+    assert inverse.orders() == f.orders()
+    assert inverse == geometric_reciprocal(f)
+    assert f.pow(-2) == inverse.pow(2)
+
+
+def test_reciprocal_of_the_composition_denominator(monkeypatch):
+    # the sparse three-grading denominator that composition_series inverts
+    denominators = []
+    recurrence = Series.reciprocal
+
+    def recorded(f):
+        denominators.append(f)
+        return recurrence(f)
+
+    monkeypatch.setattr(Series, "reciprocal", recorded)
+    for kind in ("symbolic", "stirling"):
+        for top in range(6):
+            lagrange.composition_series(motzkin.named_weights(kind), top, top, top)
+    monkeypatch.undo()
+    assert len(denominators) == 12
+    for f in denominators:
+        assert f.reciprocal() == geometric_reciprocal(f)
+
+
+def test_reciprocal_errors_are_unchanged():
+    message = "series reciprocal needs a nonzero rational constant term"
+    for f in (
+        Series.from_x_coeffs([0, 1]),
+        Series((2, 1, 1), {(1, 1, 0): 3}),
+        Series((1, 0, 0), {(0, 0, 0): T1}),
+        Series((1, 1, 0), {(0, 0, 0): T1 + 1, (0, 1, 0): 2}),
+    ):
+        with pytest.raises(ValueError, match=message):
+            f.reciprocal()
+        with pytest.raises(ValueError, match=message):
+            f.pow(-1)
 
 
 @settings(max_examples=40, deadline=None)
