@@ -68,6 +68,24 @@ def _check_symbolic_terms(weights: WeightSpec, terms: int, **sizes: int) -> None
         )
 
 
+# the options each (command, mode) reads; any other option of the command
+# keeps its default, or the query would answer a question not asked.  The
+# namespace also holds the command, the mode and the handler.
+_MODE_OPTIONS = {
+    ("motzkin", "count"): ("m", "k", "bound"),
+    ("motzkin", "weighted"): ("m", "k", "weights", "by_segments", "format"),
+    ("motzkin", "table"): ("max_n", "weights", "format"),
+    ("comp", "count"): ("m", "j", "k"),
+    ("comp", "weighted"): ("m", "j", "k", "weights", "format"),
+    ("comp", "restricted"): ("m", "j", "allowed", "forbid"),
+    ("matcomp", "count"): ("m", "p", "j"),
+    ("matcomp", "weighted"): ("m", "p", "j", "weights", "format"),
+    ("matcomp", "zero-one"): ("m", "p", "j"),
+    ("matcomp", "trees"): ("v", "j"),
+}
+_NOT_OPTIONS = ("command", "mode", "handler")
+
+
 def _split_list(text: str, option: str) -> list[str]:
     """The comma-separated pieces of an option value; an empty piece is a
     usage error, never silently skipped."""
@@ -190,7 +208,7 @@ def cmd_motzkin(args) -> int:
         return EXIT_OK
     if args.mode == "weighted":
         _require_nonnegative(args.m, args.k)
-        weights = parse_weights(args.weights)
+        weights = parse_weights("symbolic" if args.weights is None else args.weights)
         if args.by_segments is not None:
             segments = _int_list(args.by_segments, "--by-segments")
             if len(segments) != 2:
@@ -210,7 +228,7 @@ def cmd_motzkin(args) -> int:
         return EXIT_OK
     # triangle over (m, k) for each length n: one row per n, entries by m
     _require_nonnegative(args.max_n)
-    weights = parse_weights(args.weights)
+    weights = parse_weights("all-ones" if args.weights is None else args.weights)
     for m in range(args.max_n // 2 + 1):
         k = args.max_n - 2 * m
         _check_symbolic_terms(weights, _bell_terms(m) * _bell_terms(k), m=m, k=k)
@@ -321,8 +339,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 @lru_cache(maxsize=None)
-def _build_parser() -> _Parser:
-    """The one parser of the process; parsing leaves it unchanged."""
+def _build_parser() -> tuple[_Parser, dict]:
+    """The one parser of the process and its command parsers by name."""
     parser = _Parser(prog="bellpaths", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -411,18 +429,23 @@ def _build_parser() -> _Parser:
     ver.add_argument("--format", choices=["text", "json"], default="text")
     ver.add_argument("--jobs", type=int, default=1)
     ver.set_defaults(handler=cmd_verify)
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if not exc.code else EXIT_USAGE
-    if getattr(args, "command", None) == "motzkin" and args.weights is None:
-        args.weights = "all-ones" if args.mode == "table" else "symbolic"
     try:
+        reads = _MODE_OPTIONS.get((args.command, getattr(args, "mode", None)))
+        for dest, value in vars(args).items() if reads else ():
+            if dest not in reads and dest not in _NOT_OPTIONS and (
+                value != commands[args.command].get_default(dest)
+            ):
+                option = "--" + dest.replace("_", "-")
+                raise ValueError(f"{args.command} {args.mode} does not read {option}")
         return args.handler(args)
     except EnumerationBoundError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -34,14 +34,6 @@ class Composition:
             raise ValueError(f"parts must be nonnegative, got {self.parts}")
 
     @property
-    def total(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def length(self) -> int:
-        return len(self.parts)
-
-    @property
     def zero_parts(self) -> int:
         return sum(1 for p in self.parts if p == 0)
 

@@ -10,6 +10,7 @@ partial Bell and potential polynomials, plus the named weight specializations
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -71,10 +72,6 @@ class SegmentProfile:
     @property
     def u_segments(self) -> int:
         return sum(self.u_counts.values())
-
-    @property
-    def h_segments(self) -> int:
-        return sum(self.h_counts.values())
 
     def type_key(self) -> tuple:
         """The (length, count) pairs of the u-runs and of the h-runs, each in
@@ -157,18 +154,21 @@ def path_weight(path: MotzkinPath, weights: WeightSpec) -> Polynomial:
     return as_polynomial(profile_weight(segment_profile(path).type_key(), weights))
 
 
+def profile_counts(m: int, k: int, bound: int = DEFAULT_PATH_BOUND) -> dict:
+    """{type_key: number of paths} over every path with m up-steps and k
+    horizontal steps, each enumerated once; profiles in first-seen order."""
+    paths = enumerate_paths(m, k, bound)
+    return Counter(segment_profile(path).type_key() for path in paths)
+
+
 def weighted_sum_bruteforce(
     m: int, k: int, weights: WeightSpec, bound: int = DEFAULT_PATH_BOUND
 ) -> Polynomial:
     """Weighted path sum by direct enumeration; the oracle for every closed
-    form.  Every path is enumerated and its profile tallied; each distinct
-    profile is then weighed once, times the number of its paths."""
-    counts = {}
-    for path in enumerate_paths(m, k, bound=bound):
-        key = segment_profile(path).type_key()
-        counts[key] = counts.get(key, 0) + 1
+    form.  Each distinct profile of profile_counts is weighed once, times the
+    number of its paths."""
     total = 0
-    for key, count in counts.items():
+    for key, count in profile_counts(m, k, bound).items():
         total = total + profile_weight(key, weights) * count
     return as_polynomial(total)
 

@@ -13,6 +13,7 @@ sequential one.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -339,18 +340,15 @@ def _bruteforce_mismatches(label, weights, closed_value, top, k_min=0):
             yield f"{label}m={m}, k={k}"
 
 
-def _tally(pairs) -> dict:
-    """Sum the values of (key, value) pairs by key, keys in first-seen order."""
+def _weigh(shapes: dict, group, weight=lambda shape: 1) -> dict:
+    """Regroup a tally {shape: count} by group(shape), summing count *
+    weight(shape): each distinct shape is weighed once, however many objects
+    share it.  With no weight, the number of objects in each group."""
     table = {}
-    for key, value in pairs:
-        table[key] = table.get(key, 0) + value
+    for shape, count in shapes.items():
+        key = group(shape)
+        table[key] = table.get(key, 0) + weight(shape) * count
     return table
-
-
-def _weigh(shapes: dict, weight, group) -> dict:
-    """Sum count * weight(shape) over a tally of shapes, by group(shape): each
-    distinct shape is weighed once, however many objects share it."""
-    return _tally((group(shape), weight(shape) * count) for shape, count in shapes.items())
 
 
 @_identity("motzkin", "path-sum-triple-agreement", "2m+k <= {}")
@@ -368,15 +366,11 @@ def _path_sum_triple_agreement(top):
 def _segment_refinement(top):
     sym = _sym()
     for m, k in pairs_up_to(top):
-        profiles = _tally(
-            (motzkin.segment_profile(path).type_key(), 1)
-            for path in motzkin.enumerate_paths(m, k)
-        )
         # (u-segments, h-segments) of a profile are its numbers of runs
         by_split = _weigh(
-            profiles,
-            lambda key: motzkin.profile_weight(key, sym),
+            motzkin.profile_counts(m, k),
             lambda key: (sum(c for _, c in key[0]), sum(c for _, c in key[1])),
+            lambda key: motzkin.profile_weight(key, sym),
         )
         total = Polynomial.zero()
         for r in range(m + 1):
@@ -392,17 +386,14 @@ def _segment_refinement(top):
 @_identity("motzkin", "type-counts", "2m+k <= {}", cap=8)
 def _motzkin_type_counts(top):
     for m, k in pairs_up_to(top):
-        by_type = _tally(
-            (motzkin.segment_profile(path).type_key(), 1)
-            for path in motzkin.enumerate_paths(m, k)
-        )
+        by_type = motzkin.profile_counts(m, k)
         total = 0
         for (u_items, h_items), expected in sorted(by_type.items()):
             got = motzkin.count_by_type(m, k, dict(u_items), dict(h_items))
             total += got
             if got != expected:
                 yield f"m={m}, k={k}, u-type={dict(u_items)}, h-type={dict(h_items)}"
-        if total != motzkin.count_paths(m, k):
+        if total != sum(by_type.values()):
             yield f"m={m}, k={k}: type counts do not sum to the path count"
 
 
@@ -474,17 +465,21 @@ def _plane_tree_weights_single(top):
 def _plane_tree_weights_general(top):
     for b in (1, 2):
         for d in (1, 2, 3):
-            weights = motzkin.named_weights("b-ary", b=b, d=d)
-            for m, k in pairs_up_to(top):
-                lhs = motzkin.weighted_sum_bruteforce(m, k, weights).constant_value()
-                if lhs != motzkin.bary_general_closed_value(m, k, b, d):
-                    yield f"b={b}, d={d}, m={m}, k={k}"
-                for jj in range(1, k + 1):
-                    if d * k == jj:
-                        continue
-                    closed_factor = motzkin.bary_h_factor_closed(jj, k, d)
-                    if closed_factor != motzkin.bary_h_factor_series(jj, k, d):
-                        yield f"h-factor at j={jj}, k={k}, d={d}"
+            yield from _bruteforce_mismatches(
+                f"b={b}, d={d}, ",
+                motzkin.named_weights("b-ary", b=b, d=d),
+                lambda m, k, b=b, d=d: motzkin.bary_general_closed_value(m, k, b, d),
+                top,
+            )
+    # the closed h-run factor wherever it is defined, each (j, k, d) once
+    for d in (1, 2, 3):
+        for k in range(1, top + 1):
+            for j in range(1, k + 1):
+                if d * k != j and (
+                    motzkin.bary_h_factor_closed(j, k, d)
+                    != motzkin.bary_h_factor_series(j, k, d)
+                ):
+                    yield f"h-factor at j={j}, k={k}, d={d}"
 
 
 @_identity("motzkin", "series-coefficient-weights", "2 series, 2m+k <= {}", cap=8)
@@ -592,27 +587,15 @@ def _coefficient_degree_grading(top):
 # ---------------------------------------------------------------------------
 
 
-def _compositions_with_paths(top):
-    """(m, j, [(composition, its Motzkin path), ...]) for m, j <= top."""
-    for m in range(top + 1):
-        for j in range(top + 1):
-            yield m, j, [
-                (comp, compositions.composition_to_motzkin(comp))
-                for comp in compositions.enumerate_compositions(m, j)
-            ]
-
-
 def _composition_shapes(top):
-    """(m, j, {(zero parts, run-length profile of its path): count}) for
-    m, j <= top."""
+    """(m, j, {(zero parts, profile of its path): count}) for m, j <= top."""
     for m in range(top + 1):
         for j in range(top + 1):
-            shapes = {}
-            for comp in compositions.enumerate_compositions(m, j):
-                path = compositions.composition_to_motzkin(comp)
-                key = (comp.zero_parts, motzkin.segment_profile(path).type_key())
-                shapes[key] = shapes.get(key, 0) + 1
-            yield m, j, shapes
+            yield m, j, Counter(
+                (comp.zero_parts, motzkin.segment_profile(path).type_key())
+                for comp in compositions.enumerate_compositions(m, j)
+                for path in [compositions.composition_to_motzkin(comp)]
+            )
 
 
 @_identity("compositions", "closed-vs-enumeration", "m, j <= {}, all k", cap=6)
@@ -620,7 +603,7 @@ def _composition_closed_vs_enumeration(top):
     sym = _sym()
     for m, j, shapes in _composition_shapes(top):
         by_zeros = _weigh(
-            shapes, lambda shape: motzkin.profile_weight(shape[1], sym), lambda shape: shape[0]
+            shapes, lambda shape: shape[0], lambda shape: motzkin.profile_weight(shape[1], sym)
         )
         for k in range(j + 1):
             closed = compositions.weighted_sum_closed(m, k, j, sym)
@@ -666,8 +649,8 @@ def _composition_h_segment_refinement(top):
         # (zero parts, h-segments), the h-segments being the profile's h-runs
         by_runs = _weigh(
             shapes,
-            lambda shape: motzkin.profile_weight(shape[1], sym),
             lambda shape: (shape[0], sum(c for _, c in shape[1][1])),
+            lambda shape: motzkin.profile_weight(shape[1], sym),
         )
         for k in range(j + 1):
             total = Polynomial.zero()
@@ -682,33 +665,34 @@ def _composition_h_segment_refinement(top):
 
 @_identity("compositions", "type-counts", "m, j <= {}", cap=6)
 def _composition_type_counts(top):
-    for m, j, items in _compositions_with_paths(top):
-        by_type = _tally((motzkin.segment_profile(path).type_key(), 1) for _, path in items)
+    for m, j, shapes in _composition_shapes(top):
+        by_type = _weigh(shapes, lambda shape: shape[1])
         total = 0
         for (u_items, h_items), expected in sorted(by_type.items()):
             got = compositions.count_by_type(j, dict(u_items), dict(h_items))
             total += got
             if got != expected:
                 yield f"m={m}, j={j}, u-type={dict(u_items)}, h-type={dict(h_items)}"
-        if total != len(items):
+        if total != sum(shapes.values()):
             yield f"m={m}, j={j}: type counts do not sum to the composition count"
 
 
 @_identity("compositions", "embedding-consistency", "m, j <= {}", cap=6)
 def _composition_embedding_consistency(top):
-    for _, j, items in _compositions_with_paths(top):
-        for comp, path in items:
-            profile = motzkin.segment_profile(path)
-            if profile.u_segments != j - comp.zero_parts:
-                yield f"{comp.parts}: u-segments != parts - zeros"
-            nonzero = sorted(p for p in comp.parts if p)
-            runs = sorted(
-                length
-                for length, cnt in profile.u_counts.items()
-                for _ in range(cnt)
-            )
-            if nonzero != runs:
-                yield f"{comp.parts}: u-run lengths differ from nonzero parts"
+    for m in range(top + 1):
+        for j in range(top + 1):
+            for comp in compositions.enumerate_compositions(m, j):
+                profile = motzkin.segment_profile(compositions.composition_to_motzkin(comp))
+                if profile.u_segments != j - comp.zero_parts:
+                    yield f"{comp.parts}: u-segments != parts - zeros"
+                nonzero = sorted(p for p in comp.parts if p)
+                runs = sorted(
+                    length
+                    for length, cnt in profile.u_counts.items()
+                    for _ in range(cnt)
+                )
+                if nonzero != runs:
+                    yield f"{comp.parts}: u-run lengths differ from nonzero parts"
 
 
 @_identity(
@@ -753,8 +737,8 @@ def _matrix_shapes(top):
 def _matrix_shapes_of(m, p, j) -> dict:
     """{sorted nonzero entries: count} over the p x j bipartite matrix
     compositions of m."""
-    return _tally(
-        (tuple(sorted(matrix.nonzero_entries())), 1)
+    return Counter(
+        tuple(sorted(matrix.nonzero_entries()))
         for matrix in matrixcomp.enumerate_bipartite(m, p, j)
     )
 
@@ -799,8 +783,8 @@ def _matrix_nonzero_refinement(top):
     for m, p, j in _matrix_shapes(top):
         by_nonzeros = _weigh(
             _matrix_shapes_of(m, p, j),
-            lambda shape: matrixcomp.entries_weight(shape, sym),
             len,
+            lambda shape: matrixcomp.entries_weight(shape, sym),
         )
         total = Polynomial.zero()
         for r in range(m + 1):
@@ -815,10 +799,9 @@ def _matrix_nonzero_refinement(top):
 @_identity("matrixcomp", "type-counts", "m <= {}, p <= 3, j <= 4", cap=6)
 def _matrix_type_counts(top):
     for m, p, j in _matrix_shapes(top):
-        by_type = _tally(
-            (tuple(sorted((v, entries.count(v)) for v in set(entries))), 1)
-            for matrix in matrixcomp.enumerate_bipartite(m, p, j)
-            for entries in [matrix.nonzero_entries()]
+        by_type = _weigh(
+            _matrix_shapes_of(m, p, j),
+            lambda shape: tuple((v, shape.count(v)) for v in sorted(set(shape))),
         )
         total = 0
         for key, expected in sorted(by_type.items()):

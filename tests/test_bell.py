@@ -21,8 +21,6 @@ from bellpaths.bell import (
 from bellpaths.core import EnumerationBoundError, binomial, factorial
 from bellpaths.polyring import Polynomial, Series, WeightSpec, specialize
 
-from conftest import random_unit_series
-
 SYM = WeightVector(lambda k: Polynomial.variable("t", k))
 ONES = WeightVector.constant(1)
 
@@ -145,16 +143,9 @@ def test_power_derivative_requires_unit_constant():
         power_derivative(Series.from_x_coeffs([2, 1]), 1, 1)
 
 
-def test_bell_of_power_coefficients(rng):
+def test_bell_of_power_coefficients():
     # B(m, r) of the vector with entry k the (k-1)-th derivative of f^k
-    for _ in range(6):
-        f = random_unit_series(rng, 8)
-        vec = WeightVector(lambda k, f=f: power_derivative(f, k - 1, k))
-        for m in range(1, 9):
-            for r in range(1, m + 1):
-                lhs = partial_bell(m, r, vec)
-                rhs = power_derivative(f, m - r, m) * binomial(m - 1, r - 1)
-                assert lhs == rhs, (m, r)
+    assert verify.check("bell", "bell-of-power-coefficients", 8) is None
 
 
 FAMILIES = [

@@ -4,9 +4,10 @@ import json
 import subprocess
 import sys
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from bellpaths import cli, motzkin, verify
+from bellpaths import cli, compositions, matrixcomp, motzkin, verify
 from bellpaths.bell import WeightVector
 from bellpaths.polyring import Polynomial
 
@@ -119,6 +120,21 @@ def test_malformed_list_options_exit_1(capsys):
         captured = capsys.readouterr()
         assert captured.out == "", argv
         assert captured.err == f"error: {message}\n", argv
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["motzkin", "table", "--max-n", "2", "--by-segments", "1,1"], "--by-segments"),
+    (["comp", "restricted", "--m", "3", "--j", "2", "--k", "1"], "--k"),
+    (["comp", "count", "--m", "2", "--j", "2", "--allowed", "x"], "--allowed"),
+    (["motzkin", "count", "--m", "1", "--k", "1", "--weights", "nonsense"], "--weights"),
+    (["matcomp", "trees", "--v", "3", "--j", "1", "--m", "2"], "--m"),
+])
+def test_an_option_the_mode_does_not_read_exits_1(capsys, argv, option):
+    # each printed a plausible answer to another query before
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {argv[0]} {argv[1]} does not read {option}\n"
 
 
 def test_motzkin_weighted_rejects_negative_arguments(capsys):
@@ -453,6 +469,46 @@ def test_verify_reports_a_broken_fast_path(capsys, monkeypatch):
     assert "motzkin/catalan-slice [m <= 2]: PASS" in lines
     assert sum(line.endswith(": PASS") for line in lines) == 38
     assert lines[-1] == "FAILED: 5 of 43 identities"
+
+
+def test_verify_pins_the_counterexample_of_every_tally_oracle(capsys, monkeypatch):
+    # one fast path off by one at a single case per brute-force tally: each
+    # identity that reads the tally names exactly that case
+    def off_by_one(module, name, case, one=1):
+        original = getattr(module, name)
+
+        def broken(*args):
+            value = original(*args)
+            return value + one if args == case else value
+
+        monkeypatch.setattr(module, name, broken)
+
+    off_by_one(motzkin, "count_by_type", (2, 1, {1: 2}, {1: 1}))
+    off_by_one(compositions, "count_by_type", (2, {1: 1}, {1: 1}))
+    off_by_one(matrixcomp, "count_by_type", (2, 1, {1: 2}))
+    sym = motzkin.named_weights("symbolic")
+    off_by_one(compositions, "weighted_sum_by_hsegments", (2, 1, 3, 1, sym),
+               Polynomial.const(1))
+    off_by_one(matrixcomp, "weighted_sum_by_nonzeros", (2, 2, 1, 2, sym),
+               Polynomial.const(1))
+    off_by_one(motzkin, "bary_h_factor_closed", (1, 2, 2))
+    assert cli.main(["verify", "--suite", "all", "--max-n", "5"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if ": FAIL " in line] == [
+        "motzkin/type-counts [2m+k <= 5]: FAIL "
+        "(m=2, k=1, u-type={1: 2}, h-type={1: 1})",
+        "motzkin/plane-tree-weights-general [b in 1..2, d in 1..3, 2m+k <= 5]: FAIL "
+        "(h-factor at j=1, k=2, d=2)",
+        "compositions/h-segment-refinement [m, j <= 5, all k, l]: FAIL "
+        "(m=2, k=1, j=3, l=1)",
+        "compositions/type-counts [m, j <= 5]: FAIL "
+        "(m=1, j=2, u-type={1: 1}, h-type={1: 1})",
+        "matrixcomp/nonzero-refinement [m <= 5, p <= 3, j <= 4]: FAIL "
+        "(m=2, p=2, j=1, r=2)",
+        "matrixcomp/type-counts [m <= 5, p <= 3, j <= 4]: FAIL "
+        "(m=2, p=2, j=1, type={1: 2})",
+    ]
+    assert lines[-1] == "FAILED: 6 of 43 identities"
 
 
 def test_inprocess_calls_match_fresh_processes(capsys, monkeypatch):

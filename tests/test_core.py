@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from bellpaths import verify
 from bellpaths.core import as_integer, binomial, factorial, multinomial
 
 
@@ -40,29 +41,15 @@ def test_pascal_recurrence(a, b):
 
 
 def test_upper_negation_convolution():
-    for l in range(13):
-        for j in range(13):
-            lhs = sum((-1) ** i * binomial(j, i) * binomial(-i, l) for i in range(j + 1))
-            assert lhs == (-1) ** ((l - j) % 2) * binomial(l - 1, l - j), (l, j)
+    assert verify.check("core-identities", "upper-negation-convolution", 12) is None
 
 
 def test_binomial_orthogonality():
-    for k in range(13):
-        for j in range(k + 1):
-            lhs = sum(
-                (-1) ** (l - j) * binomial(l, j) * binomial(k, l)
-                for l in range(j, k + 1)
-            )
-            assert lhs == (1 if k == j else 0), (j, k)
+    assert verify.check("core-identities", "binomial-orthogonality", 12) is None
 
 
 def test_kronecker_convolution():
-    for n in range(13):
-        for r in range(13):
-            lhs = sum(
-                (-1) ** i * binomial(n, i) * binomial(n - i, r) for i in range(n + 1)
-            )
-            assert lhs == (1 if r == n else 0), (n, r)
+    assert verify.check("core-identities", "kronecker-convolution", 12) is None
 
 
 def test_multinomial_examples():

@@ -141,13 +141,8 @@ def test_weighted_sum_by_segments():
     assert motzkin.weighted_sum_by_segments(1, 1, 1, 1, SYM) == T1 * S1 * 3
     for m in range(1, 4):
         assert motzkin.weighted_sum_by_segments(m, 2, 0, 1, SYM) == 0
-
-    for m, k in pairs_up_to(6):
-        total = Polynomial.zero()
-        for r in range(m + 1):
-            for l in range(k + 1):
-                total = total + motzkin.weighted_sum_by_segments(m, k, r, l, SYM)
-        assert total == motzkin.weighted_sum_closed(m, k, SYM), (m, k)
+    # each refinement against enumeration, and their sum against the closed form
+    assert verify.check("motzkin", "segment-refinement", 6) is None
 
 
 def test_count_by_type_examples():
@@ -164,17 +159,7 @@ def test_count_by_type_rejects_mismatch():
 
 
 def test_count_by_type_partitions_path_set():
-    for m, k in pairs_up_to(7):
-        by_type = {}
-        for path in motzkin.enumerate_paths(m, k):
-            profile = motzkin.segment_profile(path)
-            key = (
-                tuple(sorted(profile.u_counts.items())),
-                tuple(sorted(profile.h_counts.items())),
-            )
-            by_type[key] = by_type.get(key, 0) + 1
-        for (u_items, h_items), expected in by_type.items():
-            assert motzkin.count_by_type(m, k, dict(u_items), dict(h_items)) == expected
+    assert verify.check("motzkin", "type-counts", 7) is None
 
 
 def test_parallel_reduction_matches_sequential():
@@ -225,15 +210,8 @@ def test_plane_tree_specialization_general():
     assert verify.check("motzkin", "plane-tree-weights-general", 6) is None
 
 
-def test_h_run_factor_closed_matches_series_where_defined():
-    for d in (1, 2, 3):
-        for k in range(1, 7):
-            for j in range(1, k + 1):
-                if d * k == j:
-                    continue
-                assert motzkin.bary_h_factor_closed(j, k, d) == (
-                    motzkin.bary_h_factor_series(j, k, d)
-                ), (j, k, d)
+def test_h_run_factor_closed_is_undefined_at_dk_equal_j():
+    # where it is defined, plane-tree-weights-general checks it against the series
     with pytest.raises(ZeroDivisionError):
         motzkin.bary_h_factor_closed(0, 0, 2)
 
