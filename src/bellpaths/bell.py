@@ -37,16 +37,17 @@ class WeightVector:
 
         B(n, r) = sum_i C(n-1, i-1) * x_i * B(n-i, r-1),
 
-    and every entry of the rule, every row and every potential polynomial
-    is computed once.  The vector is ring-generic: entries may be ints,
-    Fractions or Polynomials, zero is tested by truthiness and the empty sum
-    is plain 0, so numeric weights stay rationals and symbolic ones stay
-    polynomials on the same code path.
+    and every entry of the rule, every row, every potential polynomial and
+    every Motzkin inner sum of potentials is computed once.  The vector is
+    ring-generic: entries may be ints, Fractions or Polynomials, zero is
+    tested by truthiness and the empty sum is plain 0, so numeric weights
+    stay rationals and symbolic ones stay polynomials on the same code path.
 
     A vector may be shared between threads: new rows are built in a local
     list and published with one assignment, so a reader sees the old rows
-    or the grown ones, never a row appended twice.  Racing builders compute
-    identical exact rows, so whichever publishes last is correct.
+    or the grown ones, never a row appended twice; a potential or inner sum
+    is likewise stored whole, by one dict assignment.  Racing builders
+    compute identical exact values, so whichever publishes last is correct.
     """
 
     def __init__(self, rule):
@@ -54,6 +55,8 @@ class WeightVector:
         self._entries: dict = {}
         self._rows: tuple = ((1,),)
         self._potentials: dict = {}
+        # motzkin.weighted_sum_closed's inner sums over potentials, by (m, l)
+        self._inner_sums: dict = {}
 
     def __getitem__(self, index: int):
         """x_index, evaluated by the rule on first use."""

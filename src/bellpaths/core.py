@@ -19,19 +19,22 @@ class EnumerationBoundError(RuntimeError):
 
 
 def binomial(a: int, b: int) -> int:
-    """Generalized binomial coefficient a(a-1)...(a-b+1) / b!.
+    """Generalized binomial coefficient a(a-1)...(a-b+1) / b! of integers.
 
-    The upper index may be any integer, including negative ones.  For b < 0
+    The upper index may be any integer, including negative ones, which go by
+    upper negation: C(a, b) = (-1)^b C(b - a - 1, b) for a < 0.  For b < 0
     the result is 0, and for b = 0 it is 1 (empty product), so in particular
-    binomial(-1, 0) == 1.
+    binomial(-1, 0) == 1.  Non-integer arguments (Fractions, floats) raise
+    ValueError rather than round: C(1/2, 2) is -1/8, not an integer.
     """
+    if not (isinstance(a, int) and isinstance(b, int)):
+        raise ValueError(f"binomial needs integer arguments, got ({a!r}, {b!r})")
     if b < 0:
         return 0
-    num = 1
-    for i in range(b):
-        num *= a - i
-    # the falling factorial of an integer is always divisible by b!
-    return num // math.factorial(b)
+    if a >= 0:
+        return math.comb(a, b)
+    value = math.comb(b - a - 1, b)
+    return -value if b % 2 else value
 
 
 def multinomial(total: int, parts) -> int:

@@ -177,6 +177,26 @@ def count_paths(m: int, k: int, bound: int = DEFAULT_PATH_BOUND) -> int:
     return sum(1 for _ in enumerate_paths(m, k, bound=bound))
 
 
+def _inner_sum(tvec: WeightVector, m: int, l: int):
+    """sum_{j=0..l} (-1)^{l-j} C(l-1, l-j) C(m+j, j) potential(m, m+j+1; t).
+
+    It depends on (m, l) only, never on k, so it is built once per t-vector
+    and kept beside the vector's potentials, with the same lifetime and the
+    same store-whole contract between threads.
+    """
+    sums = tvec._inner_sums
+    key = (m, l)
+    if key not in sums:
+        inner = 0
+        for j in range(l + 1):
+            c = binomial(l - 1, l - j) * binomial(m + j, j)
+            pot = tvec.potential(m, m + j + 1)
+            if c and pot:
+                inner = inner + pot * (c if (l - j) % 2 == 0 else -c)
+        sums[key] = inner
+    return sums[key]
+
+
 def weighted_sum_closed(m: int, k: int, weights: WeightSpec) -> Polynomial:
     """Closed form for the weighted path sum over m up-steps, k horizontals:
 
@@ -184,7 +204,11 @@ def weighted_sum_closed(m: int, k: int, weights: WeightSpec) -> Polynomial:
             * potential(m, m+j+1; t) / (m+1)!  *  l! B(k, l; s) / k!
 
     with both vectors in the (1! w_1, 2! w_2, ...) convention.  Summed by l
-    on the outside, so each B(k, l; s) enters one product.
+    on the outside, so each B(k, l; s) enters one product; the inner sum
+    over j is the same for every k, so it is read from the t-vector
+    (_inner_sum), and a table over all m, k <= N costs O(N^3) products, not
+    O(N^4).  The result itself is assembled afresh on every call, never
+    memoised.
     """
     if m < 0 or k < 0:
         raise ValueError("arguments must be >= 0")
@@ -194,12 +218,7 @@ def weighted_sum_closed(m: int, k: int, weights: WeightSpec) -> Polynomial:
     for l in range(k + 1):
         if not bells[l]:
             continue
-        inner = 0
-        for j in range(l + 1):
-            c = binomial(l - 1, l - j) * binomial(m + j, j)
-            pot = tvec.potential(m, m + j + 1)
-            if c and pot:
-                inner = inner + pot * (c if (l - j) % 2 == 0 else -c)
+        inner = _inner_sum(tvec, m, l)
         if inner:
             total = total + inner * bells[l] * factorial(l)
     return as_polynomial(total * Fraction(1, factorial(m + 1) * factorial(k)))
@@ -210,9 +229,12 @@ def segment_split_coefficient(m: int, k: int, r: int, l: int) -> int:
     u-segments (r) and h-segments (l) factors:
 
         sum_{j=0..k} (-1)^{l-j} C(l-1, l-j) C(m+j, m) C(m+j+1, r).
+
+    Terms with j > l vanish, since C(l-1, l-j) = 0 there, so j stops at
+    min(k, l).
     """
     total = 0
-    for j in range(k + 1):
+    for j in range(min(k, l) + 1):
         c = binomial(l - 1, l - j)
         if not c:
             continue

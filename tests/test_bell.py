@@ -283,6 +283,8 @@ def _bell_and_potential_values(spec, top):
             values += [partial_bell(n, r, vec) for r in range(n + 1)]
         for n in range(top + 1):
             values += [potential(n, power, vec) for power in (-2, 1, 3)]
+    # closed path sums, which also share their inner sums through the spec
+    values += [motzkin.weighted_sum_closed(m, k, spec) for m in range(5) for k in range(5)]
     return values
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -10,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 from bellpaths import cli, compositions, matrixcomp, motzkin, verify
 from bellpaths.bell import WeightVector
 from bellpaths.polyring import Polynomial
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def run_cli(*args):
@@ -241,6 +244,15 @@ def test_motzkin_table_rows_sum_to_motzkin_numbers(capsys):
     rows = capsys.readouterr().out.strip().splitlines()
     sums = [sum(int(v) for v in row.split(",")[1:]) for row in rows]
     assert sums == [1, 1, 2, 4, 9, 21, 51]
+
+
+@pytest.mark.parametrize("weights, name", [("stirling", "stirling"), ("abel:q=-2", "abel")])
+def test_motzkin_table_matches_its_committed_output(weights, name, capsys):
+    # tests/data/motzkin_table_40_<name>.txt is the output of the closed form
+    # that rebuilt every inner sum per entry; CI diffs a fresh interpreter too
+    assert cli.main(["motzkin", "table", "--max-n", "40", "--weights", weights]) == 0
+    with open(os.path.join(DATA, f"motzkin_table_40_{name}.txt")) as handle:
+        assert capsys.readouterr().out == handle.read()
 
 
 def test_comp_commands(capsys):

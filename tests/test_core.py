@@ -27,12 +27,22 @@ def test_binomial_negative_lower_is_zero():
     assert binomial(-3, -2) == 0
 
 
-@given(st.integers(-30, 30), st.integers(0, 12))
-def test_binomial_matches_falling_factorial(a, b):
-    product = Fraction(1)
-    for i in range(b):
-        product *= a - i
-    assert binomial(a, b) == product / factorial(b)
+def test_binomial_matches_falling_factorial():
+    # the slow oracle beside the math.comb fast path, over a whole grid with
+    # negative upper indices, b < 0, and b > a >= 0
+    for a in range(-40, 41):
+        for b in range(-3, 41):
+            product = Fraction(0 if b < 0 else 1)
+            for i in range(b):
+                product *= a - i
+            assert binomial(a, b) == product / factorial(max(b, 0)), (a, b)
+
+
+def test_binomial_rejects_non_integer_arguments():
+    # C(1/2, 2) = -1/8 and C(5/2, 2) = 15/8: no integer result is right
+    for a, b in [(Fraction(1, 2), 2), (2.5, 2), (5, 2.0), (Fraction(7), 3)]:
+        with pytest.raises(ValueError, match="integer arguments"):
+            binomial(a, b)
 
 
 @given(st.integers(1, 40), st.integers(1, 40))

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bellpaths import cli, lagrange, motzkin, verify
-from bellpaths.core import EnumerationBoundError, binomial
+from bellpaths.bell import WeightVector, partial_bell, potential
+from bellpaths.core import EnumerationBoundError, binomial, factorial
 from bellpaths.polyring import Polynomial, Series, WeightSpec
 from bellpaths.verify import pairs_up_to
 
@@ -116,6 +117,41 @@ def test_closed_weighted_sums():
         assert motzkin.weighted_sum_closed(0, k, SYM) == expected
 
 
+def _docstring_double_sum(m, k, t, s):
+    # weighted_sum_closed's docstring sum, term by term from the public
+    # potential and partial_bell, with no inner sum shared between entries
+    total = Fraction(0)
+    for j in range(k + 1):
+        for l in range(j, k + 1):
+            c = (-1) ** (l - j) * binomial(l - 1, l - j) * binomial(m + j, j)
+            if c:
+                pot = potential(m, m + j + 1, t).constant_value()
+                total += c * pot * factorial(l) * partial_bell(k, l, s).constant_value()
+    return total / (factorial(m + 1) * factorial(k))
+
+
+@pytest.mark.parametrize("kind", ["all-ones", "stirling", "abel:q=-2"])
+def test_table_entries_equal_the_docstring_double_sum(kind, capsys):
+    top = 30
+    assert cli.main(["motzkin", "table", "--max-n", str(top), "--weights", kind]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    shared = cli.parse_weights(kind)
+    t = WeightVector(lambda i: shared.t_rule(i) * factorial(i))
+    s = WeightVector(lambda i: shared.s_rule(i) * factorial(i))
+    expected = {(m, k): _docstring_double_sum(m, k, t, s) for m, k in pairs_up_to(top)}
+    assert len(rows) == top + 1
+    for n, row in enumerate(rows):
+        label, _, values = row.partition(": ")
+        assert label == f"n={n}"
+        want = [expected[(m, n - 2 * m)] for m in range(n // 2 + 1)]
+        assert [Fraction(value) for value in values.split()] == want, (kind, n)
+    # a fresh spec filled in descending (m, k) order builds its inner sums
+    # in another order than the table did, and must read the same values
+    fresh = WeightSpec(shared.t_rule, shared.s_rule, name=f"fresh {kind}")
+    for m, k in sorted(expected, reverse=True):
+        assert motzkin.weighted_sum_closed(m, k, fresh).constant_value() == expected[(m, k)]
+
+
 def test_triple_agreement():
     assert verify.check("motzkin", "path-sum-triple-agreement", 7) is None
 
@@ -135,6 +171,22 @@ def test_segment_split_coefficient():
     for m in range(5):
         for r in range(m + 2):
             assert motzkin.segment_split_coefficient(m, 0, r, 0) == binomial(m + 1, r)
+
+
+def test_segment_split_coefficient_stops_at_min_k_l():
+    # j runs to min(k, l): the terms past l vanish, since C(l-1, l-j) = 0
+    for m in range(12):
+        for k in range(12):
+            for r in range(14):
+                for l in range(14):
+                    full = sum(
+                        (-1) ** (l - j)
+                        * binomial(l - 1, l - j)
+                        * binomial(m + j, m)
+                        * binomial(m + j + 1, r)
+                        for j in range(k + 1)
+                    )
+                    assert motzkin.segment_split_coefficient(m, k, r, l) == full, (m, k, r, l)
 
 
 def test_weighted_sum_by_segments():
