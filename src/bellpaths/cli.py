@@ -207,6 +207,8 @@ def cmd_motzkin(args) -> int:
         print(motzkin.count_paths(args.m, args.k, bound=args.bound))
         return EXIT_OK
     if args.mode == "weighted":
+        if args.format == "csv":
+            raise ValueError("motzkin weighted prints text or json, not --format csv")
         _require_nonnegative(args.m, args.k)
         weights = parse_weights("symbolic" if args.weights is None else args.weights)
         if args.by_segments is not None:
@@ -385,7 +387,9 @@ def _build_parser() -> tuple[_Parser, dict]:
         help="enumeration bound on 2m+k for count mode, at most "
         f"{motzkin.MAX_PATH_BOUND}",
     )
-    motz.add_argument("--format", choices=["text", "json", "csv"], default="text")
+    motz.add_argument(
+        "--format", choices=["text", "json", "csv"], default="text", help="csv: table only"
+    )
     motz.set_defaults(handler=cmd_motzkin)
 
     comp = sub.add_parser("comp", help="weighted composition counts")

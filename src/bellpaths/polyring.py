@@ -63,38 +63,28 @@ class Monomial:
         a = self.items
         if not a:
             return other
-        # both item tuples are canonical, so one linear merge in the
-        # canonical variable order (t before s, then index) gives a
-        # canonical product; plain tuple order would put s before t
-        merged = []
-        i = j = 0
-        na, nb = len(a), len(b)
-        while i < na and j < nb:
-            va, ea = a[i]
-            vb, eb = b[j]
-            if va == vb:
-                merged.append((va, ea + eb))
-                i += 1
-                j += 1
-            elif (va[1] < vb[1]) if va[0] == vb[0] else (va[0] == "t"):
-                merged.append(a[i])
-                i += 1
+        # both item tuples are canonical (t before s, then index; plain tuple
+        # order would put s before t).  When every variable of one factor
+        # comes before every variable of the other, as in t-monomial times
+        # s-monomial, the product is the concatenation; otherwise one
+        # linear merge gives the canonical product
+        va, vb = a[-1][0], b[0][0]
+        if (va[1] < vb[1]) if va[0] == vb[0] else (va[0] == "t"):
+            items = a + b
+        else:
+            va, vb = a[0][0], b[-1][0]
+            if (vb[1] < va[1]) if va[0] == vb[0] else (vb[0] == "t"):
+                items = b + a
             else:
-                merged.append(b[j])
-                j += 1
-        merged.extend(a[i:])
-        merged.extend(b[j:])
+                items = _merge(a, b)
         out = Monomial.__new__(Monomial)
-        out.items = items = tuple(merged)
+        out.items = items
         out._hash = hash(items)
         return out
 
     def weighted_degree(self, family: str) -> int:
         """Sum of index * exponent over the variables of one family."""
         return sum(idx * e for (fam, idx), e in self.items if fam == family)
-
-    def sort_key(self):
-        return tuple((_var_key(var), e) for var, e in self.items)
 
     def to_text(self) -> str:
         """e.g. "t1^2*s3"; the unit monomial prints as "1"."""
@@ -114,6 +104,31 @@ class Monomial:
         return f"Monomial({self.to_text()})"
 
 
+def _merge(a: tuple, b: tuple) -> tuple:
+    """The canonical item tuple of the product of two monomials whose
+    canonical item tuples interleave: one linear merge in the canonical
+    variable order, adding the exponents of a shared variable."""
+    merged = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        va, ea = a[i]
+        vb, eb = b[j]
+        if va == vb:
+            merged.append((va, ea + eb))
+            i += 1
+            j += 1
+        elif (va[1] < vb[1]) if va[0] == vb[0] else (va[0] == "t"):
+            merged.append(a[i])
+            i += 1
+        else:
+            merged.append(b[j])
+            j += 1
+    merged.extend(a[i:])
+    merged.extend(b[j:])
+    return tuple(merged)
+
+
 _MONOMIAL_ONE = Monomial()
 
 
@@ -131,8 +146,10 @@ class Polynomial:
     Fraction.
 
     Integral values enter as ints, so integer polynomials never build a
-    Fraction; a Fraction result that happens to be integral may stay a
-    Fraction, which compares, hashes and prints like the int.  Zero
+    Fraction, and scaling by an int or an exact rational also keeps
+    integral coefficients as ints; only a sum or product of two polynomials
+    with Fraction coefficients may leave an integral Fraction, which
+    compares, hashes and prints like the int.  Zero
     coefficients are never stored, so structural equality after
     normalization is exact mathematical equality.
     """
@@ -214,7 +231,21 @@ class Polynomial:
             if not c:
                 return Polynomial.zero()
             out = Polynomial.__new__(Polynomial)
-            out.terms = {mono: coeff * c for mono, coeff in self.terms.items()}
+            if isinstance(c, int):
+                out.terms = {
+                    mono: v * c if type(v) is int else _coerce_coeff(v * c)
+                    for mono, v in self.terms.items()
+                }
+                return out
+            # by p/q exactly: an int coefficient that q divides stays an int,
+            # and one that it does not gives a non-integral Fraction, as
+            # gcd(p, q) = 1
+            p, q = c.numerator, c.denominator
+            out.terms = {
+                mono: (v // q * p if not v % q else Fraction(v * p, q))
+                if type(v) is int else _coerce_coeff(v * c)
+                for mono, v in self.terms.items()
+            }
             return out
         other = Polynomial._coerce(other)
         ta, tb = self.terms, other.terms
@@ -266,25 +297,40 @@ class Polynomial:
     def __bool__(self):
         return bool(self.terms)
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
-
     def to_text(self) -> str:
         """Canonical text form, e.g. "3*t1*s1" or "1/2 + -2*t2^3".
 
         Coefficients print as "p" or "p/q"; exponent 1 is left implicit; the
-        zero polynomial prints as "0".  The form round-trips bit-exactly
-        through from_text.
+        zero polynomial prints as "0".  Terms come in the canonical order of
+        their monomials: item tuples compared item by item, each item as
+        (t before s, index, exponent), a shorter tuple first when it is a
+        prefix.  Every item adds the same three ints to a term's flat key,
+        so comparing flat keys is that same comparison.  The form
+        round-trips bit-exactly through from_text.
         """
         if not self.terms:
             return "0"
-        parts = []
-        for mono, coeff in self.sorted_terms():
-            text = str(coeff)
-            if mono.items:
-                text += "*" + mono.to_text()
-            parts.append(text)
-        return " + ".join(parts)
+        # per (variable, exponent) item of this polynomial: its key and text
+        pieces = {}
+        rows = []
+        for mono, coeff in self.terms.items():
+            key = []
+            factors = [str(coeff)]
+            for item in mono.items:
+                piece = pieces.get(item)
+                if piece is None:
+                    var, e = item
+                    name = f"{var[0]}{var[1]}"
+                    piece = pieces[item] = (
+                        (*_var_key(var), e),
+                        name if e == 1 else f"{name}^{e}",
+                    )
+                key += piece[0]
+                factors.append(piece[1])
+            rows.append((tuple(key), "*".join(factors)))
+        # distinct monomials have distinct keys, so no text is ever compared
+        rows.sort()
+        return " + ".join([text for _, text in rows])
 
     @classmethod
     def from_text(cls, text: str) -> "Polynomial":

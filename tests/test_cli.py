@@ -140,6 +140,17 @@ def test_an_option_the_mode_does_not_read_exits_1(capsys, argv, option):
     assert captured.err == f"error: {argv[0]} {argv[1]} does not read {option}\n"
 
 
+def test_motzkin_weighted_csv_exits_1(capsys):
+    # csv is a table format; weighted printed the text form under it before
+    for extra in ([], ["--by-segments", "1,1"]):
+        argv = ["motzkin", "weighted", "--m", "3", "--k", "2", "--weights", "stirling",
+                "--format", "csv", *extra]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: motzkin weighted prints text or json, not --format csv\n"
+
+
 def test_motzkin_weighted_rejects_negative_arguments(capsys):
     for args in (
         ("--m", "1", "--k", "-2"),
@@ -253,6 +264,19 @@ def test_motzkin_table_matches_its_committed_output(weights, name, capsys):
     assert cli.main(["motzkin", "table", "--max-n", "40", "--weights", weights]) == 0
     with open(os.path.join(DATA, f"motzkin_table_40_{name}.txt")) as handle:
         assert capsys.readouterr().out == handle.read()
+
+
+def test_symbolic_motzkin_weighted_matches_its_committed_output(capsys):
+    # tests/data/motzkin_weighted_10_8.txt is the text, json and
+    # --by-segments 4,3 output of the renderer that sorted terms on nested
+    # monomial keys and scaled ints into integral Fractions; CI diffs a fresh
+    # interpreter too
+    out = []
+    for extra in ([], ["--format", "json"], ["--by-segments", "4,3"]):
+        assert cli.main(["motzkin", "weighted", "--m", "10", "--k", "8", *extra]) == 0
+        out.append(capsys.readouterr().out)
+    with open(os.path.join(DATA, "motzkin_weighted_10_8.txt")) as handle:
+        assert "".join(out) == handle.read()
 
 
 def test_comp_commands(capsys):

@@ -197,6 +197,21 @@ def test_weighted_sum_by_segments():
     assert verify.check("motzkin", "segment-refinement", 6) is None
 
 
+
+def test_symbolic_closed_forms_have_int_coefficients():
+    # symbolic path sums are integral, so the final exact scaling by
+    # 1/((m+1)! k!) (or r! l! V/(k! (m+1)!)) must leave ints, not Fractions
+    for m in range(9):
+        for k in range(9):
+            forms = [motzkin.weighted_sum_closed(m, k, SYM)]
+            forms += [
+                motzkin.weighted_sum_by_segments(m, k, r, l, SYM)
+                for r in range(m + 1)
+                for l in range(k + 1)
+            ]
+            for form in forms:
+                assert all(type(c) is int for c in form.terms.values()), (m, k)
+
 def test_count_by_type_examples():
     assert motzkin.count_by_type(1, 1, {1: 1}, {1: 1}) == 3
     assert motzkin.count_by_type(2, 0, {2: 1}, {}) == 1

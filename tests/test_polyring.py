@@ -108,12 +108,65 @@ def test_monomial_product_interleaves_families_canonically():
     assert_same_monomial(Monomial() * t3, t3)
 
 
-@settings(max_examples=150)
-@given(monomials(), monomials())
-def test_monomial_product_matches_summed_exponents(a, b):
+# the variables in canonical order: t before s, then by index
+CANONICAL_VARIABLES = [(family, index) for family in ("t", "s") for index in range(1, 5)]
+
+
+@st.composite
+def monomial_pairs(draw):
+    """Two monomials of one of five kinds: ordered-disjoint (every variable
+    of the first before every variable of the second), touching (ordered,
+    but the last variable of the first is the first of the second),
+    interleaved (disjoint, but not ordered either way), overlapping (a
+    shared variable) or one constant."""
+    kinds = ["ordered", "touching", "interleaved", "overlapping", "constant"]
+    kind = draw(st.sampled_from(kinds))
+    n = len(CANONICAL_VARIABLES)
+    owners = {}
+    if kind in ("ordered", "touching"):
+        cut = draw(st.integers(0, n - 1 if kind == "touching" else n))
+        for pos in range(n):
+            if draw(st.booleans()):
+                owners[pos] = "a" if pos < cut else "b"
+        if kind == "touching":
+            owners[cut] = "ab"
+    elif kind == "interleaved":
+        positions = st.sets(st.integers(0, n - 1), min_size=3, max_size=3)
+        first, middle, last = sorted(draw(positions))
+        owners = {first: "a", middle: "b", last: "a"}
+    elif kind == "overlapping":
+        owners = {draw(st.integers(0, n - 1)): "ab"}
+    if kind in ("interleaved", "overlapping"):
+        extra = ["", "a", "b"] if kind == "interleaved" else ["", "a", "b", "ab"]
+        for pos in range(n):
+            owner = draw(st.sampled_from(extra))
+            if owner and pos not in owners:
+                owners[pos] = owner
+
+    def side(name):
+        return Monomial([
+            (CANONICAL_VARIABLES[pos], draw(st.integers(1, 3)))
+            for pos in sorted(owners)
+            if name in owners[pos]
+        ])
+
+    a, b = side("a"), side("b")
+    if kind == "constant":
+        b = draw(monomials(max_index=4))
+    return kind, a, b
+
+
+@settings(max_examples=200)
+@given(monomial_pairs())
+def test_monomial_product_matches_summed_exponents(pair):
+    kind, a, b = pair
     expected = product_by_exponents(a, b)
-    assert_same_monomial(a * b, expected)
-    assert_same_monomial(b * a, expected)
+    for product in (a * b, b * a):
+        assert_same_monomial(product, expected)
+        if kind not in ("touching", "overlapping"):
+            # disjoint variables: the validating constructor sorts the
+            # joined items, which is the product
+            assert_same_monomial(product, Monomial(a.items + b.items))
     assert {a * b: 1}[expected] == 1
 
 
@@ -133,6 +186,29 @@ def test_one_term_product_matches_the_double_loop(p, mono, coeff):
         assert all(product.terms.values())
         for term in product.terms:
             assert_same_monomial(term, Monomial(term.items))
+
+
+
+integer_polynomials = st.dictionaries(
+    monomials(), st.integers(-60, 60), max_size=6
+).map(Polynomial)
+scalars = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=12),
+)
+
+
+@settings(max_examples=150)
+@given(st.one_of(polynomials(), integer_polynomials), scalars)
+def test_scaling_matches_the_term_by_term_fraction_product(p, c):
+    expected = {
+        mono: Fraction(coeff) * c for mono, coeff in p.terms.items() if coeff * c
+    }
+    for product in (p * c, c * p):
+        assert product.terms == expected
+        for coeff in product.terms.values():
+            # integral values are ints, the others Fractions
+            assert type(coeff) is (int if coeff.denominator == 1 else Fraction)
 
 
 def test_integral_coefficients_are_stored_as_ints():
@@ -195,6 +271,47 @@ def test_text_format_examples():
     assert Polynomial.zero().to_text() == "0"
     assert Polynomial.const(Fraction(-4, 5)).to_text() == "-4/5"
     assert (Polynomial.const(7) + T1 * Fraction(1, 2)).to_text() == "7 + 1/2*t1"
+
+
+
+def text_by_nested_key(p: Polynomial) -> str:
+    """p.to_text() by the first renderer: terms sorted on a key of
+    ((family rank, index), exponent) pairs, each monomial printed item by
+    item."""
+    if not p.terms:
+        return "0"
+
+    def key(mono):
+        return tuple(((0 if family == "t" else 1, index), e) for (family, index), e in mono.items)
+
+    parts = []
+    for mono, coeff in sorted(p.terms.items(), key=lambda kv: key(kv[0])):
+        factors = [str(coeff)]
+        for (family, index), e in mono.items:
+            factors.append(f"{family}{index}" if e == 1 else f"{family}{index}^{e}")
+        parts.append("*".join(factors))
+    return " + ".join(parts)
+
+
+def test_text_matches_the_nested_key_renderer_on_prefixes():
+    # monomials that are prefixes of one another, two-digit indices (t10
+    # sorts after t9, not after t1) and a constant term
+    t = {i: Polynomial.variable("t", i) for i in (1, 2, 9, 10)}
+    s = {i: Polynomial.variable("s", i) for i in (1, 10)}
+    p = (
+        t[1] + t[1] ** 2 + t[1] * t[2] + t[1] * t[2] ** 2 * Fraction(-3, 7)
+        + t[1] * s[1] + t[9] * 4 - t[10] + s[1] * s[10] + s[10] ** 3
+        + t[1] * t[2] * s[1] + Polynomial.const(Fraction(5, 2))
+    )
+    assert p.to_text() == text_by_nested_key(p)
+    assert p.to_text().startswith("5/2 + 1*t1 + 1*t1*t2 + ")
+    assert Polynomial.zero().to_text() == text_by_nested_key(Polynomial.zero()) == "0"
+
+
+@settings(max_examples=150)
+@given(polynomials(max_terms=12, max_index=11))
+def test_text_matches_the_nested_key_renderer(p):
+    assert p.to_text() == text_by_nested_key(p)
 
 
 @settings(max_examples=80)
