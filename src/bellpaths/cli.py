@@ -25,41 +25,49 @@ EXIT_VERIFY = 2
 EXIT_BOUND = 3
 
 # symbolic `bell`, `motzkin weighted`/`table`, `comp weighted` and `matcomp
-# weighted` queries are refused, before any work, when the Bell rows they
-# build or their result would have more terms than this
+# weighted` queries are refused, before any work, when a Bell row they build
+# or their result would have more terms than this
 MAX_SYMBOLIC_TERMS = 20_000
 
 
-def _partitions_by_parts(limit: int) -> list:
-    """rows[n][k] = p(n, k), the partitions of n into exactly k parts, by
-    p(n, k) = p(n-1, k-1) + p(n-k, k), through the first n with more than
-    `limit` partitions in all."""
+def _partitions_into_at_most(limit: int) -> list:
+    """rows[n][r] = p(n, 0) + ... + p(n, r), the partitions of n into at most
+    r parts, for every n with p(n) <= `limit`: those with exactly r parts are,
+    less one from each part, the partitions of n - r into at most r parts."""
     rows = [[1]]
-    while sum(rows[-1]) <= limit:
+    while True:
         n = len(rows)
-        rows.append([0] + [
-            rows[n - 1][k - 1] + (rows[n - k][k] if 2 * k <= n else 0)
-            for k in range(1, n + 1)
-        ])
-    return rows
+        row = [0]
+        for r in range(1, n + 1):
+            row.append(row[-1] + rows[n - r][min(r, n - r)])
+        if row[-1] > limit:
+            return rows
+        rows.append(row)
 
 
-_PARTITIONS = _partitions_by_parts(MAX_SYMBOLIC_TERMS)
+_AT_MOST = _partitions_into_at_most(MAX_SYMBOLIC_TERMS)
 
 
-def _bell_terms(n: int, r: int | None = None) -> int:
-    """Terms of the symbolic Bell row n, p(n), or of its entry B(n, r),
-    p(n, r).  A row past the table has more terms than the bound."""
-    if n >= len(_PARTITIONS):
-        return MAX_SYMBOLIC_TERMS + 1
-    row = _PARTITIONS[n]
-    return sum(row) if r is None else (row[r] if r <= n else 0)
+def _symbolic_terms(*factors: tuple) -> int:
+    """Terms of a symbolic result, the product of its factors, or past the
+    bound when a factor's Bell row is.
+
+    A factor (n, lo, hi) combines the entries B(n, r), lo <= r <= hi, of the
+    Bell row n, which is built whole: one term per partition of n into r
+    parts, p(n, lo) + ... + p(n, hi) in all."""
+    terms = 1
+    for n, lo, hi in factors:
+        if n >= len(_AT_MOST):
+            return MAX_SYMBOLIC_TERMS + 1
+        row, lo, hi = _AT_MOST[n], max(lo, 0), min(hi, n)
+        terms *= row[hi] - (row[lo - 1] if lo else 0) if lo <= hi else 0
+    return terms
 
 
-def _check_symbolic_terms(weights: WeightSpec, terms: int, **sizes: int) -> None:
-    """Refuse a query at `sizes` whose symbolic rows or result would have
-    `terms` > MAX_SYMBOLIC_TERMS terms; numeric weights pass."""
-    if terms > MAX_SYMBOLIC_TERMS and any(
+def _check_symbolic_terms(weights: WeightSpec, *factors: tuple, **sizes: int) -> None:
+    """Refuse a query at `sizes` whose t- and s-factors would be past
+    MAX_SYMBOLIC_TERMS terms (see _symbolic_terms); numeric weights pass."""
+    if _symbolic_terms(*factors) > MAX_SYMBOLIC_TERMS and any(
         isinstance(weights.entry(family, 1), Polynomial) for family in ("t", "s")
     ):
         at = ", ".join(f"{name}={size}" for name, size in sizes.items())
@@ -183,8 +191,7 @@ def _require_nonnegative(*values) -> None:
 def cmd_bell(args) -> int:
     _require_nonnegative(args.n, args.r)
     weights = parse_weights(args.weights)
-    # the recurrence builds the whole row n
-    _check_symbolic_terms(weights, _bell_terms(args.n), n=args.n)
+    _check_symbolic_terms(weights, (args.n, args.r, args.r), n=args.n)
     # plain entries: x_i is the t-weight itself, symbolic entries stay t_i
     vector = WeightVector.from_weights(weights, "t", plain=True)
     # the oracle goes first, so its size bound is checked before any work
@@ -217,14 +224,12 @@ def cmd_motzkin(args) -> int:
                 raise ValueError(f"--by-segments needs R,L, got {args.by_segments!r}")
             r, l = segments
             _require_nonnegative(r, l)
-            # rows m and k are built whole; the result is B(m, r) B(k, l)
-            terms = max(_bell_terms(args.m), _bell_terms(args.k),
-                        _bell_terms(args.m, r) * _bell_terms(args.k, l))
-            _check_symbolic_terms(weights, terms, m=args.m, k=args.k, r=r, l=l)
+            _check_symbolic_terms(weights, (args.m, r, r), (args.k, l, l),
+                                  m=args.m, k=args.k, r=r, l=l)
             poly = motzkin.weighted_sum_by_segments(args.m, args.k, r, l, weights)
         else:
-            terms = _bell_terms(args.m) * _bell_terms(args.k)
-            _check_symbolic_terms(weights, terms, m=args.m, k=args.k)
+            _check_symbolic_terms(weights, (args.m, 0, args.m), (args.k, 0, args.k),
+                                  m=args.m, k=args.k)
             poly = motzkin.weighted_sum_closed(args.m, args.k, weights)
         _print_value(poly, args.format, {"m": args.m, "k": args.k})
         return EXIT_OK
@@ -233,7 +238,7 @@ def cmd_motzkin(args) -> int:
     weights = parse_weights("all-ones" if args.weights is None else args.weights)
     for m in range(args.max_n // 2 + 1):
         k = args.max_n - 2 * m
-        _check_symbolic_terms(weights, _bell_terms(m) * _bell_terms(k), m=m, k=k)
+        _check_symbolic_terms(weights, (m, 0, m), (k, 0, k), m=m, k=k)
     rows = []
     for n in range(args.max_n + 1):
         values = [
@@ -265,11 +270,8 @@ def cmd_comp(args) -> int:
         _require_nonnegative(args.m, args.j)
         weights = parse_weights(args.weights)
         k = args.k if args.k is not None else 0
-        # rows m (t) and k (s) are built whole; the result is a potential
-        # over row k times B(m, j-k), and zero when j < k
-        result = _bell_terms(args.m, args.j - k) * _bell_terms(k) if args.j >= k else 0
-        terms = max(_bell_terms(args.m), _bell_terms(k), result)
-        _check_symbolic_terms(weights, terms, m=args.m, k=k, j=args.j)
+        _check_symbolic_terms(weights, (args.m, args.j - k, args.j - k),
+                              (k, 0, args.j - k + 1), m=args.m, k=k, j=args.j)
         poly = compositions.weighted_sum_closed(args.m, k, args.j, weights)
         _print_value(poly, args.format, {"m": args.m, "k": k, "j": args.j})
         return EXIT_OK
@@ -298,8 +300,7 @@ def cmd_matcomp(args) -> int:
         return EXIT_OK
     _require_nonnegative(args.m, args.p, args.j)
     weights = parse_weights(args.weights)
-    # row m is built whole and the result sums it
-    _check_symbolic_terms(weights, _bell_terms(args.m), m=args.m, p=args.p, j=args.j)
+    _check_symbolic_terms(weights, (args.m, 0, args.m), m=args.m, p=args.p, j=args.j)
     poly = matrixcomp.weighted_sum_closed(args.m, args.p, args.j, weights)
     _print_value(poly, args.format, {"m": args.m, "p": args.p, "j": args.j})
     return EXIT_OK
@@ -308,17 +309,10 @@ def cmd_matcomp(args) -> int:
 def cmd_verify(args) -> int:
     records = verify.run(args.suite, args.max_n, jobs=args.jobs)
     if args.format == "json":
-        payload = []
-        for record in records:
-            entry = {
-                "suite": record.suite,
-                "identity": record.identity,
-                "range": record.range,
-                "status": record.status,
-            }
-            if record.counterexample is not None:
-                entry["counterexample"] = record.counterexample
-            payload.append(entry)
+        payload = [
+            {key: value for key, value in vars(record).items() if value is not None}
+            for record in records
+        ]
         print(json.dumps(payload, indent=2))
     else:
         for record in records:

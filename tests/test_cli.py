@@ -195,7 +195,10 @@ def test_negative_sizes_and_jobs_exit_1(capsys):
 def test_symbolic_term_bound_exits_3(capsys):
     # p(24)^2, p(40) and p(37) terms are past the bound; by segments, row 37
     # alone is, and so is the result B(24, 7) B(24, 7) with p(24, 7)^2 terms;
-    # comp and matcomp build the whole row 60
+    # comp and matcomp build the whole row 60.  Then one query just past the
+    # bound per factor shape: p(2) p(33) = 20286, p(19, 9) p(29, 9) = 20008,
+    # row 37 of a table or of matcomp, and a comp result alone,
+    # p(19, 13) (p(25, 0) + ... + p(25, 14)) = 20009
     for argv, at in (
         (["motzkin", "weighted", "--m", "24", "--k", "24"], "m=24, k=24"),
         (["motzkin", "weighted", "--m", "37", "--k", "2", "--by-segments", "2,2"],
@@ -206,6 +209,12 @@ def test_symbolic_term_bound_exits_3(capsys):
         (["bell", "--n", "37", "--r", "2"], "n=37"),
         (["comp", "weighted", "--m", "60", "--j", "30"], "m=60, k=0, j=30"),
         (["matcomp", "weighted", "--m", "60", "--p", "2", "--j", "3"], "m=60, p=2, j=3"),
+        (["motzkin", "weighted", "--m", "2", "--k", "33"], "m=2, k=33"),
+        (["motzkin", "weighted", "--m", "19", "--k", "29", "--by-segments", "9,9"],
+         "m=19, k=29, r=9, l=9"),
+        (["motzkin", "table", "--max-n", "37", "--weights", "symbolic"], "m=0, k=37"),
+        (["matcomp", "weighted", "--m", "37", "--p", "2", "--j", "3"], "m=37, p=2, j=3"),
+        (["comp", "weighted", "--m", "19", "--j", "38", "--k", "25"], "m=19, k=25, j=38"),
     ):
         assert cli.main(argv) == 3, argv
         captured = capsys.readouterr()
@@ -227,6 +236,12 @@ def test_symbolic_term_bound_exits_3(capsys):
     ):
         assert cli.main(argv) == 0, argv
         assert capsys.readouterr().out, argv
+    # the potential over row 25 combines B(25, r) for r <= 3 only, so the
+    # result has p(22, 2) (p(25, 1) + p(25, 2) + p(25, 3)) = 11 * 65 terms
+    assert cli.main(["comp", "weighted", "--m", "22", "--j", "27", "--k", "25"]) == 0
+    poly = compositions.weighted_sum_closed(22, 25, 27, motzkin.named_weights("symbolic"))
+    assert len(poly.terms) == 715
+    assert capsys.readouterr().out == poly.to_text() + "\n"
     # a malformed segment list is a usage error whatever the size
     argv = ["motzkin", "weighted", "--m", "40", "--k", "40", "--by-segments", "1,"]
     assert cli.main(argv) == 1
@@ -234,6 +249,54 @@ def test_symbolic_term_bound_exits_3(capsys):
     for command in ("bell", "motzkin", "comp", "matcomp"):
         assert cli.main([command, "--help"]) == 0
         assert str(cli.MAX_SYMBOLIC_TERMS) in capsys.readouterr().out, command
+
+
+def test_term_count_bounds_every_symbolic_result(monkeypatch, capsys):
+    # the count a symbolic query is held to is never below the terms of the
+    # result it prints, and equals them for bell and comp weighted
+    counted, printed = [], []
+    check, to_text = cli._check_symbolic_terms, Polynomial.to_text
+
+    def counting_check(weights, *factors, **sizes):
+        counted.append(cli._symbolic_terms(*factors))
+        check(weights, *factors, **sizes)
+
+    def counting_to_text(poly):
+        printed.append(len(poly.terms))
+        return to_text(poly)
+
+    monkeypatch.setattr(cli, "_check_symbolic_terms", counting_check)
+    monkeypatch.setattr(Polynomial, "to_text", counting_to_text)
+    sizes = [str(n) for n in range(9)]
+    queries = [(["bell", "--n", n, "--r", r], True) for n in sizes for r in sizes]
+    queries += [(["comp", "weighted", "--m", m, "--j", j, "--k", k], True)
+                for m in sizes for j in sizes for k in sizes]
+    queries += [(["motzkin", "weighted", "--m", m, "--k", k], False)
+                for m in sizes for k in sizes]
+    queries += [(["motzkin", "weighted", "--m", m, "--k", k, "--by-segments", f"{r},{l}"],
+                 False)
+                for m in sizes for k in sizes for r in sizes[:int(m) + 2]
+                for l in sizes[:int(k) + 2]]
+    queries += [(["matcomp", "weighted", "--m", m, "--p", p, "--j", j], False)
+                for m in sizes for p in sizes for j in sizes]
+    for argv, exact in queries:
+        counted.clear()
+        printed.clear()
+        assert cli.main(argv) == 0, argv
+        assert len(counted) == len(printed) == 1, argv
+        if exact:
+            assert counted == printed, argv
+        else:
+            assert counted[0] >= printed[0], argv
+    # a table checks the entries of its last row, each as motzkin weighted
+    for max_n in range(9):
+        counted.clear()
+        printed.clear()
+        assert cli.main(["motzkin", "table", "--max-n", str(max_n),
+                         "--weights", "symbolic"]) == 0
+        assert len(counted) == max_n // 2 + 1
+        assert all(c >= p for c, p in zip(counted, printed[-len(counted):])), max_n
+    capsys.readouterr()
 
 
 def test_motzkin_count_bound_has_a_ceiling(capsys):
