@@ -91,8 +91,8 @@ class WeightVector:
         return grown[n]
 
     def bell(self, n: int, r: int):
-        """B(n, r), with B(n, r) = 0 outside 0 <= r <= n."""
-        if n < 0 or r < 0 or r > n:
+        """B(n, r); 0 with no row built where r < 0, r > n or r = 0 < n."""
+        if n < 0 or r < 0 or r > n or r == 0 < n:
             return 0
         return self.row(n)[r]
 

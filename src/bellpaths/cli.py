@@ -54,13 +54,16 @@ def _symbolic_terms(*factors: tuple) -> int:
 
     A factor (n, lo, hi) combines the entries B(n, r), lo <= r <= hi, of the
     Bell row n, which is built whole: one term per partition of n into r
-    parts, p(n, lo) + ... + p(n, hi) in all."""
+    parts, p(n, lo) + ... + p(n, hi) in all.  A factor whose entries are all
+    zero by their indices (r > n, or r = 0 < n) makes the result 0, no row."""
+    if any(max(lo, 1 if n else 0) > min(hi, n) for n, lo, hi in factors):
+        return 0
     terms = 1
     for n, lo, hi in factors:
         if n >= len(_AT_MOST):
             return MAX_SYMBOLIC_TERMS + 1
-        row, lo, hi = _AT_MOST[n], max(lo, 0), min(hi, n)
-        terms *= row[hi] - (row[lo - 1] if lo else 0) if lo <= hi else 0
+        row = _AT_MOST[n]
+        terms *= row[min(hi, n)] - (row[lo - 1] if lo > 0 else 0)
     return terms
 
 

@@ -250,6 +250,8 @@ def weighted_sum_by_segments(
     h-segments:  r! l! V / (k! (m+1)!) * B(m, r; t) B(k, l; s)."""
     if m < 0 or k < 0 or r < 0 or l < 0:
         raise ValueError("arguments must be >= 0")
+    if r > m or l > k or r == 0 < m or l == 0 < k:
+        return Polynomial.zero()  # zero by the indices, before any row
     bt = partial_bell(m, r, WeightVector.from_weights(weights, "t"))
     bs = partial_bell(k, l, WeightVector.from_weights(weights, "s"))
     if bt.is_zero() or bs.is_zero():

@@ -7,7 +7,8 @@ range, compares it against an independent oracle, usually brute-force
 enumeration or truncated series algebra, and yields a counterexample string
 for every failing case, in case order.  `run` reports the first one.  Suites
 are deterministic, so a parallel run produces the same report as a
-sequential one.
+sequential one.  What several identities of a run read, a brute-force tally
+or a series, is built once through `_once` and dropped when the run ends.
 """
 
 from __future__ import annotations
@@ -16,13 +17,13 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Iterator
 
 from . import compositions, lagrange, matrixcomp, motzkin
 from .bell import (
     BinomialSequence,
     WeightVector,
+    as_polynomial,
     partial_bell,
     partial_bell_by_partitions,
     potential,
@@ -120,10 +121,27 @@ def _identity(suite, name, range_template, cap=None, derive=_one_size):
     return register
 
 
+# (builder, sizes) -> what the identities of one run share, emptied when each
+# suite run and `check` ends, so no run reads another run's tallies
+_STORE: dict = {}
+
+
+def _once(build, *sizes):
+    """build(*sizes), built once per run however many identities read it;
+    stored whole, so a concurrent clear only forces a rebuild."""
+    value = _STORE.get((build, sizes))
+    if value is None:
+        value = _STORE[build, sizes] = build(*sizes)
+    return value
+
+
 def check(suite: str, identity: str, n: int) -> str | None:
     """First counterexample of one registered identity at size n, with no
     cap applied; None when the identity holds over the whole range."""
-    return REGISTRY[(suite, identity)].first_counterexample(n)
+    try:
+        return REGISTRY[(suite, identity)].first_counterexample(n)
+    finally:
+        _STORE.clear()
 
 
 def _random_unit_series(rng: random.Random, order: int) -> Series:
@@ -335,8 +353,7 @@ def _bruteforce_mismatches(label, weights, closed_value, top, k_min=0):
     for m, k in pairs_up_to(top):
         if k < k_min:
             continue
-        lhs = motzkin.weighted_sum_bruteforce(m, k, weights).constant_value()
-        if lhs != closed_value(m, k):
+        if _path_sum(m, k, weights).constant_value() != closed_value(m, k):
             yield f"{label}m={m}, k={k}"
 
 
@@ -351,11 +368,18 @@ def _weigh(shapes: dict, group, weight=lambda shape: 1) -> dict:
     return table
 
 
+def _path_sum(m, k, weights) -> Polynomial:
+    """motzkin.weighted_sum_bruteforce, weighed from the run's path tally."""
+    tally = _once(motzkin.profile_counts, m, k)
+    total = _weigh(tally, lambda key: (), lambda key: motzkin.profile_weight(key, weights))
+    return as_polynomial(total[()])
+
+
 @_identity("motzkin", "path-sum-triple-agreement", "2m+k <= {}")
 def _path_sum_triple_agreement(top):
     sym = _sym()
     for m, k in pairs_up_to(top):
-        brute = motzkin.weighted_sum_bruteforce(m, k, sym)
+        brute = _path_sum(m, k, sym)
         if brute != motzkin.weighted_sum_closed(m, k, sym):
             yield f"m={m}, k={k}: closed form differs from enumeration"
         if brute != lagrange.motzkin_series(sym, m, k).coeff(m, k):
@@ -368,7 +392,7 @@ def _segment_refinement(top):
     for m, k in pairs_up_to(top):
         # (u-segments, h-segments) of a profile are its numbers of runs
         by_split = _weigh(
-            motzkin.profile_counts(m, k),
+            _once(motzkin.profile_counts, m, k),
             lambda key: (sum(c for _, c in key[0]), sum(c for _, c in key[1])),
             lambda key: motzkin.profile_weight(key, sym),
         )
@@ -386,7 +410,7 @@ def _segment_refinement(top):
 @_identity("motzkin", "type-counts", "2m+k <= {}", cap=8)
 def _motzkin_type_counts(top):
     for m, k in pairs_up_to(top):
-        by_type = motzkin.profile_counts(m, k)
+        by_type = _once(motzkin.profile_counts, m, k)
         total = 0
         for (u_items, h_items), expected in sorted(by_type.items()):
             got = motzkin.count_by_type(m, k, dict(u_items), dict(h_items))
@@ -591,11 +615,15 @@ def _composition_shapes(top):
     """(m, j, {(zero parts, profile of its path): count}) for m, j <= top."""
     for m in range(top + 1):
         for j in range(top + 1):
-            yield m, j, Counter(
-                (comp.zero_parts, motzkin.segment_profile(path).type_key())
-                for comp in compositions.enumerate_compositions(m, j)
-                for path in [compositions.composition_to_motzkin(comp)]
-            )
+            yield m, j, _once(_composition_tally, m, j)
+
+
+def _composition_tally(m, j) -> dict:
+    return Counter(
+        (comp.zero_parts, motzkin.segment_profile(path).type_key())
+        for comp in compositions.enumerate_compositions(m, j)
+        for path in [compositions.composition_to_motzkin(comp)]
+    )
 
 
 @_identity("compositions", "closed-vs-enumeration", "m, j <= {}, all k", cap=6)
@@ -611,16 +639,14 @@ def _composition_closed_vs_enumeration(top):
                 yield f"m={m}, k={k}, j={j}"
 
 
-@lru_cache(maxsize=None)
 def _composition_series(top: int) -> Series:
-    """The symbolic composition series to order `top` in every grade, shared
-    by series-agreement and fixed-parts-slice."""
+    """The symbolic composition series to order `top` in every grade."""
     return lagrange.composition_series(_sym(), top, top, top)
 
 
 @_identity("compositions", "series-agreement", "m, k, j <= {}", cap=5)
 def _composition_series_agreement(top):
-    series = _composition_series(top)
+    series = _once(_composition_series, top)
     sym = _sym()
     for m in range(top + 1):
         for j in range(top + 1):
@@ -632,7 +658,7 @@ def _composition_series_agreement(top):
 
 @_identity("compositions", "fixed-parts-slice", "m, k, j <= {}", cap=5)
 def _composition_fixed_parts_slice(top):
-    series = _composition_series(top)
+    series = _once(_composition_series, top)
     sym = _sym()
     for j in range(top + 1):
         slice_series = lagrange.composition_series_fixed_parts(sym, j, top, top)
@@ -705,19 +731,15 @@ def _composition_embedding_consistency(top):
 def _composition_restricted_counts(sum_top, parts_top):
     for m in range(sum_top + 1):
         for j in range(parts_top + 1):
-            direct = sum(
-                1
-                for comp in compositions.enumerate_compositions(m, j)
-                if all(p in (1, 2) for p in comp.parts)
-            )
-            if compositions.restricted_count(m, j, allowed={1, 2}) != direct:
+            # both rules in one walk: parts in {1, 2}, and no part 0 or 2
+            one_two = no_two = 0
+            for comp in compositions.enumerate_compositions(m, j):
+                parts = set(comp.parts)
+                one_two += parts <= {1, 2}
+                no_two += parts.isdisjoint((0, 2))
+            if compositions.restricted_count(m, j, allowed={1, 2}) != one_two:
                 yield f"allowed {{1,2}}: m={m}, j={j}"
-            direct = sum(
-                1
-                for comp in compositions.enumerate_compositions(m, j)
-                if all(p >= 1 and p != 2 for p in comp.parts)
-            )
-            if compositions.restricted_count(m, j, forbidden=2) != direct:
+            if compositions.restricted_count(m, j, forbidden=2) != no_two:
                 yield f"forbidden 2: m={m}, j={j}"
 
 
@@ -755,7 +777,7 @@ def _matrix_closed_vs_enumeration(top):
                 closed = matrixcomp.weighted_sum_closed(m, p, j, sym)
                 brute = sum(
                     matrixcomp.entries_weight(shape, sym) * count
-                    for shape, count in _matrix_shapes_of(m, p, j).items()
+                    for shape, count in _once(_matrix_shapes_of, m, p, j).items()
                 )
                 if closed != brute:
                     yield f"m={m}, p={p}, j={j}: closed vs enumeration"
@@ -782,7 +804,7 @@ def _matrix_nonzero_refinement(top):
     sym = _sym()
     for m, p, j in _matrix_shapes(top):
         by_nonzeros = _weigh(
-            _matrix_shapes_of(m, p, j),
+            _once(_matrix_shapes_of, m, p, j),
             len,
             lambda shape: matrixcomp.entries_weight(shape, sym),
         )
@@ -800,7 +822,7 @@ def _matrix_nonzero_refinement(top):
 def _matrix_type_counts(top):
     for m, p, j in _matrix_shapes(top):
         by_type = _weigh(
-            _matrix_shapes_of(m, p, j),
+            _once(_matrix_shapes_of, m, p, j),
             lambda shape: tuple((v, shape.count(v)) for v in sorted(set(shape))),
         )
         total = 0
@@ -819,18 +841,13 @@ def _matrix_type_counts(top):
 def _matrix_zero_one(top):
     zero_one_weights = WeightSpec.from_tables({1: 1}, {}, name="zero-one")
     for m, p, j in _matrix_shapes(top):
-        direct = None
+        value = direct = matrixcomp.zero_one_count(p, j, m)
+        closed = matrixcomp.weighted_sum_closed(m, p, j, zero_one_weights).constant_value()
         if m <= matrixcomp.DEFAULT_SUM_BOUND:
-            direct = sum(
-                1
-                for matrix in matrixcomp.enumerate_bipartite(m, p, j)
-                if all(e <= 1 for row in matrix.rows for e in row)
-            )
-        value = matrixcomp.zero_one_count(p, j, m)
-        closed = matrixcomp.weighted_sum_closed(
-            m, p, j, zero_one_weights
-        ).constant_value()
-        if value != closed or (direct is not None and value != direct):
+            # the 0-1 matrices are those whose nonzero entries are all 1
+            shapes = _once(_matrix_shapes_of, m, p, j)
+            direct = _weigh(shapes, lambda shape: set(shape) <= {1}).get(True, 0)
+        if value != closed or value != direct:
             yield f"m={m}, p={p}, j={j}"
 
 
@@ -909,7 +926,10 @@ def _general_matrix_series(top):
 
 
 def _run_suite(suite: str, max_n: int) -> list[IdentityResult]:
-    return [entry.result(max_n) for entry in REGISTRY.values() if entry.suite == suite]
+    try:
+        return [entry.result(max_n) for entry in REGISTRY.values() if entry.suite == suite]
+    finally:
+        _STORE.clear()
 
 
 def suite_core(max_n: int) -> list[IdentityResult]:
@@ -957,10 +977,9 @@ def run(suite: str, max_n: int, jobs: int = 1) -> list[IdentityResult]:
         raise ValueError("--max-n must be >= 0")
     if jobs < 1:
         raise ValueError("--jobs must be >= 1")
+    if suite != "all" and suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}")
     names = list(SUITES) if suite == "all" else [suite]
-    for name in names:
-        if name not in _SUITE_FUNCTIONS:
-            raise ValueError(f"unknown suite {name!r}")
     if jobs > 1 and len(names) > 1:
         # imported here: a sequential run never pays for the pool machinery
         from concurrent.futures import ProcessPoolExecutor

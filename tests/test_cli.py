@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from bellpaths import cli, compositions, matrixcomp, motzkin, verify
 from bellpaths.bell import WeightVector
-from bellpaths.polyring import Polynomial
+from bellpaths.polyring import Polynomial, WeightSpec
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -249,6 +249,36 @@ def test_symbolic_term_bound_exits_3(capsys):
     for command in ("bell", "motzkin", "comp", "matcomp"):
         assert cli.main([command, "--help"]) == 0
         assert str(cli.MAX_SYMBOLIC_TERMS) in capsys.readouterr().out, command
+
+
+ZERO_ANSWERS = (
+    ["bell", "--n", "37", "--r", "40"],
+    ["bell", "--n", "37", "--r", "0"],
+    ["comp", "weighted", "--m", "1", "--j", "40", "--k", "40"],
+    ["comp", "weighted", "--m", "40", "--j", "0", "--k", "1"],
+    ["comp", "weighted", "--m", "40", "--j", "40", "--k", "40"],
+    ["motzkin", "weighted", "--m", "40", "--k", "1", "--by-segments", "2,3"],
+    ["motzkin", "weighted", "--m", "1", "--k", "40", "--by-segments", "3,2"],
+)
+
+
+def test_zero_answers_are_neither_refused_nor_built(capsys):
+    # each answer is 0 because a Bell entry it reads is zero by its indices
+    # (r > n, or r = 0 < n): the term bound charges no row for it, and the
+    # engine builds none
+    for argv in ZERO_ANSWERS:
+        assert cli.main(argv) == 0, argv
+        assert capsys.readouterr() == ("0\n", ""), argv
+    spec = WeightSpec.symbolic()
+    vectors = [WeightVector.from_weights(spec, family) for family in ("t", "s")]
+    plain = WeightVector.from_weights(spec, "t", plain=True)
+    assert plain.bell(37, 40) == plain.bell(37, 0) == 0
+    assert compositions.weighted_sum_closed(1, 40, 40, spec).is_zero()
+    assert compositions.weighted_sum_closed(40, 1, 0, spec).is_zero()
+    assert compositions.weighted_sum_closed(40, 40, 40, spec).is_zero()
+    assert motzkin.weighted_sum_by_segments(40, 1, 2, 3, spec).is_zero()
+    assert motzkin.weighted_sum_by_segments(1, 40, 3, 2, spec).is_zero()
+    assert [len(vector._rows) for vector in (*vectors, plain)] == [1, 1, 1]
 
 
 def test_term_count_bounds_every_symbolic_result(monkeypatch, capsys):

@@ -1,0 +1,128 @@
+"""The run-scoped store of `verify`: each tally a run shares is built once per
+size, nothing it holds outlives the run, and a run never reads another run's
+tallies."""
+
+import re
+from collections import Counter
+
+import pytest
+
+from bellpaths import cli, compositions, matrixcomp, motzkin, verify
+
+
+def _count_calls(monkeypatch, module, name) -> Counter:
+    """Calls of module.name from now on, by their arguments."""
+    calls = Counter()
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls[args] += 1
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_a_run_builds_each_tally_once_per_size(monkeypatch):
+    paths = _count_calls(monkeypatch, motzkin, "enumerate_paths")
+    matrices = _count_calls(monkeypatch, matrixcomp, "enumerate_bipartite")
+    composition_tallies = _count_calls(monkeypatch, verify, "_composition_tally")
+    series = _count_calls(monkeypatch, verify, "_composition_series")
+    verify.run("all", 6)
+    # 2m+k <= 6; m, j <= 6; m <= 6, p <= 3, j <= 4; one series at top 5
+    assert (len(paths), len(composition_tallies), len(matrices)) == (16, 49, 140)
+    for calls in (paths, composition_tallies, matrices, series):
+        assert set(calls.values()) == {1}
+    assert list(series) == [(5,)]
+
+
+def test_the_store_is_empty_after_every_run_and_check(monkeypatch):
+    verify.run("motzkin", 4)
+    assert verify._STORE == {}
+    assert verify.check("compositions", "series-agreement", 3) is None
+    assert verify._STORE == {}
+
+    def fails(*args):
+        raise RuntimeError("type count")
+
+    # the tally is built before the first type count is read
+    monkeypatch.setattr(motzkin, "count_by_type", fails)
+    with pytest.raises(RuntimeError):
+        verify.check("motzkin", "type-counts", 4)
+    assert verify._STORE == {}
+    with pytest.raises(RuntimeError):
+        verify.run("motzkin", 4)
+    assert verify._STORE == {}
+
+
+@pytest.mark.parametrize(
+    "module, name, size, dropped, expected",
+    [
+        (
+            motzkin, "enumerate_paths", (2, 1), lambda path: str(path) == "ududh",
+            {
+                f"motzkin/{identity}"
+                for identity in (
+                    "path-sum-triple-agreement", "segment-refinement", "type-counts",
+                    "plane-tree-weights-single", "plane-tree-weights-general",
+                    "series-coefficient-weights", "series-pair-double-sum",
+                    "labeled-tree-weights", "binomial-sequence-weights",
+                    "abel-weights", "bell-number-weights", "two-sequence-double-sum",
+                )
+            },
+        ),
+        (
+            compositions, "enumerate_compositions", (3, 2),
+            lambda comp: comp.parts == (1, 2),
+            {
+                "compositions/closed-vs-enumeration",
+                "compositions/h-segment-refinement",
+                "compositions/type-counts",
+                "compositions/restricted-counts",
+                "matrixcomp/general-matrix-series",
+            },
+        ),
+        (
+            matrixcomp, "enumerate_bipartite", (2, 2, 2),
+            lambda matrix: matrix.rows == ((0, 0), (1, 1)),
+            {
+                "matrixcomp/closed-vs-enumeration",
+                "matrixcomp/nonzero-refinement",
+                "matrixcomp/type-counts",
+                "matrixcomp/zero-one-matrices",
+            },
+        ),
+    ],
+    ids=["paths", "compositions", "matrices"],
+)
+def test_a_second_run_sees_an_enumerator_change(
+    capsys, monkeypatch, module, name, size, dropped, expected
+):
+    # a clean run first; then one enumerator loses one object at one size,
+    # and every identity that tallies that kind names the size
+    assert cli.main(["verify", "--suite", "all", "--max-n", "5"]) == 0
+    capsys.readouterr()
+    original = getattr(module, name)
+
+    def drops_one(*args):
+        for item in original(*args):
+            if not (args[: len(size)] == size and dropped(item)):
+                yield item
+
+    monkeypatch.setattr(module, name, drops_one)
+    assert cli.main(["verify", "--suite", "all", "--max-n", "5"]) == 2
+    failed = dict(
+        re.fullmatch(r"(\S+) \[.*\]: FAIL \((.*)\)", line).groups()
+        for line in capsys.readouterr().out.splitlines()
+        if ": FAIL " in line
+    )
+    assert set(failed) == expected
+    for identity, counterexample in failed.items():
+        sizes = dict(re.findall(r"\b([mkpj])=(\d+)", counterexample))
+        if module is compositions and identity.startswith("matrixcomp/"):
+            # a flat p x j matrix composition of m has p * j parts
+            assert int(sizes["p"]) * int(sizes["j"]) == size[1], counterexample
+            assert int(sizes["m"]) == size[0], counterexample
+        else:
+            names = {motzkin: "mk", compositions: "mj", matrixcomp: "mpj"}[module]
+            assert tuple(int(sizes[n]) for n in names) == size, counterexample
