@@ -303,7 +303,9 @@ def cmd_matcomp(args) -> int:
         return EXIT_OK
     _require_nonnegative(args.m, args.p, args.j)
     weights = parse_weights(args.weights)
-    _check_symbolic_terms(weights, (args.m, 0, args.m), m=args.m, p=args.p, j=args.j)
+    # U(p, j, r) is nonzero exactly for r <= p * j
+    _check_symbolic_terms(weights, (args.m, 0, min(args.m, args.p * args.j)),
+                          m=args.m, p=args.p, j=args.j)
     poly = matrixcomp.weighted_sum_closed(args.m, args.p, args.j, weights)
     _print_value(poly, args.format, {"m": args.m, "p": args.p, "j": args.j})
     return EXIT_OK

@@ -15,12 +15,14 @@ from fractions import Fraction
 from typing import Iterator
 
 from .bell import WeightVector, partial_bell, potential
-from .core import EnumerationBoundError, as_integer, binomial, factorial, multinomial
+from .core import (
+    EnumerationBoundError, as_integer, binomial, factorial, multinomial, part_type,
+)
 from .motzkin import MotzkinPath
 from .polyring import Polynomial, WeightSpec
 
-DEFAULT_SUM_BOUND = 12
-DEFAULT_PARTS_BOUND = 12
+SUM_BOUND = 12
+PARTS_BOUND = 12
 
 
 @dataclass(frozen=True)
@@ -38,20 +40,15 @@ class Composition:
         return sum(1 for p in self.parts if p == 0)
 
 
-def enumerate_compositions(
-    m: int,
-    j: int,
-    sum_bound: int = DEFAULT_SUM_BOUND,
-    parts_bound: int = DEFAULT_PARTS_BOUND,
-) -> Iterator[Composition]:
+def enumerate_compositions(m: int, j: int) -> Iterator[Composition]:
     """All ordered j-tuples of nonnegative integers summing to m, in
     lexicographic order, each exactly once.  Empty stream when j = 0 and
     m > 0; the single empty composition when j = m = 0."""
     if m < 0 or j < 0:
         raise ValueError("sum and parts must be >= 0")
-    if m > sum_bound or j > parts_bound:
+    if m > SUM_BOUND or j > PARTS_BOUND:
         raise EnumerationBoundError(
-            f"composition enumeration bound is m <= {sum_bound}, j <= {parts_bound}"
+            f"composition enumeration bound is m <= {SUM_BOUND}, j <= {PARTS_BOUND}"
         )
 
     def rec(prefix: list, remaining: int, slots: int):
@@ -129,12 +126,7 @@ def count_by_type(j: int, u_type: dict, h_type: dict) -> int:
     """Number of compositions into j parts whose nonzero parts have the given
     multiset (u_type maps part value to count) and whose zero-runs have the
     given length multiset:  C(j-k+1, l) * multinomials of the two types."""
-    u_type = {int(i): int(c) for i, c in u_type.items() if c}
-    h_type = {int(i): int(c) for i, c in h_type.items() if c}
-    if any(i < 1 or c < 0 for i, c in u_type.items()) or any(
-        i < 1 or c < 0 for i, c in h_type.items()
-    ):
-        raise ValueError("types need lengths >= 1 and counts >= 0")
+    u_type, h_type = part_type(u_type), part_type(h_type)
     k = sum(i * c for i, c in h_type.items())
     r = sum(u_type.values())
     l = sum(h_type.values())

@@ -62,3 +62,12 @@ def as_integer(value) -> int:
     if q.denominator != 1:
         raise ValueError(f"expected an integer value, got {q}")
     return q.numerator
+
+
+def part_type(counts: dict) -> dict:
+    """A type {part: count} of a multiset of parts, with int keys and values
+    and zero counts dropped; parts below 1 and negative counts are rejected."""
+    counts = {int(part): int(count) for part, count in counts.items() if count}
+    if any(part < 1 or count < 0 for part, count in counts.items()):
+        raise ValueError(f"types need parts >= 1 and counts >= 0, got {counts}")
+    return counts

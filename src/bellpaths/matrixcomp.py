@@ -16,13 +16,13 @@ from fractions import Fraction
 from typing import Iterator
 
 from .bell import WeightVector, as_polynomial, partial_bell
-from .core import EnumerationBoundError, binomial, factorial, multinomial
+from .core import EnumerationBoundError, binomial, factorial, multinomial, part_type
 from .polyring import Polynomial, WeightSpec
 
-DEFAULT_SUM_BOUND = 10
-DEFAULT_ROWS_BOUND = 4
-DEFAULT_COLS_BOUND = 5
-DEFAULT_TREE_BOUND = 10
+SUM_BOUND = 10
+ROWS_BOUND = 4
+COLS_BOUND = 5
+TREE_BOUND = 10
 
 
 @dataclass(frozen=True)
@@ -71,21 +71,14 @@ def _bipartite_rows(total: int, cols: int):
     yield from rec(total, cols)
 
 
-def enumerate_bipartite(
-    m: int,
-    p: int,
-    j: int,
-    sum_bound: int = DEFAULT_SUM_BOUND,
-    rows_bound: int = DEFAULT_ROWS_BOUND,
-    cols_bound: int = DEFAULT_COLS_BOUND,
-) -> Iterator[BipartiteMatrixComposition]:
+def enumerate_bipartite(m: int, p: int, j: int) -> Iterator[BipartiteMatrixComposition]:
     """All p x j bipartite matrix compositions of m, each exactly once."""
     if m < 0 or p < 0 or j < 0:
         raise ValueError("arguments must be >= 0")
-    if m > sum_bound or p > rows_bound or j > cols_bound:
+    if m > SUM_BOUND or p > ROWS_BOUND or j > COLS_BOUND:
         raise EnumerationBoundError(
-            f"bipartite enumeration bounds are m <= {sum_bound}, "
-            f"p <= {rows_bound}, j <= {cols_bound}"
+            f"bipartite enumeration bounds are m <= {SUM_BOUND}, "
+            f"p <= {ROWS_BOUND}, j <= {COLS_BOUND}"
         )
 
     # the rows of each sum, listed once per call rather than once per prefix
@@ -149,6 +142,8 @@ def weighted_sum_closed(m: int, p: int, j: int, weights: WeightSpec) -> Polynomi
     """
     if m < 0 or p < 0 or j < 0:
         raise ValueError("arguments must be >= 0")
+    if p * j == 0 < m:
+        return Polynomial.zero()  # U(p, j, r) = 0 for every r >= 1, before any row
     bells = WeightVector.from_weights(weights, "t").row(m)
     total = 0
     for r in range(m + 1):
@@ -179,9 +174,7 @@ def count_by_type(p: int, j: int, entry_type: dict) -> int:
 
         multinomial(r; type) * U(p, j, r)   with r the total count.
     """
-    entry_type = {int(i): int(c) for i, c in entry_type.items() if c}
-    if any(i < 1 or c < 0 for i, c in entry_type.items()):
-        raise ValueError("entry types need values >= 1 and counts >= 0")
+    entry_type = part_type(entry_type)
     r = sum(entry_type.values())
     return multinomial(r, entry_type.values()) * bounded_composition_count(p, j, r)
 
@@ -224,15 +217,13 @@ class PlaneTree:
         return max(self.outdegrees)
 
 
-def enumerate_plane_trees(
-    v: int, max_degree: int, bound: int = DEFAULT_TREE_BOUND
-) -> Iterator[PlaneTree]:
+def enumerate_plane_trees(v: int, max_degree: int) -> Iterator[PlaneTree]:
     """All plane trees on v vertices with every outdegree <= max_degree,
     generated as preorder outdegree sequences in lexicographic order."""
     if v < 1:
         raise ValueError("a plane tree has at least one vertex")
-    if v > bound:
-        raise EnumerationBoundError(f"tree enumeration bound is v <= {bound}")
+    if v > TREE_BOUND:
+        raise EnumerationBoundError(f"tree enumeration bound is v <= {TREE_BOUND}")
     sequence: list[int] = []
 
     def rec(placed: int, open_slots: int):
@@ -256,9 +247,7 @@ def enumerate_plane_trees(
     yield from rec(0, 1)
 
 
-def bounded_outdegree_tree_count(
-    v: int, max_degree: int, bound: int = DEFAULT_TREE_BOUND
-) -> int:
+def bounded_outdegree_tree_count(v: int, max_degree: int) -> int:
     """Number of plane trees on v vertices with all outdegrees <= max_degree,
     by exhaustive generation."""
-    return sum(1 for _ in enumerate_plane_trees(v, max_degree, bound=bound))
+    return sum(1 for _ in enumerate_plane_trees(v, max_degree))

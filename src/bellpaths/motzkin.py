@@ -11,7 +11,7 @@ partial Bell and potential polynomials, plus the named weight specializations
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
@@ -26,7 +26,9 @@ from .bell import (
     stirling2,
     unit_power,
 )
-from .core import EnumerationBoundError, as_integer, binomial, factorial, multinomial
+from .core import (
+    EnumerationBoundError, as_integer, binomial, factorial, multinomial, part_type,
+)
 from .polyring import Polynomial, Series, WeightSpec
 
 DEFAULT_PATH_BOUND = 16
@@ -61,27 +63,11 @@ class MotzkinPath:
         return self.steps
 
 
-@dataclass
-class SegmentProfile:
-    """Run-length statistics: u_counts[i] and h_counts[i] are the numbers of
-    maximal u-runs and h-runs of length i."""
-
-    u_counts: dict = field(default_factory=dict)
-    h_counts: dict = field(default_factory=dict)
-
-    @property
-    def u_segments(self) -> int:
-        return sum(self.u_counts.values())
-
-    def type_key(self) -> tuple:
-        """The (length, count) pairs of the u-runs and of the h-runs, each in
-        length order: equal for exactly the paths with the same profile."""
-        return (tuple(sorted(self.u_counts.items())), tuple(sorted(self.h_counts.items())))
-
-
-def segment_profile(path: MotzkinPath) -> SegmentProfile:
-    """Maximal-run decomposition of the u-runs and h-runs of a path."""
-    profile = SegmentProfile()
+def segment_profile(path: MotzkinPath) -> tuple:
+    """The run-length profile of a path: the (length, count) pairs of its
+    maximal u-runs and of its maximal h-runs, each in length order.  Equal
+    for exactly the paths with the same multisets of run lengths."""
+    u_counts, h_counts = {}, {}
     run_step = ""
     run_length = 0
     for step in path.steps + "$":
@@ -89,12 +75,12 @@ def segment_profile(path: MotzkinPath) -> SegmentProfile:
             run_length += 1
             continue
         if run_step == "u":
-            profile.u_counts[run_length] = profile.u_counts.get(run_length, 0) + 1
+            u_counts[run_length] = u_counts.get(run_length, 0) + 1
         elif run_step == "h":
-            profile.h_counts[run_length] = profile.h_counts.get(run_length, 0) + 1
+            h_counts[run_length] = h_counts.get(run_length, 0) + 1
         run_step = step
         run_length = 1
-    return profile
+    return (tuple(sorted(u_counts.items())), tuple(sorted(h_counts.items())))
 
 
 def enumerate_paths(
@@ -137,10 +123,10 @@ def enumerate_paths(
     yield from rec(m, m, k)
 
 
-def profile_weight(type_key: tuple, weights: WeightSpec):
+def profile_weight(profile: tuple, weights: WeightSpec):
     """Product of t-weights over the u-runs and s-weights over the h-runs of a
-    profile given by its type_key, as a weight-ring value."""
-    u_items, h_items = type_key
+    profile (see segment_profile), as a weight-ring value."""
+    u_items, h_items = profile
     result = 1
     for length, count in u_items:
         result = result * weights.entry("t", length) ** count
@@ -151,24 +137,21 @@ def profile_weight(type_key: tuple, weights: WeightSpec):
 
 def path_weight(path: MotzkinPath, weights: WeightSpec) -> Polynomial:
     """Product of t-weights over u-runs and s-weights over h-runs."""
-    return as_polynomial(profile_weight(segment_profile(path).type_key(), weights))
+    return as_polynomial(profile_weight(segment_profile(path), weights))
 
 
-def profile_counts(m: int, k: int, bound: int = DEFAULT_PATH_BOUND) -> dict:
-    """{type_key: number of paths} over every path with m up-steps and k
+def profile_counts(m: int, k: int) -> dict:
+    """{profile: number of paths} over every path with m up-steps and k
     horizontal steps, each enumerated once; profiles in first-seen order."""
-    paths = enumerate_paths(m, k, bound)
-    return Counter(segment_profile(path).type_key() for path in paths)
+    return Counter(segment_profile(path) for path in enumerate_paths(m, k))
 
 
-def weighted_sum_bruteforce(
-    m: int, k: int, weights: WeightSpec, bound: int = DEFAULT_PATH_BOUND
-) -> Polynomial:
+def weighted_sum_bruteforce(m: int, k: int, weights: WeightSpec) -> Polynomial:
     """Weighted path sum by direct enumeration; the oracle for every closed
     form.  Each distinct profile of profile_counts is weighed once, times the
     number of its paths."""
     total = 0
-    for key, count in profile_counts(m, k, bound).items():
+    for key, count in profile_counts(m, k).items():
         total = total + profile_weight(key, weights) * count
     return as_polynomial(total)
 
@@ -270,12 +253,7 @@ def count_by_type(m: int, k: int, u_type: dict, h_type: dict) -> int:
     The underlying expression carries a denominator of m + 1; the result is
     asserted to be a nonnegative integer, since it counts paths.
     """
-    u_type = {int(i): int(c) for i, c in u_type.items() if c}
-    h_type = {int(i): int(c) for i, c in h_type.items() if c}
-    if any(i < 1 or c < 0 for i, c in u_type.items()) or any(
-        i < 1 or c < 0 for i, c in h_type.items()
-    ):
-        raise ValueError("segment types need lengths >= 1 and counts >= 0")
+    u_type, h_type = part_type(u_type), part_type(h_type)
     if sum(i * c for i, c in u_type.items()) != m:
         raise ValueError(f"u-type {u_type} does not describe {m} up-steps")
     if sum(i * c for i, c in h_type.items()) != k:

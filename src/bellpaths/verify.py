@@ -17,12 +17,14 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Callable, Iterator
 
 from . import compositions, lagrange, matrixcomp, motzkin
 from .bell import (
     BinomialSequence,
     WeightVector,
+    _partitions_with_parts,
     as_polynomial,
     partial_bell,
     partial_bell_by_partitions,
@@ -407,15 +409,27 @@ def _segment_refinement(top):
             yield f"m={m}, k={k}: refinement does not repartition the total"
 
 
+def _partitions(n: int, parts: int | None = None) -> list:
+    """The partitions of n, into exactly `parts` parts when given, each as
+    its (part, count) pairs in part order, the way a profile lists its runs;
+    in sorted order."""
+    return sorted(
+        tuple(sorted(partition.items()))
+        for r in (range(n + 1) if parts is None else (parts,))
+        for partition in _partitions_with_parts(n, r)
+    )
+
+
 @_identity("motzkin", "type-counts", "2m+k <= {}", cap=8)
 def _motzkin_type_counts(top):
     for m, k in pairs_up_to(top):
         by_type = _once(motzkin.profile_counts, m, k)
         total = 0
-        for (u_items, h_items), expected in sorted(by_type.items()):
+        # every type of the size, including those no path has
+        for u_items, h_items in product(_once(_partitions, m), _once(_partitions, k)):
             got = motzkin.count_by_type(m, k, dict(u_items), dict(h_items))
             total += got
-            if got != expected:
+            if got != by_type.get((u_items, h_items), 0):
                 yield f"m={m}, k={k}, u-type={dict(u_items)}, h-type={dict(h_items)}"
         if total != sum(by_type.values()):
             yield f"m={m}, k={k}: type counts do not sum to the path count"
@@ -620,7 +634,7 @@ def _composition_shapes(top):
 
 def _composition_tally(m, j) -> dict:
     return Counter(
-        (comp.zero_parts, motzkin.segment_profile(path).type_key())
+        (comp.zero_parts, motzkin.segment_profile(path))
         for comp in compositions.enumerate_compositions(m, j)
         for path in [compositions.composition_to_motzkin(comp)]
     )
@@ -693,11 +707,19 @@ def _composition_h_segment_refinement(top):
 def _composition_type_counts(top):
     for m, j, shapes in _composition_shapes(top):
         by_type = _weigh(shapes, lambda shape: shape[1])
+        # every type of the size, including those no composition has: j - k
+        # nonzero parts summing to m, and the runs of the k zero parts
+        types = sorted(
+            (u_items, h_items)
+            for k in range(j + 1)
+            for u_items in _once(_partitions, m, j - k)
+            for h_items in _once(_partitions, k)
+        )
         total = 0
-        for (u_items, h_items), expected in sorted(by_type.items()):
+        for u_items, h_items in types:
             got = compositions.count_by_type(j, dict(u_items), dict(h_items))
             total += got
-            if got != expected:
+            if got != by_type.get((u_items, h_items), 0):
                 yield f"m={m}, j={j}, u-type={dict(u_items)}, h-type={dict(h_items)}"
         if total != sum(shapes.values()):
             yield f"m={m}, j={j}: type counts do not sum to the composition count"
@@ -708,15 +730,12 @@ def _composition_embedding_consistency(top):
     for m in range(top + 1):
         for j in range(top + 1):
             for comp in compositions.enumerate_compositions(m, j):
-                profile = motzkin.segment_profile(compositions.composition_to_motzkin(comp))
-                if profile.u_segments != j - comp.zero_parts:
+                path = compositions.composition_to_motzkin(comp)
+                u_items, _ = motzkin.segment_profile(path)
+                if sum(cnt for _, cnt in u_items) != j - comp.zero_parts:
                     yield f"{comp.parts}: u-segments != parts - zeros"
                 nonzero = sorted(p for p in comp.parts if p)
-                runs = sorted(
-                    length
-                    for length, cnt in profile.u_counts.items()
-                    for _ in range(cnt)
-                )
+                runs = [length for length, cnt in u_items for _ in range(cnt)]
                 if nonzero != runs:
                     yield f"{comp.parts}: u-run lengths differ from nonzero parts"
 
@@ -826,10 +845,11 @@ def _matrix_type_counts(top):
             lambda shape: tuple((v, shape.count(v)) for v in sorted(set(shape))),
         )
         total = 0
-        for key, expected in sorted(by_type.items()):
+        # every type of the size, including those no matrix has
+        for key in _once(_partitions, m):
             got = matrixcomp.count_by_type(p, j, dict(key))
             total += got
-            if got != expected:
+            if got != by_type.get(key, 0):
                 yield f"m={m}, p={p}, j={j}, type={dict(key)}"
         if total != sum(by_type.values()):
             yield f"m={m}, p={p}, j={j}: type counts do not sum"
@@ -843,7 +863,7 @@ def _matrix_zero_one(top):
     for m, p, j in _matrix_shapes(top):
         value = direct = matrixcomp.zero_one_count(p, j, m)
         closed = matrixcomp.weighted_sum_closed(m, p, j, zero_one_weights).constant_value()
-        if m <= matrixcomp.DEFAULT_SUM_BOUND:
+        if m <= matrixcomp.SUM_BOUND:
             # the 0-1 matrices are those whose nonzero entries are all 1
             shapes = _once(_matrix_shapes_of, m, p, j)
             direct = _weigh(shapes, lambda shape: set(shape) <= {1}).get(True, 0)

@@ -259,13 +259,15 @@ ZERO_ANSWERS = (
     ["comp", "weighted", "--m", "40", "--j", "40", "--k", "40"],
     ["motzkin", "weighted", "--m", "40", "--k", "1", "--by-segments", "2,3"],
     ["motzkin", "weighted", "--m", "1", "--k", "40", "--by-segments", "3,2"],
+    ["matcomp", "weighted", "--m", "60", "--p", "0", "--j", "3"],
+    ["matcomp", "weighted", "--m", "60", "--p", "2", "--j", "0"],
 )
 
 
 def test_zero_answers_are_neither_refused_nor_built(capsys):
     # each answer is 0 because a Bell entry it reads is zero by its indices
-    # (r > n, or r = 0 < n): the term bound charges no row for it, and the
-    # engine builds none
+    # (r > n, or r = 0 < n), or for matcomp because p * j = 0 leaves only
+    # r = 0: the term bound charges no row for it, and the engine builds none
     for argv in ZERO_ANSWERS:
         assert cli.main(argv) == 0, argv
         assert capsys.readouterr() == ("0\n", ""), argv
@@ -278,12 +280,14 @@ def test_zero_answers_are_neither_refused_nor_built(capsys):
     assert compositions.weighted_sum_closed(40, 40, 40, spec).is_zero()
     assert motzkin.weighted_sum_by_segments(40, 1, 2, 3, spec).is_zero()
     assert motzkin.weighted_sum_by_segments(1, 40, 3, 2, spec).is_zero()
+    assert matrixcomp.weighted_sum_closed(60, 0, 3, spec).is_zero()
+    assert matrixcomp.weighted_sum_closed(60, 2, 0, spec).is_zero()
     assert [len(vector._rows) for vector in (*vectors, plain)] == [1, 1, 1]
 
 
 def test_term_count_bounds_every_symbolic_result(monkeypatch, capsys):
     # the count a symbolic query is held to is never below the terms of the
-    # result it prints, and equals them for bell and comp weighted
+    # result it prints, and equals them for bell, comp and matcomp weighted
     counted, printed = [], []
     check, to_text = cli._check_symbolic_terms, Polynomial.to_text
 
@@ -307,7 +311,7 @@ def test_term_count_bounds_every_symbolic_result(monkeypatch, capsys):
                  False)
                 for m in sizes for k in sizes for r in sizes[:int(m) + 2]
                 for l in sizes[:int(k) + 2]]
-    queries += [(["matcomp", "weighted", "--m", m, "--p", p, "--j", j], False)
+    queries += [(["matcomp", "weighted", "--m", m, "--p", p, "--j", j], True)
                 for m in sizes for p in sizes for j in sizes]
     for argv, exact in queries:
         counted.clear()

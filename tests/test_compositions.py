@@ -36,9 +36,7 @@ def test_embedding():
 
     path = to_path(compositions.Composition((2, 0, 1)))
     assert str(path) == "uuddhud"
-    profile = motzkin.segment_profile(path)
-    assert profile.u_counts == {2: 1, 1: 1}
-    assert profile.h_counts == {1: 1}
+    assert motzkin.segment_profile(path) == (((1, 1), (2, 1)), ((1, 1),))
 
 
 def test_embedding_consistency():

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from bellpaths import verify
-from bellpaths.core import as_integer, binomial, factorial, multinomial
+from bellpaths import compositions, matrixcomp, motzkin, verify
+from bellpaths.core import as_integer, binomial, factorial, multinomial, part_type
 
 
 def test_binomial_standard():
@@ -98,3 +98,18 @@ def test_as_integer():
     assert as_integer(Fraction(10, 2)) == 5
     with pytest.raises(ValueError):
         as_integer(Fraction(1, 3))
+
+
+def test_part_type_is_the_one_type_validator():
+    assert part_type({2: 1, Fraction(3): Fraction(2), 5: 0}) == {2: 1, 3: 2}
+    assert part_type({0: 0}) == {}
+    # every count_by_type validates its types through part_type
+    for bad in ({0: 1}, {-1: 1}, {1: -1}):
+        with pytest.raises(ValueError, match="types need parts >= 1 and counts >= 0"):
+            part_type(bad)
+        with pytest.raises(ValueError, match="types need parts"):
+            motzkin.count_by_type(1, 0, bad, {})
+        with pytest.raises(ValueError, match="types need parts"):
+            compositions.count_by_type(1, {}, bad)
+        with pytest.raises(ValueError, match="types need parts"):
+            matrixcomp.count_by_type(1, 1, bad)

@@ -41,14 +41,11 @@ def test_enumerate_bound():
 
 
 def test_segment_profile():
-    profile = motzkin.segment_profile(motzkin.MotzkinPath("uudd"))
-    assert profile.u_counts == {2: 1} and profile.h_counts == {}
-
-    profile = motzkin.segment_profile(motzkin.MotzkinPath("uhd"))
-    assert profile.u_counts == {1: 1} and profile.h_counts == {1: 1}
-
-    profile = motzkin.segment_profile(motzkin.MotzkinPath("uhhdud"))
-    assert profile.u_counts == {1: 2} and profile.h_counts == {2: 1}
+    # (u-runs, h-runs), each as (length, count) pairs in length order
+    assert motzkin.segment_profile(motzkin.MotzkinPath("uudd")) == (((2, 1),), ())
+    assert motzkin.segment_profile(motzkin.MotzkinPath("uhd")) == (((1, 1),), ((1, 1),))
+    assert motzkin.segment_profile(motzkin.MotzkinPath("uhhdud")) == (((1, 2),), ((2, 1),))
+    assert motzkin.segment_profile(motzkin.MotzkinPath("")) == ((), ())
 
 
 def test_bruteforce_weighted_sums():
@@ -60,7 +57,7 @@ def test_bruteforce_weighted_sums():
 def test_path_weight_is_the_weight_of_the_path_profile():
     weights = motzkin.named_weights("b-ary", b=2, d=3)
     path = motzkin.MotzkinPath("uhhduudhd")
-    assert motzkin.segment_profile(path).type_key() == (((1, 1), (2, 1)), ((1, 1), (2, 1)))
+    assert motzkin.segment_profile(path) == (((1, 1), (2, 1)), ((1, 1), (2, 1)))
     expected = (
         weights.entry("t", 1) * weights.entry("t", 2)
         * weights.entry("s", 1) * weights.entry("s", 2)

@@ -126,3 +126,40 @@ def test_a_second_run_sees_an_enumerator_change(
         else:
             names = {motzkin: "mk", compositions: "mj", matrixcomp: "mpj"}[module]
             assert tuple(int(sizes[n]) for n in names) == size, counterexample
+
+
+@pytest.mark.parametrize(
+    "module, name, size, dropped, suite, expected",
+    [
+        (
+            motzkin, "enumerate_paths", (2, 0), lambda path: str(path) == "uudd",
+            "motzkin", "m=2, k=0, u-type={2: 1}, h-type={}",
+        ),
+        (
+            compositions, "enumerate_compositions", (1, 1),
+            lambda comp: comp.parts == (1,),
+            "compositions", "m=1, j=1, u-type={1: 1}, h-type={}",
+        ),
+        (
+            matrixcomp, "enumerate_bipartite", (2, 2, 1),
+            lambda matrix: matrix.rows == ((1,), (1,)),
+            "matrixcomp", "m=2, p=2, j=1, type={1: 2}",
+        ),
+    ],
+    ids=["paths", "compositions", "matrices"],
+)
+def test_type_counts_name_a_type_that_enumeration_lost(
+    monkeypatch, module, name, size, dropped, suite, expected
+):
+    # the dropped object is the only one of its type, so the tally has no
+    # entry for that type at all; type-counts walks every type of the size
+    # and still names it
+    original = getattr(module, name)
+
+    def drops_one(*args):
+        for item in original(*args):
+            if not (args == size and dropped(item)):
+                yield item
+
+    monkeypatch.setattr(module, name, drops_one)
+    assert verify.check(suite, "type-counts", 5) == expected
