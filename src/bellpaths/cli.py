@@ -295,8 +295,7 @@ def cmd_matcomp(args) -> int:
     if args.m is None or args.p is None:
         raise ValueError(f"{args.mode} mode needs --m and --p")
     if args.mode == "count":
-        total = sum(1 for _ in matrixcomp.enumerate_bipartite(args.m, args.p, args.j))
-        print(total)
+        print(matrixcomp.bipartite_count(args.m, args.p, args.j))
         return EXIT_OK
     if args.mode == "zero-one":
         print(matrixcomp.zero_one_count(args.p, args.j, args.m))

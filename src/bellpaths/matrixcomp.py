@@ -71,8 +71,9 @@ def _bipartite_rows(total: int, cols: int):
     yield from rec(total, cols)
 
 
-def enumerate_bipartite(m: int, p: int, j: int) -> Iterator[BipartiteMatrixComposition]:
-    """All p x j bipartite matrix compositions of m, each exactly once."""
+def _check_bipartite_args(m: int, p: int, j: int) -> None:
+    """The argument and bound check of enumerate_bipartite and
+    bipartite_count."""
     if m < 0 or p < 0 or j < 0:
         raise ValueError("arguments must be >= 0")
     if m > SUM_BOUND or p > ROWS_BOUND or j > COLS_BOUND:
@@ -80,6 +81,11 @@ def enumerate_bipartite(m: int, p: int, j: int) -> Iterator[BipartiteMatrixCompo
             f"bipartite enumeration bounds are m <= {SUM_BOUND}, "
             f"p <= {ROWS_BOUND}, j <= {COLS_BOUND}"
         )
+
+
+def enumerate_bipartite(m: int, p: int, j: int) -> Iterator[BipartiteMatrixComposition]:
+    """All p x j bipartite matrix compositions of m, each exactly once."""
+    _check_bipartite_args(m, p, j)
 
     # the rows of each sum, listed once per call rather than once per prefix
     rows_of_sum = [tuple(_bipartite_rows(row_sum, j)) for row_sum in range(m + 1)]
@@ -96,6 +102,29 @@ def enumerate_bipartite(m: int, p: int, j: int) -> Iterator[BipartiteMatrixCompo
                 rows.pop()
 
     yield from rec([], m, p)
+
+
+def bipartite_count(m: int, p: int, j: int) -> int:
+    """The number of matrices enumerate_bipartite(m, p, j) yields, with its
+    checks, counted without listing one: the bipartite rows of each sum, by
+    the recursion of _bipartite_rows, convolved over the p rows."""
+    _check_bipartite_args(m, p, j)
+    # rows[s][c]: bipartite rows of sum s over c columns; a row of sum s > 0
+    # is a first entry 1..s followed by a row of the rest over c - 1 columns
+    rows = [[1] * (j + 1)]
+    for total in range(1, m + 1):
+        rows.append([0] + [
+            sum(rows[total - first][cols - 1] for first in range(1, total + 1))
+            for cols in range(1, j + 1)
+        ])
+    # matrices[r]: the first rows placed so far, with entries summing to r
+    matrices = [1] + [0] * m
+    for _ in range(p):
+        matrices = [
+            sum(matrices[r - total] * rows[total][j] for total in range(r + 1))
+            for r in range(m + 1)
+        ]
+    return matrices[m]
 
 
 def entries_weight(entries, weights: WeightSpec):
@@ -217,13 +246,19 @@ class PlaneTree:
         return max(self.outdegrees)
 
 
-def enumerate_plane_trees(v: int, max_degree: int) -> Iterator[PlaneTree]:
-    """All plane trees on v vertices with every outdegree <= max_degree,
-    generated as preorder outdegree sequences in lexicographic order."""
+def _check_tree_args(v: int) -> None:
+    """The argument and bound check of enumerate_plane_trees and
+    bounded_outdegree_tree_count."""
     if v < 1:
         raise ValueError("a plane tree has at least one vertex")
     if v > TREE_BOUND:
         raise EnumerationBoundError(f"tree enumeration bound is v <= {TREE_BOUND}")
+
+
+def enumerate_plane_trees(v: int, max_degree: int) -> Iterator[PlaneTree]:
+    """All plane trees on v vertices with every outdegree <= max_degree,
+    generated as preorder outdegree sequences in lexicographic order."""
+    _check_tree_args(v)
     sequence: list[int] = []
 
     def rec(placed: int, open_slots: int):
@@ -248,6 +283,22 @@ def enumerate_plane_trees(v: int, max_degree: int) -> Iterator[PlaneTree]:
 
 
 def bounded_outdegree_tree_count(v: int, max_degree: int) -> int:
-    """Number of plane trees on v vertices with all outdegrees <= max_degree,
-    by exhaustive generation."""
-    return sum(1 for _ in enumerate_plane_trees(v, max_degree))
+    """Number of plane trees on v vertices with all outdegrees <= max_degree:
+    the number enumerate_plane_trees(v, max_degree) yields, with its checks,
+    counted over its states without listing a tree.
+
+    trees[slots] counts the outdegree prefixes of the vertices placed so far
+    that leave `slots` open, extended by the enumerator's moves and pruning.
+    """
+    _check_tree_args(v)
+    trees = {1: 1}
+    for placed in range(v):
+        grown: dict = {}
+        for open_slots, ways in trees.items():
+            for degree in range(min(max_degree, v - placed) + 1):
+                slots = open_slots + degree - 1
+                if slots < 0 or (slots == 0 and placed + 1 < v) or slots > v - placed - 1:
+                    continue
+                grown[slots] = grown.get(slots, 0) + ways
+        trees = grown
+    return trees.get(0, 0)

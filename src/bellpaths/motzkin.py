@@ -32,7 +32,9 @@ from .core import (
 from .polyring import Polynomial, Series, WeightSpec
 
 DEFAULT_PATH_BOUND = 16
-# enumeration recurses once per step; no `bound` argument lifts this ceiling
+# enumerate_paths recurses once per step, so no `bound` argument lifts this
+# ceiling; count_paths recurses nowhere but shares the check, so both refuse
+# the same lengths
 MAX_PATH_BOUND = 64
 
 
@@ -83,15 +85,8 @@ def segment_profile(path: MotzkinPath) -> tuple:
     return (tuple(sorted(u_counts.items())), tuple(sorted(h_counts.items())))
 
 
-def enumerate_paths(
-    m: int, k: int, bound: int = DEFAULT_PATH_BOUND
-) -> Iterator[MotzkinPath]:
-    """All paths with m up-steps and k horizontal steps, each exactly once.
-
-    Depth-first over steps in the order u < d < h, so the stream is
-    lexicographic under that alphabet ordering and deterministic.  Paths
-    longer than `bound` or MAX_PATH_BOUND raise EnumerationBoundError.
-    """
+def _check_path_args(m: int, k: int, bound: int) -> None:
+    """The argument and bound check of enumerate_paths and count_paths."""
     if m < 0 or k < 0:
         raise ValueError("step counts must be >= 0")
     if bound < 0:
@@ -101,6 +96,18 @@ def enumerate_paths(
         raise EnumerationBoundError(
             f"path length {2 * m + k} exceeds enumeration bound {bound}"
         )
+
+
+def enumerate_paths(
+    m: int, k: int, bound: int = DEFAULT_PATH_BOUND
+) -> Iterator[MotzkinPath]:
+    """All paths with m up-steps and k horizontal steps, each exactly once.
+
+    Depth-first over steps in the order u < d < h, so the stream is
+    lexicographic under that alphabet ordering and deterministic.  Paths
+    longer than `bound` or MAX_PATH_BOUND raise EnumerationBoundError.
+    """
+    _check_path_args(m, k, bound)
     buffer: list[str] = []
 
     def rec(u_left: int, d_left: int, h_left: int):
@@ -157,7 +164,25 @@ def weighted_sum_bruteforce(m: int, k: int, weights: WeightSpec) -> Polynomial:
 
 
 def count_paths(m: int, k: int, bound: int = DEFAULT_PATH_BOUND) -> int:
-    return sum(1 for _ in enumerate_paths(m, k, bound=bound))
+    """The number of paths enumerate_paths(m, k, bound) yields, with its
+    checks, counted over its states without listing a path.
+
+    ways[u, d, h] counts the completions from u ups, d downs and h
+    horizontals left by the enumerator's moves: u when an up is left, d when
+    more downs than ups are left, h when a horizontal is left.
+    """
+    _check_path_args(m, k, bound)
+    ways = {(0, 0, 0): 1}
+    for h in range(k + 1):
+        for d in range(m + 1):
+            for u in range(d + 1):
+                if u or d or h:
+                    ways[u, d, h] = (
+                        (ways[u - 1, d, h] if u else 0)
+                        + (ways[u, d - 1, h] if d > u else 0)
+                        + (ways[u, d, h - 1] if h else 0)
+                    )
+    return ways[m, m, k]
 
 
 def _inner_sum(tvec: WeightVector, m: int, l: int):
