@@ -79,24 +79,6 @@ def _check_symbolic_terms(weights: WeightSpec, *factors: tuple, **sizes: int) ->
         )
 
 
-# the options each (command, mode) reads; any other option of the command
-# keeps its default, or the query would answer a question not asked.  The
-# namespace also holds the command, the mode and the handler.
-_MODE_OPTIONS = {
-    ("motzkin", "count"): ("m", "k", "bound"),
-    ("motzkin", "weighted"): ("m", "k", "weights", "by_segments", "format"),
-    ("motzkin", "table"): ("max_n", "weights", "format"),
-    ("comp", "count"): ("m", "j", "k"),
-    ("comp", "weighted"): ("m", "j", "k", "weights", "format"),
-    ("comp", "restricted"): ("m", "j", "allowed", "forbid"),
-    ("matcomp", "count"): ("m", "p", "j"),
-    ("matcomp", "weighted"): ("m", "p", "j", "weights", "format"),
-    ("matcomp", "zero-one"): ("m", "p", "j"),
-    ("matcomp", "trees"): ("v", "j"),
-}
-_NOT_OPTIONS = ("command", "mode", "handler")
-
-
 def _split_list(text: str, option: str) -> list[str]:
     """The comma-separated pieces of an option value; an empty piece is a
     usage error, never silently skipped."""
@@ -211,34 +193,36 @@ def cmd_bell(args) -> int:
     return EXIT_OK
 
 
-def cmd_motzkin(args) -> int:
-    if args.mode == "count":
-        _require_nonnegative(args.bound)
-        print(motzkin.count_paths(args.m, args.k, bound=args.bound))
-        return EXIT_OK
-    if args.mode == "weighted":
-        if args.format == "csv":
-            raise ValueError("motzkin weighted prints text or json, not --format csv")
-        _require_nonnegative(args.m, args.k)
-        weights = parse_weights("symbolic" if args.weights is None else args.weights)
-        if args.by_segments is not None:
-            segments = _int_list(args.by_segments, "--by-segments")
-            if len(segments) != 2:
-                raise ValueError(f"--by-segments needs R,L, got {args.by_segments!r}")
-            r, l = segments
-            _require_nonnegative(r, l)
-            _check_symbolic_terms(weights, (args.m, r, r), (args.k, l, l),
-                                  m=args.m, k=args.k, r=r, l=l)
-            poly = motzkin.weighted_sum_by_segments(args.m, args.k, r, l, weights)
-        else:
-            _check_symbolic_terms(weights, (args.m, 0, args.m), (args.k, 0, args.k),
-                                  m=args.m, k=args.k)
-            poly = motzkin.weighted_sum_closed(args.m, args.k, weights)
-        _print_value(poly, args.format, {"m": args.m, "k": args.k})
-        return EXIT_OK
-    # triangle over (m, k) for each length n: one row per n, entries by m
+def cmd_motzkin_count(args) -> int:
+    _require_nonnegative(args.bound)
+    print(motzkin.count_paths(args.m, args.k, bound=args.bound))
+    return EXIT_OK
+
+
+def cmd_motzkin_weighted(args) -> int:
+    _require_nonnegative(args.m, args.k)
+    weights = parse_weights(args.weights)
+    if args.by_segments is not None:
+        segments = _int_list(args.by_segments, "--by-segments")
+        if len(segments) != 2:
+            raise ValueError(f"--by-segments needs R,L, got {args.by_segments!r}")
+        r, l = segments
+        _require_nonnegative(r, l)
+        _check_symbolic_terms(weights, (args.m, r, r), (args.k, l, l),
+                              m=args.m, k=args.k, r=r, l=l)
+        poly = motzkin.weighted_sum_by_segments(args.m, args.k, r, l, weights)
+    else:
+        _check_symbolic_terms(weights, (args.m, 0, args.m), (args.k, 0, args.k),
+                              m=args.m, k=args.k)
+        poly = motzkin.weighted_sum_closed(args.m, args.k, weights)
+    _print_value(poly, args.format, {"m": args.m, "k": args.k})
+    return EXIT_OK
+
+
+def cmd_motzkin_table(args) -> int:
+    """The triangle over (m, k) for each length n: one row per n, entries by m."""
     _require_nonnegative(args.max_n)
-    weights = parse_weights("all-ones" if args.weights is None else args.weights)
+    weights = parse_weights(args.weights)
     for m in range(args.max_n // 2 + 1):
         k = args.max_n - 2 * m
         _check_symbolic_terms(weights, (m, 0, m), (k, 0, k), m=m, k=k)
@@ -260,24 +244,27 @@ def cmd_motzkin(args) -> int:
     return EXIT_OK
 
 
-def cmd_comp(args) -> int:
+def cmd_comp_count(args) -> int:
     _require_nonnegative(args.k)
-    if args.mode == "count":
-        total = 0
-        for comp in compositions.enumerate_compositions(args.m, args.j):
-            if args.k is None or comp.zero_parts == args.k:
-                total += 1
-        print(total)
-        return EXIT_OK
-    if args.mode == "weighted":
-        _require_nonnegative(args.m, args.j)
-        weights = parse_weights(args.weights)
-        k = args.k if args.k is not None else 0
-        _check_symbolic_terms(weights, (args.m, args.j - k, args.j - k),
-                              (k, 0, args.j - k + 1), m=args.m, k=k, j=args.j)
-        poly = compositions.weighted_sum_closed(args.m, k, args.j, weights)
-        _print_value(poly, args.format, {"m": args.m, "k": k, "j": args.j})
-        return EXIT_OK
+    total = 0
+    for comp in compositions.enumerate_compositions(args.m, args.j):
+        if args.k is None or comp.zero_parts == args.k:
+            total += 1
+    print(total)
+    return EXIT_OK
+
+
+def cmd_comp_weighted(args) -> int:
+    _require_nonnegative(args.k, args.m, args.j)
+    weights = parse_weights(args.weights)
+    _check_symbolic_terms(weights, (args.m, args.j - args.k, args.j - args.k),
+                          (args.k, 0, args.j - args.k + 1), m=args.m, k=args.k, j=args.j)
+    poly = compositions.weighted_sum_closed(args.m, args.k, args.j, weights)
+    _print_value(poly, args.format, {"m": args.m, "k": args.k, "j": args.j})
+    return EXIT_OK
+
+
+def cmd_comp_restricted(args) -> int:
     allowed = None
     if args.allowed is not None:
         allowed = set(_int_list(args.allowed, "--allowed"))
@@ -285,21 +272,12 @@ def cmd_comp(args) -> int:
     return EXIT_OK
 
 
-def cmd_matcomp(args) -> int:
-    if args.mode == "trees":
-        if args.v is None:
-            raise ValueError("trees mode needs --v (vertex count)")
-        _require_nonnegative(args.j)
-        print(matrixcomp.bounded_outdegree_tree_count(args.v, args.j))
-        return EXIT_OK
-    if args.m is None or args.p is None:
-        raise ValueError(f"{args.mode} mode needs --m and --p")
-    if args.mode == "count":
-        print(matrixcomp.bipartite_count(args.m, args.p, args.j))
-        return EXIT_OK
-    if args.mode == "zero-one":
-        print(matrixcomp.zero_one_count(args.p, args.j, args.m))
-        return EXIT_OK
+def cmd_matcomp_count(args) -> int:
+    print(matrixcomp.bipartite_count(args.m, args.p, args.j))
+    return EXIT_OK
+
+
+def cmd_matcomp_weighted(args) -> int:
     _require_nonnegative(args.m, args.p, args.j)
     weights = parse_weights(args.weights)
     # U(p, j, r) is nonzero exactly for r <= p * j
@@ -307,6 +285,17 @@ def cmd_matcomp(args) -> int:
                           m=args.m, p=args.p, j=args.j)
     poly = matrixcomp.weighted_sum_closed(args.m, args.p, args.j, weights)
     _print_value(poly, args.format, {"m": args.m, "p": args.p, "j": args.j})
+    return EXIT_OK
+
+
+def cmd_matcomp_zero_one(args) -> int:
+    print(matrixcomp.zero_one_count(args.p, args.j, args.m))
+    return EXIT_OK
+
+
+def cmd_matcomp_trees(args) -> int:
+    _require_nonnegative(args.j)
+    print(matrixcomp.bounded_outdegree_tree_count(args.v, args.j))
     return EXIT_OK
 
 
@@ -339,10 +328,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 @lru_cache(maxsize=None)
-def _build_parser() -> tuple[_Parser, dict]:
-    """The one parser of the process and its command parsers by name."""
+def _build_parser() -> _Parser:
+    """The one parser of the process.  Each mode of motzkin, comp and matcomp
+    has its own parser, which declares exactly the options its handler reads;
+    main refuses any other."""
     parser = _Parser(prog="bellpaths", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    held = f"a symbolic result is held to {MAX_SYMBOLIC_TERMS} terms"
 
     bell = sub.add_parser("bell", help="partial Bell polynomial values")
     bell.add_argument("--n", type=int, required=True)
@@ -361,65 +353,61 @@ def _build_parser() -> tuple[_Parser, dict]:
     )
     bell.set_defaults(handler=cmd_bell)
 
-    motz = sub.add_parser("motzkin", help="weighted Motzkin path counts")
-    motz.add_argument("mode", choices=["count", "weighted", "table"])
-    motz.add_argument("--m", type=int, default=0, help="up-steps")
-    motz.add_argument("--k", type=int, default=0, help="horizontal steps")
-    motz.add_argument(
-        "--weights",
-        default=None,
-        help="default: symbolic, or all-ones for table; a symbolic result is "
-        f"held to {MAX_SYMBOLIC_TERMS} terms",
-    )
-    motz.add_argument(
-        "--by-segments",
-        metavar="R,L",
-        default=None,
-        help="restrict to R u-segments and L h-segments",
-    )
-    motz.add_argument("--max-n", type=int, default=6, help="table size by path length")
-    motz.add_argument(
+    def add_modes(name, summary):
+        command = sub.add_parser(name, help=summary, description=f"{summary}; {held}")
+        return command.add_subparsers(dest="mode", required=True)
+
+    def add_mode(modes, name, handler, *sizes, **size_options):
+        """A mode's parser, with its integer options (name, help) `sizes`.
+        No abbreviations: `motzkin table --m` must not read as --max-n."""
+        mode = modes.add_parser(name, allow_abbrev=False)
+        mode.set_defaults(handler=handler)
+        for size, help in sizes:
+            mode.add_argument(f"--{size}", type=int, help=help, **size_options)
+        return mode
+
+    def add_output(mode, weights, *formats):
+        mode.add_argument("--weights", default=weights,
+                          help=f"as for bell, default %(default)s; {held}")
+        mode.add_argument("--format", choices=["text", "json", *formats], default="text")
+
+    motz = add_modes("motzkin", "weighted Motzkin path counts")
+    steps = (("m", "up-steps"), ("k", "horizontal steps"))
+    count = add_mode(motz, "count", cmd_motzkin_count, *steps, default=0)
+    count.add_argument(
         "--bound",
         type=int,
         default=motzkin.DEFAULT_PATH_BOUND,
-        help="enumeration bound on 2m+k for count mode, at most "
-        f"{motzkin.MAX_PATH_BOUND}",
+        help=f"enumeration bound on 2m+k, at most {motzkin.MAX_PATH_BOUND}",
     )
-    motz.add_argument(
-        "--format", choices=["text", "json", "csv"], default="text", help="csv: table only"
+    weighted = add_mode(motz, "weighted", cmd_motzkin_weighted, *steps, default=0)
+    weighted.add_argument(
+        "--by-segments", metavar="R,L", help="restrict to R u-segments and L h-segments"
     )
-    motz.set_defaults(handler=cmd_motzkin)
+    add_output(weighted, "symbolic")
+    table = add_mode(motz, "table", cmd_motzkin_table)
+    table.add_argument("--max-n", type=int, default=6, help="table size by path length")
+    add_output(table, "all-ones", "csv")
 
-    comp = sub.add_parser("comp", help="weighted composition counts")
-    comp.add_argument("mode", choices=["count", "weighted", "restricted"])
-    comp.add_argument("--m", type=int, required=True, help="sum of the parts")
-    comp.add_argument("--j", type=int, required=True, help="number of parts")
-    comp.add_argument(
-        "--k", type=int, default=None, help="zero parts; all k for count, 0 for weighted"
-    )
-    comp.add_argument(
-        "--weights",
-        default="symbolic",
-        help=f"as for bell; a symbolic query is held to {MAX_SYMBOLIC_TERMS} terms",
-    )
-    comp.add_argument("--allowed", default=None, help="comma-separated part values")
-    comp.add_argument("--forbid", type=int, default=None, help="excluded part value")
-    comp.add_argument("--format", choices=["text", "json"], default="text")
-    comp.set_defaults(handler=cmd_comp)
+    comp = add_modes("comp", "weighted composition counts")
+    parts = (("m", "sum of the parts"), ("j", "number of parts"))
+    count = add_mode(comp, "count", cmd_comp_count, *parts, required=True)
+    count.add_argument("--k", type=int, help="zero parts; default: all k")
+    weighted = add_mode(comp, "weighted", cmd_comp_weighted, *parts, required=True)
+    weighted.add_argument("--k", type=int, default=0, help="zero parts")
+    add_output(weighted, "symbolic")
+    restricted = add_mode(comp, "restricted", cmd_comp_restricted, *parts, required=True)
+    restricted.add_argument("--allowed", help="comma-separated part values")
+    restricted.add_argument("--forbid", type=int, help="excluded part value")
 
-    mat = sub.add_parser("matcomp", help="bipartite matrix compositions and trees")
-    mat.add_argument("mode", choices=["count", "weighted", "zero-one", "trees"])
-    mat.add_argument("--m", type=int, default=None)
-    mat.add_argument("--p", type=int, default=None)
-    mat.add_argument("--j", type=int, required=True)
-    mat.add_argument("--v", type=int, default=None, help="vertex count for trees")
-    mat.add_argument(
-        "--weights",
-        default="symbolic",
-        help=f"as for bell; a symbolic query is held to {MAX_SYMBOLIC_TERMS} terms",
-    )
-    mat.add_argument("--format", choices=["text", "json"], default="text")
-    mat.set_defaults(handler=cmd_matcomp)
+    mat = add_modes("matcomp", "bipartite matrix compositions and trees")
+    shape = (("m", "sum of the entries"), ("p", "rows"), ("j", "columns"))
+    add_mode(mat, "count", cmd_matcomp_count, *shape, required=True)
+    weighted = add_mode(mat, "weighted", cmd_matcomp_weighted, *shape, required=True)
+    add_output(weighted, "symbolic")
+    add_mode(mat, "zero-one", cmd_matcomp_zero_one, *shape, required=True)
+    add_mode(mat, "trees", cmd_matcomp_trees, ("v", "vertex count"),
+             ("j", "largest outdegree"), required=True)
 
     ver = sub.add_parser("verify", help="run the identity verification suites")
     ver.add_argument(
@@ -431,23 +419,19 @@ def _build_parser() -> tuple[_Parser, dict]:
     ver.add_argument("--format", choices=["text", "json"], default="text")
     ver.add_argument("--jobs", type=int, default=1)
     ver.set_defaults(handler=cmd_verify)
-    return parser, sub.choices
+    return parser
 
 
 def main(argv=None) -> int:
-    parser, commands = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, unread = _build_parser().parse_known_args(argv)
     except SystemExit as exc:
         return EXIT_OK if not exc.code else EXIT_USAGE
     try:
-        reads = _MODE_OPTIONS.get((args.command, getattr(args, "mode", None)))
-        for dest, value in vars(args).items() if reads else ():
-            if dest not in reads and dest not in _NOT_OPTIONS and (
-                value != commands[args.command].get_default(dest)
-            ):
-                option = "--" + dest.replace("_", "-")
-                raise ValueError(f"{args.command} {args.mode} does not read {option}")
+        if unread:
+            # an option of another mode would answer a question not asked
+            query = " ".join(filter(None, (args.command, getattr(args, "mode", None))))
+            raise ValueError(f"{query} does not read {unread[0].partition('=')[0]}")
         return args.handler(args)
     except EnumerationBoundError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -136,11 +136,6 @@ def entries_weight(entries, weights: WeightSpec):
     return result
 
 
-def matrix_weight(matrix: BipartiteMatrixComposition, weights: WeightSpec) -> Polynomial:
-    """Product of t-weights over the nonzero entries of the matrix."""
-    return as_polynomial(entries_weight(matrix.nonzero_entries(), weights))
-
-
 def bounded_composition_count(p: int, j: int, r: int) -> int:
     """Number of ways to write r as an ordered sum of p parts, each in 0..j:
 
@@ -189,6 +184,8 @@ def weighted_sum_by_nonzeros(
 
         r! B(m, r; t) U(p, j, r) / m!.
     """
+    if m < 0 or p < 0 or j < 0 or r < 0:
+        raise ValueError("arguments must be >= 0")
     bt = partial_bell(m, r, WeightVector.from_weights(weights, "t"))
     if bt.is_zero():
         return Polynomial.zero()

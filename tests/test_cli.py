@@ -131,6 +131,11 @@ def test_malformed_list_options_exit_1(capsys):
     (["comp", "count", "--m", "2", "--j", "2", "--allowed", "x"], "--allowed"),
     (["motzkin", "count", "--m", "1", "--k", "1", "--weights", "nonsense"], "--weights"),
     (["matcomp", "trees", "--v", "3", "--j", "1", "--m", "2"], "--m"),
+    # at the value another mode reads by default, and in the --opt=value spelling
+    (["comp", "count", "--m", "2", "--j", "2", "--weights", "symbolic"], "--weights"),
+    (["motzkin", "table", "--m", "0"], "--m"),
+    (["matcomp", "trees", "--v", "3", "--j", "1", "--weights", "symbolic"], "--weights"),
+    (["motzkin", "count", "--weights=stirling"], "--weights"),
 ])
 def test_an_option_the_mode_does_not_read_exits_1(capsys, argv, option):
     # each printed a plausible answer to another query before
@@ -141,14 +146,19 @@ def test_an_option_the_mode_does_not_read_exits_1(capsys, argv, option):
 
 
 def test_motzkin_weighted_csv_exits_1(capsys):
-    # csv is a table format; weighted printed the text form under it before
+    # csv is a table format; weighted printed the text form under it before.
+    # The usage above the error wraps with the terminal width, and how the
+    # choices are quoted after it depends on the Python version.
     for extra in ([], ["--by-segments", "1,1"]):
         argv = ["motzkin", "weighted", "--m", "3", "--k", "2", "--weights", "stirling",
                 "--format", "csv", *extra]
         assert cli.main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: motzkin weighted prints text or json, not --format csv\n"
+        assert captured.err.startswith("usage: bellpaths motzkin weighted [-h] ")
+        assert captured.err.splitlines()[-1].startswith(
+            "bellpaths motzkin weighted: error: argument --format: invalid choice: 'csv' "
+        )
 
 
 def test_motzkin_weighted_rejects_negative_arguments(capsys):
@@ -753,4 +763,5 @@ def _argvs(draw):
 def test_fuzzed_argv_exits_with_a_documented_code(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
-    assert code in (0, 1, 2, 3), argv
+    # 2 is an oracle or verify mismatch, which no draw causes on working code
+    assert code in (0, 1, 3), argv

@@ -99,7 +99,9 @@ SIZES = "error: arguments must be >= 0\n"
         ("matcomp count --m 10 --p 4 --j 6", 3, "", MATRIX_BOUND),
         ("matcomp count --m 0 --p 0 --j 0", 0, "1\n", ""),
         ("matcomp count --m 3 --p 2 --j 0", 0, "0\n", ""),
-        ("matcomp count --p 2 --j 2", 1, "", "error: count mode needs --m and --p\n"),
+        ("matcomp count --p 2 --j 2", 1, "",
+         "usage: bellpaths matcomp count [-h] --m M --p P --j J\n"
+         "bellpaths matcomp count: error: the following arguments are required: --m\n"),
         ("matcomp trees --v 0 --j 2", 1, "", "error: a plane tree has at least one vertex\n"),
         ("matcomp trees --v -1 --j 2", 1, "", "error: a plane tree has at least one vertex\n"),
         ("matcomp trees --v 3 --j -1", 1, "", SIZES),
@@ -107,7 +109,9 @@ SIZES = "error: arguments must be >= 0\n"
         ("matcomp trees --v 1 --j 0", 0, "1\n", ""),
         ("matcomp trees --v 10 --j 9", 0, "4862\n", ""),
         ("matcomp trees --v 11 --j 2", 3, "", "error: tree enumeration bound is v <= 10\n"),
-        ("matcomp trees --j 2", 1, "", "error: trees mode needs --v (vertex count)\n"),
+        ("matcomp trees --j 2", 1, "",
+         "usage: bellpaths matcomp trees [-h] --v V --j J\n"
+         "bellpaths matcomp trees: error: the following arguments are required: --v\n"),
     ],
 )
 def test_count_commands_keep_their_exit_codes_and_messages(argv, code, out, err, capsys):

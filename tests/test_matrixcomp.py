@@ -1,6 +1,6 @@
 import pytest
 
-from bellpaths import matrixcomp, verify
+from bellpaths import compositions, matrixcomp, motzkin, verify
 from bellpaths.core import EnumerationBoundError
 from bellpaths.polyring import Polynomial, WeightSpec
 
@@ -81,21 +81,23 @@ def test_nonzero_refinement():
     assert matrixcomp.weighted_sum_by_nonzeros(2, 2, 1, 2, SYM) == T1**2
     assert matrixcomp.weighted_sum_by_nonzeros(2, 2, 1, 1, SYM) == T2 * 2
 
-    for p in range(3):
-        for j in range(4):
-            for m in range(5):
-                total = Polynomial.zero()
-                by_nonzeros = {}
-                for matrix in matrixcomp.enumerate_bipartite(m, p, j):
-                    r = len(matrix.nonzero_entries())
-                    by_nonzeros[r] = by_nonzeros.get(
-                        r, Polynomial.zero()
-                    ) + matrixcomp.matrix_weight(matrix, SYM)
-                for r in range(m + 1):
-                    refined = matrixcomp.weighted_sum_by_nonzeros(m, p, j, r, SYM)
-                    assert refined == by_nonzeros.get(r, Polynomial.zero()), (m, p, j, r)
-                    total = total + refined
-                assert total == matrixcomp.weighted_sum_closed(m, p, j, SYM)
+    assert verify.check("matrixcomp", "nonzero-refinement", 4) is None
+
+
+@pytest.mark.parametrize("function, args", [
+    pytest.param(function, (*args[:i], -1, *args[i + 1:]),
+                 id=f"{function.__module__.split('.')[-1]}.{function.__name__}-{i}")
+    for function, args in (
+        (matrixcomp.weighted_sum_by_nonzeros, (2, 2, 2, 3)),
+        (matrixcomp.weighted_sum_closed, (2, 2, 2)),
+        (motzkin.weighted_sum_by_segments, (2, 2, 1, 1)),
+        (compositions.weighted_sum_by_hsegments, (2, 1, 3, 1)),
+    )
+    for i in range(len(args))
+])
+def test_refined_sums_refuse_a_negative_argument(function, args):
+    with pytest.raises(ValueError, match="arguments must be >= 0"):
+        function(*args, SYM)
 
 
 def test_count_by_type_examples():
