@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -328,15 +329,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 @lru_cache(maxsize=None)
-def _build_parser() -> _Parser:
-    """The one parser of the process.  Each mode of motzkin, comp and matcomp
-    has its own parser, which declares exactly the options its handler reads;
-    main refuses any other."""
+def _build_parser() -> tuple[_Parser, dict]:
+    """The parser tree of the process, and the parser that owns the options
+    of each query, keyed on its command words: ("bell",), ("verify",) and
+    (command, mode) for each mode of motzkin, comp and matcomp.
+
+    Each owner declares exactly the options its handler reads, none
+    abbreviated, and sets `command` and `mode` itself, so it parses its
+    query to the namespace the tree gives.  main parses a query with its
+    owner alone; the tree serves help and errors at the top and command
+    levels."""
     parser = _Parser(prog="bellpaths", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     held = f"a symbolic result is held to {MAX_SYMBOLIC_TERMS} terms"
 
-    bell = sub.add_parser("bell", help="partial Bell polynomial values")
+    bell = sub.add_parser("bell", help="partial Bell polynomial values", allow_abbrev=False)
     bell.add_argument("--n", type=int, required=True)
     bell.add_argument("--r", type=int, required=True)
     bell.add_argument(
@@ -351,20 +358,25 @@ def _build_parser() -> _Parser:
         action="store_true",
         help="cross-check against the partition-sum evaluator (exit 2 on mismatch)",
     )
-    bell.set_defaults(handler=cmd_bell)
+    bell.set_defaults(handler=cmd_bell, command="bell")
+    owners = {("bell",): bell}
 
-    def add_modes(name, summary):
-        command = sub.add_parser(name, help=summary, description=f"{summary}; {held}")
-        return command.add_subparsers(dest="mode", required=True)
+    def add_modes(command, summary):
+        """The adder of `command`'s modes: each call adds one mode's parser,
+        with its integer options (name, help) `sizes`.  No abbreviations:
+        `motzkin table --m` must not read as --max-n."""
+        parent = sub.add_parser(command, help=summary, description=f"{summary}; {held}")
+        modes = parent.add_subparsers(dest="mode", required=True)
 
-    def add_mode(modes, name, handler, *sizes, **size_options):
-        """A mode's parser, with its integer options (name, help) `sizes`.
-        No abbreviations: `motzkin table --m` must not read as --max-n."""
-        mode = modes.add_parser(name, allow_abbrev=False)
-        mode.set_defaults(handler=handler)
-        for size, help in sizes:
-            mode.add_argument(f"--{size}", type=int, help=help, **size_options)
-        return mode
+        def add_mode(name, handler, *sizes, **size_options):
+            mode = modes.add_parser(name, allow_abbrev=False)
+            mode.set_defaults(handler=handler, command=command, mode=name)
+            for size, help in sizes:
+                mode.add_argument(f"--{size}", type=int, help=help, **size_options)
+            owners[command, name] = mode
+            return mode
+
+        return add_mode
 
     def add_output(mode, weights, *formats):
         mode.add_argument("--weights", default=weights,
@@ -373,43 +385,44 @@ def _build_parser() -> _Parser:
 
     motz = add_modes("motzkin", "weighted Motzkin path counts")
     steps = (("m", "up-steps"), ("k", "horizontal steps"))
-    count = add_mode(motz, "count", cmd_motzkin_count, *steps, default=0)
+    count = motz("count", cmd_motzkin_count, *steps, default=0)
     count.add_argument(
         "--bound",
         type=int,
         default=motzkin.DEFAULT_PATH_BOUND,
         help=f"enumeration bound on 2m+k, at most {motzkin.MAX_PATH_BOUND}",
     )
-    weighted = add_mode(motz, "weighted", cmd_motzkin_weighted, *steps, default=0)
+    weighted = motz("weighted", cmd_motzkin_weighted, *steps, default=0)
     weighted.add_argument(
         "--by-segments", metavar="R,L", help="restrict to R u-segments and L h-segments"
     )
     add_output(weighted, "symbolic")
-    table = add_mode(motz, "table", cmd_motzkin_table)
+    table = motz("table", cmd_motzkin_table)
     table.add_argument("--max-n", type=int, default=6, help="table size by path length")
     add_output(table, "all-ones", "csv")
 
     comp = add_modes("comp", "weighted composition counts")
     parts = (("m", "sum of the parts"), ("j", "number of parts"))
-    count = add_mode(comp, "count", cmd_comp_count, *parts, required=True)
+    count = comp("count", cmd_comp_count, *parts, required=True)
     count.add_argument("--k", type=int, help="zero parts; default: all k")
-    weighted = add_mode(comp, "weighted", cmd_comp_weighted, *parts, required=True)
+    weighted = comp("weighted", cmd_comp_weighted, *parts, required=True)
     weighted.add_argument("--k", type=int, default=0, help="zero parts")
     add_output(weighted, "symbolic")
-    restricted = add_mode(comp, "restricted", cmd_comp_restricted, *parts, required=True)
+    restricted = comp("restricted", cmd_comp_restricted, *parts, required=True)
     restricted.add_argument("--allowed", help="comma-separated part values")
     restricted.add_argument("--forbid", type=int, help="excluded part value")
 
     mat = add_modes("matcomp", "bipartite matrix compositions and trees")
     shape = (("m", "sum of the entries"), ("p", "rows"), ("j", "columns"))
-    add_mode(mat, "count", cmd_matcomp_count, *shape, required=True)
-    weighted = add_mode(mat, "weighted", cmd_matcomp_weighted, *shape, required=True)
+    mat("count", cmd_matcomp_count, *shape, required=True)
+    weighted = mat("weighted", cmd_matcomp_weighted, *shape, required=True)
     add_output(weighted, "symbolic")
-    add_mode(mat, "zero-one", cmd_matcomp_zero_one, *shape, required=True)
-    add_mode(mat, "trees", cmd_matcomp_trees, ("v", "vertex count"),
-             ("j", "largest outdegree"), required=True)
+    mat("zero-one", cmd_matcomp_zero_one, *shape, required=True)
+    mat("trees", cmd_matcomp_trees, ("v", "vertex count"), ("j", "largest outdegree"),
+        required=True)
 
-    ver = sub.add_parser("verify", help="run the identity verification suites")
+    ver = sub.add_parser("verify", help="run the identity verification suites",
+                         allow_abbrev=False)
     ver.add_argument(
         "--suite",
         choices=[*verify.SUITES, "all"],
@@ -418,20 +431,35 @@ def _build_parser() -> _Parser:
     ver.add_argument("--max-n", type=int, default=8)
     ver.add_argument("--format", choices=["text", "json"], default="text")
     ver.add_argument("--jobs", type=int, default=1)
-    ver.set_defaults(handler=cmd_verify)
-    return parser
+    ver.set_defaults(handler=cmd_verify, command="verify")
+    owners[("verify",)] = ver
+    return parser, owners
 
 
 def main(argv=None) -> int:
+    """Run one query.  The parser that owns the query's options, looked up
+    by its first two words, then its first, parses it in one pass; help and
+    errors at the top and command levels (`--help`, `motzkin --help`, a
+    missing mode, an unknown command) go to the whole tree."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, owners = _build_parser()
     try:
-        args, unread = _build_parser().parse_known_args(argv)
+        for words in (tuple(argv[:2]), tuple(argv[:1])):
+            if words in owners:
+                args, unread = owners[words].parse_known_args(argv[len(words):])
+                break
+        else:
+            args, unread = parser.parse_known_args(argv)
     except SystemExit as exc:
         return EXIT_OK if not exc.code else EXIT_USAGE
     try:
         if unread:
             # an option of another mode would answer a question not asked
             query = " ".join(filter(None, (args.command, getattr(args, "mode", None))))
-            raise ValueError(f"{query} does not read {unread[0].partition('=')[0]}")
+            token = unread[0]
+            if re.match(r"--?[A-Za-z]", token):
+                raise ValueError(f"{query} does not read {token.partition('=')[0]}")
+            raise ValueError(f"{query} got an unexpected argument {token!r}")
         return args.handler(args)
     except EnumerationBoundError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -145,6 +145,98 @@ def test_an_option_the_mode_does_not_read_exits_1(capsys, argv, option):
     assert captured.err == f"error: {argv[0]} {argv[1]} does not read {option}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    # no command takes abbreviated options; both ran as --max-n and --weights
+    (["verify", "--max", "2", "--suite", "bell"], "verify does not read --max"),
+    (["bell", "--n", "3", "--r", "2", "--weigh", "all-ones"], "bell does not read --weigh"),
+    # a leftover token is an option only when it is --name or -letter
+    (["bell", "--n", "3", "--r", "2", "extra"], "bell got an unexpected argument 'extra'"),
+    (["motzkin", "count", "--", "--m"], "motzkin count got an unexpected argument '--'"),
+    (["comp", "count", "--m", "2", "--j", "2", "-1"], "comp count got an unexpected argument '-1'"),
+    (["matcomp", "trees", "--v", "3", "--j", "1", "-x"], "matcomp trees does not read -x"),
+])
+def test_abbreviations_and_stray_arguments_exit_1(capsys, argv, message):
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+# a query of each parser main looks up by its command words
+_QUERIES = {
+    ("bell",): ["--n", "3", "--r", "2"],
+    ("verify",): ["--suite", "bell", "--max-n", "1"],
+    ("motzkin", "count"): ["--m", "1", "--k", "1"],
+    ("motzkin", "weighted"): ["--m", "1", "--k", "1"],
+    ("motzkin", "table"): ["--max-n", "2"],
+    ("comp", "count"): ["--m", "2", "--j", "2"],
+    ("comp", "weighted"): ["--m", "2", "--j", "2"],
+    ("comp", "restricted"): ["--m", "2", "--j", "2"],
+    ("matcomp", "count"): ["--m", "2", "--p", "1", "--j", "2"],
+    ("matcomp", "weighted"): ["--m", "2", "--p", "1", "--j", "2"],
+    ("matcomp", "zero-one"): ["--m", "2", "--p", "1", "--j", "2"],
+    ("matcomp", "trees"): ["--v", "3", "--j", "2"],
+}
+
+
+def _parse_corpus():
+    for words, query in _QUERIES.items():
+        pairs = [f"{option}={value}" for option, value in zip(query[::2], query[1::2])]
+        yield from ([*words, *tail] for tail in (
+            query, [*query, "--nope", "1"], pairs, query[:-1], [query[0], "x"],
+            [*query, "--format", "xml"], [], ["--help"], [*query, "extra"],
+            [*query, "--"], ["--", *query], [*query, "-1"],
+        ))
+    # help and errors at the top and command levels: the lookup misses
+    yield from ([], ["--help"], ["nosuch"], ["--", "bell", "--n", "3", "--r", "2"],
+                ["motzkin"], ["motzkin", "--help"], ["motzkin", "--m", "2", "count"],
+                ["comp", "nosuch"], ["matcomp"])
+
+
+def _record_parses(monkeypatch) -> list:
+    """Record each _Parser.parse_known_args outcome, the outermost call last:
+    (namespace, leftovers) or the SystemExit it raised."""
+    outcomes = []
+    parse = cli._Parser.parse_known_args
+
+    def recorded(self, *args, **kwargs):
+        try:
+            outcome = parse(self, *args, **kwargs)
+        except SystemExit as exc:
+            outcomes.append(exc)
+            raise
+        outcomes.append(outcome)
+        return outcome
+
+    monkeypatch.setattr(cli._Parser, "parse_known_args", recorded)
+    return outcomes
+
+
+@pytest.mark.parametrize("argv", _parse_corpus(), ids=lambda argv: " ".join(argv) or "-")
+def test_main_parses_each_query_as_the_whole_tree_does(argv, monkeypatch, capsys):
+    # the tree is the reference: main's one pass with the owner of the
+    # query's words must give its namespace and leftovers, or its exit
+    outcomes = _record_parses(monkeypatch)
+    cli.main(argv)
+    by_main, main_output = outcomes[-1], capsys.readouterr()
+    try:
+        by_tree = cli._build_parser()[0].parse_known_args(argv)
+    except SystemExit as exc:
+        by_tree = exc
+    if isinstance(by_tree, SystemExit):
+        assert isinstance(by_main, SystemExit)
+        assert (by_main.code, main_output) == (by_tree.code, capsys.readouterr())
+    else:
+        namespace, unread = by_main
+        assert (vars(namespace), unread) == (vars(by_tree[0]), by_tree[1])
+
+
+@pytest.mark.parametrize("words", _QUERIES, ids=" ".join)
+def test_a_query_is_parsed_once(words, monkeypatch, capsys):
+    # through the whole tree a mode's query is parsed three times, bell's twice
+    outcomes = _record_parses(monkeypatch)
+    assert cli.main([*words, *_QUERIES[words]]) == 0
+    assert len(outcomes) == 1
+
+
 def test_motzkin_weighted_csv_exits_1(capsys):
     # csv is a table format; weighted printed the text form under it before.
     # The usage above the error wraps with the terminal width, and how the
