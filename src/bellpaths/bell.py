@@ -24,6 +24,13 @@ def as_polynomial(value) -> Polynomial:
     return Polynomial._coerce(value)
 
 
+def _integral(value):
+    """An integral Fraction as its int; any other value as it is."""
+    if isinstance(value, Fraction) and value.denominator == 1:
+        return value.numerator
+    return value
+
+
 class WeightVector:
     """Entries x_1, x_2, ... of one weight sequence and the partial Bell
     polynomials B(n, r) built from them.
@@ -126,8 +133,9 @@ class WeightVector:
         """Entry k = k! * (weight k of the chosen family), or with `plain`
         the weight itself (x_k = t_k, as the `bell` command reads it).
 
-        Built once per spec, family and convention, so every closed form
-        evaluated over the same spec shares one set of Bell rows.
+        An integral entry is an int, so integer vectors (stirling, abel with
+        integer q) build rows without a Fraction.  Built once per spec, family
+        and convention, so every closed form over the spec shares its rows.
         """
         if family not in ("t", "s"):
             raise ValueError(f"unknown weight family {family!r}")
@@ -136,7 +144,9 @@ class WeightVector:
             if plain:
                 vector = cls(lambda k: weights.entry(family, k))
             else:
-                vector = cls(lambda k: weights.entry(family, k) * factorial(k))
+                vector = cls(
+                    lambda k: _integral(weights.entry(family, k) * factorial(k))
+                )
             # setdefault: threads that race here all get the one vector
             weights.cache.setdefault(key, vector)
         return weights.cache[key]

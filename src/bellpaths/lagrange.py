@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .bell import WeightVector, potential
-from .core import factorial
 from .polyring import Polynomial, Series, WeightSpec
 
 
@@ -149,24 +147,26 @@ def composition_series_fixed_parts(
 
         sum_{i=0..parts} [y^{parts-i}] S(y)^{i+1} * y^{parts-i} (T(x) - 1)^i
 
-    with the inner coefficient taken from a potential polynomial.
+    with the inner coefficient read from a running power of S(y).
     """
     if parts < 0:
         raise ValueError(f"parts must be >= 0, got {parts}")
-    svec = WeightVector.from_weights(weights, "s")
+    s = _s_series(weights, 0, ny)
     t_minus_one = _t_minus_one(weights, nx, ny)
     total = Series.zero(nx, ny)
     power = Series.one(nx, ny)
+    s_power = s  # S(y)^(i+1)
     for i in range(parts + 1):
         zeros = parts - i
         if zeros <= ny and not power.is_zero():
-            coeff = potential(zeros, i + 1, svec) * Fraction(1, factorial(zeros))
+            coeff = s_power.coeff(0, zeros)
             if coeff:
                 total = total + power.scale(coeff).shift(dj=zeros)
         if i < parts:
             power = power * t_minus_one
             if power.is_zero():
                 break
+            s_power = s_power * s
     return total
 
 

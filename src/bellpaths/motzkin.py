@@ -20,7 +20,6 @@ from .bell import (
     BinomialSequence,
     WeightVector,
     as_polynomial,
-    bell_number,
     partial_bell,
     power_derivative,
     stirling2,
@@ -328,22 +327,23 @@ _SHARED_SPECS = 64
 def named_weights(kind: str, **params) -> WeightSpec:
     """Weight specs by name.
 
-    The returned spec is shared: every call naming the same kind and
-    parameter values, spelled with `_` or `-` and with defaults given or
-    left out, returns the same object, so the weight entries, Bell rows
-    and potentials memoised in its cache carry over from one caller to the
-    next.  They are kept for the life of the process (or until the spec is
-    evicted from the last _SHARED_SPECS used), with no limit on their size.
+    The returned spec is shared: every call naming the same weight sequence,
+    spelled with `_` or `-`, with defaults given or left out, or by an alias
+    (`r-ary:r=R` is `abel:q=-(R+1)`, `factorial-psi` is `all-ones`), returns
+    the same object, so the weight entries, Bell rows and potentials
+    memoised in its cache carry over from one caller to the next.  They are
+    kept for the life of the process (or until the spec is evicted from the
+    last _SHARED_SPECS used), with no limit on their size.
 
     Kinds (parameters and their defaults in parentheses):
       symbolic        keep every weight as its variable
       all-ones        t_i = s_i = 1
       stirling        t_i = s_i = 1/i!            (set-partition weights)
       b-ary (b=1,d=1) t_i, s_i = plane-tree weights C(bi+1, i)/(bi+1) etc.
-      r-ary (r=1)     t_i = ((r+1)i + 1)^{i-1} / i!, s_i = 1  (labeled trees)
-      abel (q=0)      t_i = (1 - qi)^{i-1} / i!,    s_i = 1
-      bell-numbers    t_i = B_i / i!,               s_i = 1
-      factorial-psi   t_i = s_i = 1 via the rising-factorial family
+      r-ary (r=1)     abel:q=-(r+1), t_i = ((r+1)i + 1)^{i-1} / i!  (labeled trees)
+      abel (q=0)      t_i = (1 - qi)^{i-1} / i!,    s_i = 1   (Abel family)
+      bell-numbers    t_i = B_i / i!,               s_i = 1   (exponential family)
+      factorial-psi   all-ones, by the rising-factorial family
     """
     kind = kind.replace("_", "-")
     if kind not in _KIND_PARAMS:
@@ -352,14 +352,23 @@ def named_weights(kind: str, **params) -> WeightSpec:
     unknown = sorted(set(params) - set(defaults))
     if unknown:
         raise ValueError(f"weight kind {kind!r} takes no parameter {', '.join(unknown)}")
-    return _named_spec(kind, tuple(sorted((defaults | params).items())))
+    params = defaults | params
+    if kind == "r-ary":
+        r = as_integer(params["r"])
+        if r < 0:
+            raise ValueError("r-ary weights need r >= 0")
+        kind, params = "abel", {"q": -(r + 1)}
+    elif kind == "factorial-psi":
+        # phi_i(1) = i! for the rising factorial, so every weight is 1
+        kind = "all-ones"
+    return _named_spec(kind, tuple(sorted(params.items())))
 
 
 @lru_cache(maxsize=_SHARED_SPECS)
 def _named_spec(kind: str, params: tuple) -> WeightSpec:
-    """The one spec of a known kind with every parameter given, in name order."""
+    """The one spec of a known kind, not an alias, with every parameter
+    given, in name order."""
     params = dict(params)
-    one = Fraction(1)
     if kind == "symbolic":
         return WeightSpec.symbolic()
     if kind == "all-ones":
@@ -376,30 +385,10 @@ def _named_spec(kind: str, params: tuple) -> WeightSpec:
             lambda i: _tree_weight(d, i),
             name=f"b-ary(b={b},d={d})",
         )
-    if kind == "r-ary":
-        r = as_integer(params["r"])
-        if r < 0:
-            raise ValueError("r-ary weights need r >= 0")
-        return WeightSpec(
-            lambda i: Fraction(((r + 1) * i + 1) ** (i - 1), factorial(i)),
-            lambda i: one,
-            name=f"r-ary(r={r})",
-        )
     if kind == "abel":
-        q = Fraction(params["q"])
-        return WeightSpec(
-            lambda i: (1 - q * i) ** (i - 1) / factorial(i),
-            lambda i: one,
-            name=f"abel(q={q})",
-        )
-    if kind == "bell-numbers":
-        return WeightSpec(
-            lambda i: Fraction(bell_number(i), factorial(i)),
-            lambda i: one,
-            name="bell-numbers",
-        )
-    # the last kind left: factorial-psi
-    return binomial_sequence_weights(BinomialSequence.factorial())
+        return binomial_sequence_weights(BinomialSequence.abel(params["q"]))
+    # the last kind left: bell-numbers
+    return binomial_sequence_weights(BinomialSequence.exponential())
 
 
 def binomial_sequence_weights(
@@ -554,36 +543,20 @@ def series_pair_closed_value(m: int, k: int, f: Series, g: Series) -> Fraction:
     return total
 
 
-def rary_closed_value(m: int, k: int, r: int) -> Fraction:
-    """Path sum under r-ary labeled-tree weights:
-
-        C(m+k+1, k) ((r+2)m + k + 1)^{m-1} / m!.
-    """
-    base = Fraction((r + 2) * m + k + 1)
-    return binomial(m + k + 1, k) * base ** (m - 1) / factorial(m)
-
-
 def abel_closed_value(m: int, k: int, q) -> Fraction:
-    """Path sum under Abel weights:  C(m+k+1, k) ((1-q)m + k + 1)^{m-1} / m!."""
+    """Path sum under Abel weights:  C(m+k+1, k) ((1-q)m + k + 1)^{m-1} / m!;
+    at q = -(r+1) these are the r-ary labeled-tree weights."""
     base = (1 - Fraction(q)) * m + k + 1
     return binomial(m + k + 1, k) * base ** (m - 1) / factorial(m)
 
 
 def binomial_sequence_closed_value(m: int, k: int, phi: BinomialSequence) -> Fraction:
-    """Path sum under binomial-sequence weights (s all 1):
+    """Path sum under binomial-sequence weights (s all 1), the Bell-number
+    weights t_i = B_i / i! at the exponential family:
 
         C(m+k, k) * phi_m(m+k+1) / (m+1)!.
     """
     return binomial(m + k, k) * phi.value(m, m + k + 1) / factorial(m + 1)
-
-
-def bell_numbers_closed_value(m: int, k: int) -> Fraction:
-    """Path sum under Bell-number weights:
-
-        C(m+k, k) * sum_i S(m, i) (m+k+1)^i / (m+1)!.
-    """
-    inner = sum(stirling2(m, i) * (m + k + 1) ** i for i in range(m + 1))
-    return Fraction(binomial(m + k, k) * inner, factorial(m + 1))
 
 
 def two_sequence_closed_value(

@@ -562,7 +562,7 @@ def _labeled_tree_weights(top):
         yield from _bruteforce_mismatches(
             f"r={r}, ",
             motzkin.named_weights("r-ary", r=r),
-            lambda m, k, r=r: motzkin.rary_closed_value(m, k, r),
+            lambda m, k, r=r: motzkin.abel_closed_value(m, k, -(r + 1)),
             top,
         )
 
@@ -594,7 +594,9 @@ def _bell_number_weights(top):
     yield from _bruteforce_mismatches(
         "",
         motzkin.named_weights("bell-numbers"),
-        motzkin.bell_numbers_closed_value,
+        lambda m, k: motzkin.binomial_sequence_closed_value(
+            m, k, BinomialSequence.exponential()
+        ),
         top,
     )
 
@@ -784,6 +786,14 @@ def _matrix_shapes_of(m, p, j) -> dict:
     )
 
 
+def _matrix_sum(m, p, j, weights):
+    """matrixcomp.weighted_sum_closed by enumeration, from the run's tally."""
+    return sum(
+        matrixcomp.entries_weight(shape, weights) * count
+        for shape, count in _once(_matrix_shapes_of, m, p, j).items()
+    )
+
+
 @_identity(
     "matrixcomp", "closed-vs-enumeration", "m <= {}, p <= 3, j <= 4", cap=6
 )
@@ -794,11 +804,7 @@ def _matrix_closed_vs_enumeration(top):
             series = lagrange.bipartite_matrix_series(sym, p, j, top)
             for m in range(top + 1):
                 closed = matrixcomp.weighted_sum_closed(m, p, j, sym)
-                brute = sum(
-                    matrixcomp.entries_weight(shape, sym) * count
-                    for shape, count in _once(_matrix_shapes_of, m, p, j).items()
-                )
-                if closed != brute:
+                if closed != _matrix_sum(m, p, j, sym):
                     yield f"m={m}, p={p}, j={j}: closed vs enumeration"
                 if series.coeff(m) != closed:
                     yield f"m={m}, p={p}, j={j}: series vs closed"
@@ -811,8 +817,11 @@ def _matrix_row_power_law(top):
     sym = _sym()
     for p in range(4):
         for j in range(5):
-            single = lagrange.bipartite_matrix_series(sym, 1, j, top)
-            if lagrange.bipartite_matrix_series(sym, p, j, top) != single.pow(p):
+            # the one-row series from enumerated rows, not from the builder
+            row = Series.from_x_coeffs(
+                [_matrix_sum(m, 1, j, sym) for m in range(top + 1)]
+            )
+            if lagrange.bipartite_matrix_series(sym, p, j, top) != row.pow(p):
                 yield f"p={p}, j={j}"
 
 

@@ -225,6 +225,49 @@ def test_bell_numbers():
     assert [bell_number(n) for n in range(7)] == [1, 1, 2, 5, 15, 52, 203]
 
 
+def test_partial_bell_matches_sympy():
+    # a second, independent oracle where sympy is installed; its bell(n, r,
+    # symbols) is the partial Bell polynomial over x_1 .. x_(n-r+1)
+    sympy = pytest.importorskip("sympy")
+    t = sympy.symbols("t1:11")
+
+    def as_sympy(poly):
+        return sympy.Add(*(
+            sympy.Rational(coeff.numerator, coeff.denominator)
+            * sympy.Mul(*(t[index - 1] ** exp for (_, index), exp in mono.items))
+            for mono, coeff in poly.terms.items()
+        ))
+
+    for n in range(1, 11):
+        for r in range(1, n + 1):
+            expected = sympy.bell(n, r, t[: n - r + 1])
+            assert sympy.expand(expected - as_sympy(partial_bell(n, r, SYM))) == 0, (n, r)
+
+
+def test_integral_entries_build_int_rows(tmp_path):
+    # the rows over the same entries held as Fractions are the oracle
+    weight_file = tmp_path / "weights.csv"
+    weight_file.write_text("t,1,1,1\nt,2,1,2\nt,3,3,1\ns,1,2,1\ns,2,1,3\n")
+    kinds = NUMERIC_KINDS + ("abel:q=1/2", f"csv:{weight_file}")
+    for kind in kinds:
+        weights = cli.parse_weights(kind)
+        for family in ("t", "s"):
+            vector = WeightVector.from_weights(weights, family)
+            as_fractions = WeightVector(
+                lambda k, w=weights, f=family: Fraction(w.entry(f, k) * factorial(k))
+            )
+            entries = [vector[k] for k in range(1, 13)]
+            for k, value in enumerate(entries, 1):
+                assert value == as_fractions[k], (kind, family, k)
+                integral = Fraction(value).denominator == 1
+                assert type(value) is (int if integral else Fraction), (kind, family, k)
+            for n in range(13):
+                row = vector.row(n)
+                assert row == as_fractions.row(n), (kind, family, n)
+                if all(type(value) is int for value in entries):
+                    assert all(type(value) is int for value in row), (kind, family, n)
+
+
 def test_weight_vector_from_entries_bound():
     vec = WeightVector.from_entries([1, 2])
     assert vec[2] == Polynomial.const(2)
@@ -440,7 +483,7 @@ def test_public_results_hold_no_float():
         for value in (
             motzkin.bary_d1_closed_value(m, k, 2),
             motzkin.bary_general_closed_value(m, k, 2, 3),
-            motzkin.rary_closed_value(m, k, 2),
+            motzkin.abel_closed_value(m, k, -3),
             motzkin.abel_closed_value(m, k, Fraction(-1, 2)),
             motzkin.series_family_closed_value(m, k, f),
         ):

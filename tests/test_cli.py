@@ -546,6 +546,11 @@ def test_named_weights_are_shared():
     assert motzkin.named_weights("all_ones") is motzkin.named_weights("all-ones")
     assert cli.parse_weights("b-ary") is cli.parse_weights("b-ary:b=1,d=1")
     assert cli.parse_weights("b-ary:d=1,b=2") is cli.parse_weights("b-ary:b=2,d=1")
+    # kinds that name one weight sequence share its spec
+    assert cli.parse_weights("r-ary:r=1") is cli.parse_weights("abel:q=-2")
+    assert motzkin.named_weights("r-ary", r=0) is motzkin.named_weights("abel", q=-1)
+    assert cli.parse_weights("r-ary") is cli.parse_weights("abel:q=-2")
+    assert motzkin.named_weights("factorial-psi") is motzkin.named_weights("all-ones")
 
 
 def test_symbolic_checks_read_the_shared_spec_when_they_run():

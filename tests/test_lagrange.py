@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from bellpaths import verify
+from bellpaths.bell import WeightVector, power_derivative
 from bellpaths.lagrange import (
     bipartite_matrix_series,
     composition_series,
@@ -12,7 +14,6 @@ from bellpaths.lagrange import (
     motzkin_series,
     reversion,
 )
-from bellpaths.bell import power_derivative
 from bellpaths.polyring import Polynomial, Series, WeightSpec, specialize
 
 from conftest import random_reversible_series
@@ -231,3 +232,14 @@ def test_numeric_series_cells_stay_rationals():
     assert isinstance(lagrange_coefficient(unit, f_reversible, 2), Polynomial)
     with pytest.raises(TypeError):
         Series.from_x_coeffs([1, 0.5])
+
+
+def test_series_oracles_read_no_potential(monkeypatch):
+    # the series oracles never go through the potential polynomials of the
+    # closed forms they check
+    def refuse(self, n, power):
+        raise AssertionError("a series oracle read a potential polynomial")
+
+    monkeypatch.setattr(WeightVector, "potential", refuse)
+    assert verify.check("compositions", "fixed-parts-slice", 5) is None
+    assert verify.check("matrixcomp", "general-matrix-series", 5) is None

@@ -317,13 +317,6 @@ def test_binomial_sequence_specialization():
 
 def test_abel_and_bell_specializations():
     assert verify.check("motzkin", "abel-weights", 6) is None
-    # the Abel case at q = -(r+1) coincides with the labeled-tree weights
-    for r in (0, 1, 2):
-        for m, k in pairs_up_to(6):
-            assert motzkin.abel_closed_value(m, k, -(r + 1)) == (
-                motzkin.rary_closed_value(m, k, r)
-            )
-
     assert verify.check("motzkin", "bell-number-weights", 6) is None
 
 
