@@ -71,9 +71,9 @@ def _symbolic_terms(*factors: tuple) -> int:
 def _check_symbolic_terms(weights: WeightSpec, *factors: tuple, **sizes: int) -> None:
     """Refuse a query at `sizes` whose t- and s-factors would be past
     MAX_SYMBOLIC_TERMS terms (see _symbolic_terms); numeric weights pass."""
-    if _symbolic_terms(*factors) > MAX_SYMBOLIC_TERMS and any(
+    if any(
         isinstance(weights.entry(family, 1), Polynomial) for family in ("t", "s")
-    ):
+    ) and _symbolic_terms(*factors) > MAX_SYMBOLIC_TERMS:
         at = ", ".join(f"{name}={size}" for name, size in sizes.items())
         raise EnumerationBoundError(
             f"symbolic query at {at} exceeds the term bound {MAX_SYMBOLIC_TERMS}"
@@ -336,8 +336,10 @@ def _build_parser() -> tuple[_Parser, dict]:
 
     Each owner declares exactly the options its handler reads, none
     abbreviated, and sets `command` and `mode` itself, so it parses its
-    query to the namespace the tree gives.  main parses a query with its
-    owner alone; the tree serves help and errors at the top and command
+    query to the namespace the tree gives.  The declarations are the only
+    ones: _read reads a well-formed query by a table built from its owner's,
+    and argparse parses the rest and renders every help, usage and error
+    text, with the owner, or with the whole tree at the top and command
     levels."""
     parser = _Parser(prog="bellpaths", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -436,17 +438,99 @@ def _build_parser() -> tuple[_Parser, dict]:
     return parser, owners
 
 
+# a token argparse takes as a value though it starts with "-": its owners
+# declare no option that looks like a negative number
+_NEGATIVE_INT = re.compile(r"-[0-9]+")
+
+
+@lru_cache(maxsize=None)
+def _option_table(owner: _Parser) -> tuple[dict, dict, frozenset]:
+    """The table _read reads `owner`'s queries by: {option: action}, the
+    defaults argparse starts the namespace from (the actions', then the
+    owner's set_defaults for other names), and the required actions.
+
+    An action _read cannot read as argparse does raises: anything but a
+    `--name` option that stores one value or True, or a str default that
+    argparse would convert.  Help is left out, so _read refuses -h."""
+    options, defaults, required = {}, {}, set()
+    for action in owner._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        kind = type(action)
+        if not (
+            action.option_strings
+            and all(option.startswith("--") for option in action.option_strings)
+            and (kind is argparse._StoreTrueAction
+                 or kind is argparse._StoreAction and action.nargs is None
+                 and not (isinstance(action.default, str) and action.type))
+        ):
+            raise TypeError(f"{owner.prog}: cannot read {kind.__name__} "
+                            f"{'/'.join(action.option_strings) or action.dest}")
+        options.update(dict.fromkeys(action.option_strings, action))
+        defaults[action.dest] = action.default
+        if action.required:
+            required.add(action)
+    return options, {**owner._defaults, **defaults}, frozenset(required)
+
+
+def _read(owner: _Parser, argv: list) -> argparse.Namespace | None:
+    """`argv` read in one pass by `owner`'s table (see _option_table): the
+    namespace owner.parse_known_args(argv) gives, with nothing left over.
+
+    It reads `--name value` and `--name=value`, the value converted by the
+    option's type and checked against its choices, and `--flag`.  Any other
+    form (-h, an unknown or abbreviated option, a missing, empty or bad
+    value, `--`, a stray token, `--flag=x`) or a missing required option
+    gives None, and argparse parses the query instead."""
+    options, defaults, required = _option_table(owner)
+    values, seen = dict(defaults), set()
+    tokens = iter(argv)
+    for token in tokens:
+        option, joined, value = token.partition("=")
+        action = options.get(option)
+        if action is None:
+            return None
+        if action.nargs == 0:
+            if joined:
+                return None
+            value = action.const
+        else:
+            if not joined:
+                value = next(tokens, "")
+                if value.startswith("-") and not _NEGATIVE_INT.fullmatch(value):
+                    return None
+            if not value:
+                return None
+            if action.type is not None:
+                try:
+                    value = action.type(value)
+                except (TypeError, ValueError):
+                    return None
+            if action.choices is not None and value not in action.choices:
+                return None
+        values[action.dest] = value
+        seen.add(action)
+    if not required <= seen:
+        return None
+    return argparse.Namespace(**values)
+
+
 def main(argv=None) -> int:
-    """Run one query.  The parser that owns the query's options, looked up
-    by its first two words, then its first, parses it in one pass; help and
-    errors at the top and command levels (`--help`, `motzkin --help`, a
-    missing mode, an unknown command) go to the whole tree."""
+    """Run one query.  The parser that owns the query's options is looked up
+    by its first two words, then its first, and _read reads the rest by that
+    owner's table in one pass.  What _read refuses goes, unchanged, to the
+    owner's argparse pass, which renders its help, usage and errors; when the
+    lookup misses (`--help`, `motzkin --help`, a missing mode, an unknown
+    command) the whole tree parses and renders."""
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, owners = _build_parser()
     try:
         for words in (tuple(argv[:2]), tuple(argv[:1])):
             if words in owners:
-                args, unread = owners[words].parse_known_args(argv[len(words):])
+                owner, rest = owners[words], argv[len(words):]
+                args, unread = _read(owner, rest), []
+                if args is None:
+                    args, unread = owner.parse_known_args(rest)
                 break
         else:
             args, unread = parser.parse_known_args(argv)

@@ -177,14 +177,35 @@ _QUERIES = {
 }
 
 
+# forms the owner's table reads, and forms it leaves to argparse
+_READ_FORMS = [
+    ["motzkin", "weighted", "--m", "-1", "--k", "1"],
+    ["motzkin", "weighted", "--m", "1", "--k", "1", "--m", "2"],
+    ["bell", "--n", "3", "--r", "2", "--weights", "stirling", "--weights", "all-ones"],
+    ["motzkin", "table", "--weights=abel:q=-2"],
+    ["bell", "--n", "3", "--r", "2", "--oracle"],
+]
+_REFUSED_FORMS = [
+    ["motzkin", "table", "--weights="],
+    ["bell", "--n", "3", "--r", "2", "--oracle=1"],
+    ["bell", "--n", "3", "--r", "2", "--weights", "-x"],
+    ["motzkin", "weighted", "--m", "2", "--k"],
+    ["verify", "--suite", "nosuch"],
+    ["bell", "-h"],
+]
+
+
 def _parse_corpus():
     for words, query in _QUERIES.items():
         pairs = [f"{option}={value}" for option, value in zip(query[::2], query[1::2])]
         yield from ([*words, *tail] for tail in (
             query, [*query, "--nope", "1"], pairs, query[:-1], [query[0], "x"],
-            [*query, "--format", "xml"], [], ["--help"], [*query, "extra"],
+            [*query, "--format", "xml"], [], ["--help"], ["-h"], [*query, "extra"],
             [*query, "--"], ["--", *query], [*query, "-1"],
+            [query[0], "-1", *query[2:]], [*query, query[0], "0"],
         ))
+    yield from _READ_FORMS
+    yield from _REFUSED_FORMS
     # help and errors at the top and command levels: the lookup misses
     yield from ([], ["--help"], ["nosuch"], ["--", "bell", "--n", "3", "--r", "2"],
                 ["motzkin"], ["motzkin", "--help"], ["motzkin", "--m", "2", "count"],
@@ -192,31 +213,42 @@ def _parse_corpus():
 
 
 def _record_parses(monkeypatch) -> list:
-    """Record each _Parser.parse_known_args outcome, the outermost call last:
-    (namespace, leftovers) or the SystemExit it raised."""
+    """Record each parse, the outermost call last: ("read", namespace or
+    None) for each pass of cli._read, and ("argparse", (namespace,
+    leftovers) or the SystemExit it raised) for each
+    _Parser.parse_known_args."""
     outcomes = []
-    parse = cli._Parser.parse_known_args
+    read, parse = cli._read, cli._Parser.parse_known_args
 
-    def recorded(self, *args, **kwargs):
+    def recorded_read(owner, argv):
+        outcome = read(owner, argv)
+        outcomes.append(("read", outcome))
+        return outcome
+
+    def recorded_parse(self, *args, **kwargs):
         try:
             outcome = parse(self, *args, **kwargs)
         except SystemExit as exc:
-            outcomes.append(exc)
+            outcomes.append(("argparse", exc))
             raise
-        outcomes.append(outcome)
+        outcomes.append(("argparse", outcome))
         return outcome
 
-    monkeypatch.setattr(cli._Parser, "parse_known_args", recorded)
+    monkeypatch.setattr(cli, "_read", recorded_read)
+    monkeypatch.setattr(cli._Parser, "parse_known_args", recorded_parse)
     return outcomes
 
 
 @pytest.mark.parametrize("argv", _parse_corpus(), ids=lambda argv: " ".join(argv) or "-")
 def test_main_parses_each_query_as_the_whole_tree_does(argv, monkeypatch, capsys):
     # the tree is the reference: main's one pass with the owner of the
-    # query's words must give its namespace and leftovers, or its exit
+    # query's words, by its table or by argparse, must give its namespace
+    # and leftovers, or its exit
     outcomes = _record_parses(monkeypatch)
     cli.main(argv)
-    by_main, main_output = outcomes[-1], capsys.readouterr()
+    (kind, by_main), main_output = outcomes[-1], capsys.readouterr()
+    if kind == "read":
+        by_main = (by_main, [])
     try:
         by_tree = cli._build_parser()[0].parse_known_args(argv)
     except SystemExit as exc:
@@ -231,10 +263,48 @@ def test_main_parses_each_query_as_the_whole_tree_does(argv, monkeypatch, capsys
 
 @pytest.mark.parametrize("words", _QUERIES, ids=" ".join)
 def test_a_query_is_parsed_once(words, monkeypatch, capsys):
-    # through the whole tree a mode's query is parsed three times, bell's twice
+    # through the whole tree a mode's query is parsed three times, bell's
+    # twice; its owner's table reads a well-formed one in one pass, and
+    # argparse alone parses one the table refuses
     outcomes = _record_parses(monkeypatch)
     assert cli.main([*words, *_QUERIES[words]]) == 0
-    assert len(outcomes) == 1
+    assert [(kind, outcome is None) for kind, outcome in outcomes] == [("read", False)]
+    outcomes.clear()
+    assert cli.main([*words, *_QUERIES[words], "extra"]) == 1
+    assert [(kind, outcome is None) for kind, outcome in outcomes] == [
+        ("read", True), ("argparse", False)]
+
+
+@pytest.mark.parametrize("argv", _READ_FORMS + _REFUSED_FORMS, ids=" ".join)
+def test_the_table_reads_only_plain_forms(argv, monkeypatch, capsys):
+    # negative, joined and repeated values are read by the table; an empty
+    # joined value, a flag with a value, a value that starts with "-", a
+    # missing or bad value and -h go to argparse, which renders the error
+    outcomes = _record_parses(monkeypatch)
+    cli.main(argv)
+    assert [(kind, outcome is None) for kind, outcome in outcomes] == (
+        [("read", True), ("argparse", False)] if argv in _REFUSED_FORMS
+        else [("read", False)])
+
+
+def test_every_owner_has_a_table_and_other_actions_raise():
+    # every option an owner declares is in its table, help aside
+    for owner in cli._build_parser()[1].values():
+        options, defaults, required = cli._option_table(owner)
+        declared = {option for action in owner._actions for option in action.option_strings}
+        assert set(options) == declared - {"-h", "--help"}
+        assert required == {action for action in owner._actions if action.required}
+    # an action the table would read otherwise than argparse does
+    for args, kwargs in (
+        (("--x",), {"nargs": "?"}), (("--x",), {"nargs": 1}), (("--x",), {"action": "append"}),
+        (("--x",), {"action": "count"}), (("--x",), {"action": "store_false"}),
+        (("--x",), {"action": "store_const", "const": 1}),
+        (("--x",), {"type": int, "default": "3"}), (("-x",), {}), (("x",), {}),
+    ):
+        owner = cli._Parser(prog="p")
+        owner.add_argument(*args, **kwargs)
+        with pytest.raises(TypeError, match="p: cannot read"):
+            cli._option_table(owner)
 
 
 def test_motzkin_weighted_csv_exits_1(capsys):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from bellpaths import verify
+from bellpaths import lagrange, matrixcomp, motzkin, verify
 from bellpaths.bell import WeightVector, power_derivative
 from bellpaths.lagrange import (
     bipartite_matrix_series,
@@ -16,7 +16,7 @@ from bellpaths.lagrange import (
 )
 from bellpaths.polyring import Polynomial, Series, WeightSpec, specialize
 
-from conftest import random_reversible_series
+from conftest import off_by_one_matrix_series, random_reversible_series
 
 T1 = Polynomial.variable("t", 1)
 T2 = Polynomial.variable("t", 2)
@@ -184,12 +184,30 @@ def test_bipartite_series_cells():
     assert two_rows.coeff(2) == T1**2 + T2 * 2
 
 
-def test_bipartite_power_law():
-    sym = WeightSpec.symbolic()
+def _power_law_counterexample(weights, top=8):
+    """(p, j) where the builder differs from the p-th power of the one-row
+    series read off enumerated 1 x j matrices, or None.  The builder is
+    its own one-row series to the power p, so only rows it does not build
+    can see a wrong one."""
     for j in range(4):
-        single = bipartite_matrix_series(sym, 1, j, 8)
+        row = Series.from_x_coeffs([
+            sum(matrixcomp.entries_weight(matrix.nonzero_entries(), weights)
+                for matrix in matrixcomp.enumerate_bipartite(m, 1, j))
+            for m in range(top + 1)
+        ])
         for p in range(4):
-            assert bipartite_matrix_series(sym, p, j, 8) == single.pow(p)
+            if lagrange.bipartite_matrix_series(weights, p, j, top) != row.pow(p):
+                return p, j
+    return None
+
+
+def test_bipartite_power_law(monkeypatch):
+    # matrixcomp/row-power-law checks symbolic weights; these are numeric
+    ones = WeightSpec.all_ones()
+    for weights in (ones, motzkin.named_weights("stirling"), motzkin.named_weights("abel", q=-2)):
+        assert _power_law_counterexample(weights) is None, weights
+    monkeypatch.setattr(lagrange, "bipartite_matrix_series", off_by_one_matrix_series)
+    assert _power_law_counterexample(ones) == (1, 0)
 
 
 def test_matrix_series_cells():

@@ -4,6 +4,8 @@ from bellpaths import compositions, lagrange, matrixcomp, motzkin, verify
 from bellpaths.core import EnumerationBoundError
 from bellpaths.polyring import Polynomial, Series, WeightSpec
 
+from conftest import off_by_one_matrix_series
+
 SYM = WeightSpec.symbolic()
 T1 = Polynomial.variable("t", 1)
 T2 = Polynomial.variable("t", 2)
@@ -195,10 +197,6 @@ def test_general_matrix_series_matches_enumeration():
 def test_row_power_law_catches_a_wrong_builder(monkeypatch):
     # one term too many in the geometric sum of a row: the one-row series
     # the identity reads from enumerated rows sees it
-    def off_by_one(weights, rows, cols, nx):
-        geometric = Series.from_x_coeffs([1] * (cols + 2))
-        return geometric.compose_x(lagrange._t_minus_one(weights, nx)).pow(rows)
-
     assert verify.check("matrixcomp", "row-power-law", 8) is None
-    monkeypatch.setattr(lagrange, "bipartite_matrix_series", off_by_one)
+    monkeypatch.setattr(lagrange, "bipartite_matrix_series", off_by_one_matrix_series)
     assert verify.check("matrixcomp", "row-power-law", 8) == "p=1, j=0"
