@@ -203,29 +203,56 @@ def _partitions_with_parts(n: int, r: int):
 def partial_bell_by_partitions(n: int, r: int, entries: WeightVector) -> Polynomial:
     """B(n, r) evaluated literally as the sum over partitions of n into r parts:
 
-        sum  n! / (r_1! r_2! ...) * prod (x_i / i!)^{r_i}
+        sum  n! / prod_p (c_p! p!^c_p) * prod_p x_p^c_p
 
-    over all nonnegative solutions of r_1 + r_2 + ... = r and
-    r_1 + 2 r_2 + ... = n.  Exponential in n, so bounded; this is the
-    independent evaluator the recurrence is checked against.
+    where c_p parts equal p, over all c_1 + c_2 + ... = r with
+    c_1 + 2 c_2 + ... = n (Comtet, Advanced Combinatorics, 1974, section 3.3).
+    One term per partition, and no recurrence, so this is the independent
+    evaluator the recurrence is checked against.  Exponential in n, so
+    bounded; 0 without that check where r < 0, r > n or r = 0 < n.
+
+    The walk is depth-first over distinct part sizes, largest first, taking
+    c >= 1 parts of each size it keeps.  Each level carries the integer
+    coefficient and the plain ring product (int, Fraction or Polynomial, as
+    in WeightVector.row) of its prefix, so a prefix that many partitions
+    share is multiplied once; a zero entry ends its branch.
     """
+    if r < 0 or r > n or r == 0 < n:
+        return Polynomial.zero()
     if n > PARTITION_SUM_BOUND:
         raise EnumerationBoundError(
             f"partition summation bound is n <= {PARTITION_SUM_BOUND}, got {n}"
         )
-    if n < 0 or r < 0 or r > n:
-        return Polynomial.zero()
     if n == 0:
         return Polynomial.const(1)
-    total = Polynomial.zero()
-    for multiplicities in _partitions_with_parts(n, r):
-        coeff = Fraction(factorial(n))
-        term = Polynomial.const(1)
-        for part, count in multiplicities.items():
-            coeff /= factorial(count) * factorial(part) ** count
-            term = term * entries[part] ** count
-        total = total + term * coeff
-    return total
+    total = 0
+
+    def walk(remaining, parts_left, below, coeff, product):
+        # the rest of a partition: `parts_left` parts of sizes below `below`
+        # summing to `remaining`
+        nonlocal total
+        for part in range(min(below - 1, remaining - parts_left + 1), 0, -1):
+            if part * parts_left < remaining:
+                break
+            x = entries[part]
+            if not x:
+                continue
+            term, quotient = product, coeff
+            for count in range(1, min(parts_left, remaining // part) + 1):
+                term = term * x
+                # n! / prod (c! p!^c) over a prefix of u elements is n!/u!
+                # times the set partitions of u elements into its blocks, so
+                # every quotient is exact
+                quotient //= count * factorial(part)
+                rest, left = remaining - count * part, parts_left - count
+                if not left:
+                    # count * part <= remaining <= part * parts_left: rest is 0
+                    total = total + term * quotient
+                elif left <= rest <= left * (part - 1):
+                    walk(rest, left, part, quotient, term)
+
+    walk(n, r, n + 1, factorial(n), 1)
+    return as_polynomial(total)
 
 
 def potential(n: int, power: int, entries: WeightVector) -> Polynomial:

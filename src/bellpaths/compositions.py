@@ -12,13 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
 from typing import Iterator
 
 from .bell import WeightVector, partial_bell, potential
 from .core import (
     EnumerationBoundError, as_integer, binomial, factorial, multinomial, part_type,
 )
-from .motzkin import MotzkinPath
+from .motzkin import _SHARED_SPECS, MotzkinPath
 from .polyring import Polynomial, WeightSpec
 
 SUM_BOUND = 12
@@ -27,44 +29,51 @@ PARTS_BOUND = 12
 
 @dataclass(frozen=True)
 class Composition:
-    """Ordered tuple of nonnegative parts."""
+    """Ordered tuple of nonnegative parts, checked on construction."""
 
     parts: tuple
 
     def __post_init__(self):
-        if any(p < 0 for p in self.parts):
+        if self.parts and min(self.parts) < 0:
             raise ValueError(f"parts must be nonnegative, got {self.parts}")
 
     @property
     def zero_parts(self) -> int:
-        return sum(1 for p in self.parts if p == 0)
+        return self.parts.count(0)
 
 
 def enumerate_compositions(m: int, j: int) -> Iterator[Composition]:
     """All ordered j-tuples of nonnegative integers summing to m, in
     lexicographic order, each exactly once.  Empty stream when j = 0 and
-    m > 0; the single empty composition when j = m = 0."""
+    m > 0; the single empty composition when j = m = 0.
+
+    Stars and bars: each composition is one draw of j - 1 bar positions
+    among m + j - 1 slots, the other m slots hold stars, and the parts are
+    the runs of stars before, between and after the bars.  `combinations`
+    draws the positions in lexicographic order, and a smaller first
+    differing bar is a smaller first differing part, so the stream is in
+    lexicographic order too (Knuth, TAOCP 4A, section 7.2.1.3).  Every
+    composition goes through the class's own check.
+    """
     if m < 0 or j < 0:
         raise ValueError("sum and parts must be >= 0")
     if m > SUM_BOUND or j > PARTS_BOUND:
         raise EnumerationBoundError(
             f"composition enumeration bound is m <= {SUM_BOUND}, j <= {PARTS_BOUND}"
         )
-
-    def rec(prefix: list, remaining: int, slots: int):
-        if slots == 0:
-            if remaining == 0:
-                yield Composition(tuple(prefix))
-            return
-        if slots == 1:
-            yield Composition(tuple(prefix) + (remaining,))
-            return
-        for first in range(remaining + 1):
-            prefix.append(first)
-            yield from rec(prefix, remaining - first, slots - 1)
-            prefix.pop()
-
-    yield from rec([], m, j)
+    if j == 0:
+        if m == 0:
+            yield Composition(())
+        return
+    slots = m + j - 1
+    for bars in combinations(range(slots), j - 1):
+        parts = []
+        start = 0
+        for bar in bars:
+            parts.append(bar - start)
+            start = bar + 1
+        parts.append(slots - start)
+        yield Composition(tuple(parts))
 
 
 def composition_to_motzkin(comp: Composition) -> MotzkinPath:
@@ -152,19 +161,26 @@ def restricted_count(
     single positive value `forbidden`.  Evaluated through the closed form with
     0/1 t-weights; the result is asserted to be integral.
     """
-    allowed_set = None if allowed is None else {int(a) for a in allowed}
+    allowed_set = None if allowed is None else frozenset(int(a) for a in allowed)
     if allowed_set is not None and any(a < 1 for a in allowed_set):
         raise ValueError("allowed parts must be positive")
     if forbidden is not None and forbidden < 1:
         raise ValueError("the forbidden part must be positive")
+    value = weighted_sum_closed(m, 0, j, _restricted_weights(allowed_set, forbidden))
+    return as_integer(value.constant_value())
+
+
+@lru_cache(maxsize=_SHARED_SPECS)
+def _restricted_weights(allowed: frozenset | None, forbidden: int | None) -> WeightSpec:
+    """The one spec of a restriction rule: t_i = 1 on the parts it admits and
+    0 elsewhere, s_i = 1.  Shared, as motzkin.named_weights shares its specs,
+    so every count under the rule reads the same Bell rows."""
 
     def t_rule(i):
         if forbidden is not None and i == forbidden:
-            return Fraction(0)
-        if allowed_set is not None and i not in allowed_set:
-            return Fraction(0)
-        return Fraction(1)
+            return 0
+        if allowed is not None and i not in allowed:
+            return 0
+        return 1
 
-    weights = WeightSpec(t_rule, lambda i: Fraction(1), name="restricted")
-    value = weighted_sum_closed(m, 0, j, weights)
-    return as_integer(value.constant_value())
+    return WeightSpec(t_rule, lambda i: 1, name="restricted")

@@ -74,6 +74,10 @@ def test_partition_sum_examples():
 def test_partition_sum_bound():
     with pytest.raises(EnumerationBoundError):
         partial_bell_by_partitions(31, 2, ONES)
+    # an entry that is 0 by its indices is answered before the bound
+    for n, r in ((37, 40), (37, 0), (31, -1), (-1, 0), (2, 3), (5, 0)):
+        assert partial_bell_by_partitions(n, r, ONES) == 0, (n, r)
+    assert partial_bell_by_partitions(30, 12, ONES) == stirling2(30, 12)
 
 
 def test_recurrence_matches_partition_sum_symbolically():
@@ -276,18 +280,23 @@ def test_weight_vector_from_entries_bound():
 
 
 def test_bell_table_matches_partition_sum_in_every_ring():
-    for label, vec in [("symbolic", SYM), *numeric_vectors()]:
-        for n in range(11):
+    fractions = WeightVector(lambda k: Fraction((-1) ** k * k, k + 2))
+    for label, vec in [("symbolic", SYM), ("fractions", fractions), *numeric_vectors()]:
+        for n in range(15):
+            # symbolic and integer entries keep every coefficient an int
+            integral = all(
+                isinstance(vec[k], Polynomial) or type(vec[k]) is int for k in range(1, n + 1)
+            )
             for r in range(n + 1):
                 value = vec.bell(n, r)
                 if label != "symbolic":
                     # numeric weights stay rationals inside the table
                     assert not isinstance(value, Polynomial), (label, n, r)
-                assert as_polynomial(value) == partial_bell_by_partitions(n, r, vec), (
-                    label,
-                    n,
-                    r,
-                )
+                oracle = partial_bell_by_partitions(n, r, vec)
+                assert as_polynomial(value) == oracle, (label, n, r)
+                if integral:
+                    coefficients = oracle.terms.values()
+                    assert all(type(c) is int for c in coefficients), (label, n, r)
 
 
 def test_bell_table_grows_to_the_same_rows():

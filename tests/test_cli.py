@@ -426,6 +426,8 @@ def test_symbolic_term_bound_exits_3(capsys):
 ZERO_ANSWERS = (
     ["bell", "--n", "37", "--r", "40"],
     ["bell", "--n", "37", "--r", "0"],
+    ["bell", "--n", "37", "--r", "40", "--oracle"],
+    ["bell", "--n", "37", "--r", "0", "--oracle"],
     ["comp", "weighted", "--m", "1", "--j", "40", "--k", "40"],
     ["comp", "weighted", "--m", "40", "--j", "0", "--k", "1"],
     ["comp", "weighted", "--m", "40", "--j", "40", "--k", "40"],
@@ -439,7 +441,8 @@ ZERO_ANSWERS = (
 def test_zero_answers_are_neither_refused_nor_built(capsys):
     # each answer is 0 because a Bell entry it reads is zero by its indices
     # (r > n, or r = 0 < n), or for matcomp because p * j = 0 leaves only
-    # r = 0: the term bound charges no row for it, and the engine builds none
+    # r = 0: the term bound charges no row for it, the engine builds none,
+    # and the partition sum answers it before its size bound
     for argv in ZERO_ANSWERS:
         assert cli.main(argv) == 0, argv
         assert capsys.readouterr() == ("0\n", ""), argv
@@ -548,7 +551,7 @@ def test_symbolic_motzkin_weighted_matches_its_committed_output(capsys):
         assert "".join(out) == handle.read()
 
 
-def test_comp_commands(capsys):
+def test_comp_commands(capsys, monkeypatch):
     assert cli.main(["comp", "count", "--m", "2", "--j", "3", "--k", "1"]) == 0
     assert capsys.readouterr().out == "3\n"
 
@@ -562,6 +565,25 @@ def test_comp_commands(capsys):
 
     assert cli.main(["comp", "restricted", "--m", "3", "--j", "2", "--forbid", "1"]) == 0
     assert capsys.readouterr().out == "0\n"
+
+    # the order of the allowed parts does not matter: both orders read the
+    # one spec of the rule, and with it the same Bell rows
+    specs = []
+    closed = compositions.weighted_sum_closed
+
+    def recording_closed(m, k, j, weights):
+        specs.append(weights)
+        return closed(m, k, j, weights)
+
+    monkeypatch.setattr(compositions, "weighted_sum_closed", recording_closed)
+    for allowed in ("2,1", "1,2", "1,2,2"):
+        argv = ["comp", "restricted", "--m", "5", "--j", "3", "--allowed", allowed]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == "3\n"
+    assert len(specs) == 3 and specs[0] is specs[1] is specs[2]
+    assert cli.main(["comp", "restricted", "--m", "5", "--j", "3", "--forbid", "2"]) == 0
+    assert capsys.readouterr().out == "3\n"
+    assert specs[3] is not specs[0]
 
     # a part below 1 can never occur, so forbidding one is a usage error
     for forbid in ("0", "-1"):

@@ -18,10 +18,38 @@ def test_enumerate_examples():
 
 
 def test_enumerate_counts_match_stars_and_bars():
-    for m in range(7):
-        for j in range(1, 7):
-            count = sum(1 for _ in compositions.enumerate_compositions(m, j))
-            assert count == binomial(m + j - 1, j - 1), (m, j)
+    # the bound corners by their length only; (12, 12) itself, 1 352 078
+    # compositions, is counted from a fresh interpreter in CI
+    corners = [(12, j) for j in range(1, 7)] + [(m, 12) for m in range(7)]
+    for m, j in [*((m, j) for m in range(7) for j in range(1, 7)), *corners]:
+        count = sum(1 for _ in compositions.enumerate_compositions(m, j))
+        assert count == binomial(m + j - 1, j - 1), (m, j)
+
+
+def test_stream_is_ordered_complete_and_checked():
+    # strictly increasing, each a valid j-tuple summing to m, and as many as
+    # stars and bars count: so each composition once, with no second
+    # enumerator to compare against
+    for m in range(9):
+        for j in range(9):
+            stream = list(compositions.enumerate_compositions(m, j))
+            expected = binomial(m + j - 1, j - 1) if j else int(m == 0)
+            assert len(stream) == expected, (m, j)
+            for before, after in zip(stream, stream[1:]):
+                assert before.parts < after.parts, (m, j, before, after)
+            for comp in stream:
+                assert comp == compositions.Composition(comp.parts), comp
+                assert type(comp.parts) is tuple and len(comp.parts) == j, comp
+                assert sum(comp.parts) == m and min(comp.parts, default=0) >= 0, comp
+                assert comp.zero_parts == sum(1 for p in comp.parts if p == 0), comp
+
+
+def test_composition_rejects_a_negative_part():
+    for parts in ((1, -1), (-2,), (0, 3, -1, 2)):
+        with pytest.raises(ValueError, match=r"^parts must be nonnegative, got "):
+            compositions.Composition(parts)
+    assert compositions.Composition(()).zero_parts == 0
+    assert compositions.Composition((0, 2, 0)).zero_parts == 2
 
 
 def test_enumerate_bound():
@@ -93,14 +121,26 @@ def test_restricted_counts():
     assert compositions.restricted_count(5, 2) == 4
     assert compositions.restricted_count(3, 2, forbidden=1) == 0
 
+    rules = (
+        {"allowed": {1, 2}},
+        {"allowed": {2, 3}},
+        {"allowed": {1, 3, 5}},
+        {"forbidden": 1},
+        {"forbidden": 2},
+        {"allowed": {1, 2, 3}, "forbidden": 2},
+        {},
+    )
     for m in range(11):
-        for j in range(7):
-            direct = sum(
-                1
-                for comp in compositions.enumerate_compositions(m, j)
-                if all(p in (1, 2) for p in comp.parts)
-            )
-            assert compositions.restricted_count(m, j, allowed={1, 2}) == direct
+        for j in range(9):
+            stream = list(compositions.enumerate_compositions(m, j))
+            for rule in rules:
+                admitted = rule.get("allowed", range(1, m + 1))
+                direct = sum(
+                    1
+                    for comp in stream
+                    if all(p in admitted and p != rule.get("forbidden") for p in comp.parts)
+                )
+                assert compositions.restricted_count(m, j, **rule) == direct, (rule, m, j)
 
 
 def test_restricted_rejects_nonpositive_allowed():
