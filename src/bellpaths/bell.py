@@ -180,26 +180,6 @@ def partial_bell(n: int, r: int, entries: WeightVector) -> Polynomial:
     return as_polynomial(entries.bell(n, r))
 
 
-def _partitions_with_parts(n: int, r: int):
-    """Multiplicity maps {part: count} of the partitions of n into r parts."""
-
-    def rec(remaining, parts_left, max_part, current):
-        if parts_left == 0:
-            if remaining == 0:
-                yield dict(current)
-            return
-        if remaining < parts_left or remaining > parts_left * max_part:
-            return
-        for part in range(min(max_part, remaining - parts_left + 1), 0, -1):
-            current[part] = current.get(part, 0) + 1
-            yield from rec(remaining - part, parts_left - 1, part, current)
-            current[part] -= 1
-            if not current[part]:
-                del current[part]
-
-    yield from rec(n, r, n, {})
-
-
 def partial_bell_by_partitions(n: int, r: int, entries: WeightVector) -> Polynomial:
     """B(n, r) evaluated literally as the sum over partitions of n into r parts:
 
@@ -208,8 +188,11 @@ def partial_bell_by_partitions(n: int, r: int, entries: WeightVector) -> Polynom
     where c_p parts equal p, over all c_1 + c_2 + ... = r with
     c_1 + 2 c_2 + ... = n (Comtet, Advanced Combinatorics, 1974, section 3.3).
     One term per partition, and no recurrence, so this is the independent
-    evaluator the recurrence is checked against.  Exponential in n, so
-    bounded; 0 without that check where r < 0, r > n or r = 0 < n.
+    evaluator the recurrence is checked against.  Over the plain symbolic
+    vector (x_p = t_p) each term is its own monomial prod_p t_p^c_p, so this
+    is also the package's one partition walker: verify reads the partitions
+    off those monomials.  Exponential in n, so bounded; 0 without that check
+    where r < 0, r > n or r = 0 < n.
 
     The walk is depth-first over distinct part sizes, largest first, taking
     c >= 1 parts of each size it keeps.  Each level carries the integer

@@ -24,7 +24,6 @@ from . import compositions, lagrange, matrixcomp, motzkin
 from .bell import (
     BinomialSequence,
     WeightVector,
-    _partitions_with_parts,
     as_polynomial,
     partial_bell,
     partial_bell_by_partitions,
@@ -379,6 +378,8 @@ def _path_sum(m, k, weights) -> Polynomial:
 
 @_identity("motzkin", "path-sum-triple-agreement", "2m+k <= {}")
 def _path_sum_triple_agreement(top):
+    # uncapped: past the enumeration bound, refuse before the first case
+    motzkin._check_path_args(0, top, motzkin.DEFAULT_PATH_BOUND)
     sym = _sym()
     for m, k in pairs_up_to(top):
         brute = _path_sum(m, k, sym)
@@ -412,11 +413,14 @@ def _segment_refinement(top):
 def _partitions(n: int, parts: int | None = None) -> list:
     """The partitions of n, into exactly `parts` parts when given, each as
     its (part, count) pairs in part order, the way a profile lists its runs;
-    in sorted order."""
+    in sorted order.  Read off the partition sum: over the plain symbolic
+    vector, B(n, r) has one monomial prod_p t_p^c_p per partition of n into
+    r parts, and its (t_p, c_p) pairs are in part order."""
+    sym_t = _sym_t()
     return sorted(
-        tuple(sorted(partition.items()))
+        tuple((part, count) for (_, part), count in monomial.items)
         for r in (range(n + 1) if parts is None else (parts,))
-        for partition in _partitions_with_parts(n, r)
+        for monomial in partial_bell_by_partitions(n, r, sym_t).terms
     )
 
 
@@ -533,18 +537,9 @@ def _series_coefficient_weights(top):
         )
 
 
-@_identity(
-    "motzkin",
-    "series-pair-double-sum",
-    "2m+k <= {1}, k >= 1",
-    cap=8,
-    derive=lambda n: (n, min(n, 7)),
-)
-def _series_pair_double_sum(skipped_order, top):
-    # g and f are the next two draws of series-coefficient-weights' generator
-    # after the order-`skipped_order` series that identity uses
-    rng = random.Random(_SERIES_SEED + 1)
-    _random_unit_series(rng, skipped_order)
+@_identity("motzkin", "series-pair-double-sum", "2m+k <= {}, k >= 1", cap=7)
+def _series_pair_double_sum(top):
+    rng = random.Random(_SERIES_SEED + 2)
     g = _random_unit_series(rng, top)
     f = _random_unit_series(rng, top)
     yield from _bruteforce_mismatches(
@@ -941,8 +936,6 @@ def _general_matrix_series(top):
                         zeros += row_zeros
                     key = (m, zeros)
                     table[key] = table.get(key, Polynomial.zero()) + weight
-                if p == 0 and m == 0:
-                    table[(0, 0)] = Polynomial.const(1)
             for m in range(top + 1):
                 for k in range(top + 1):
                     if series.coeff(m, k) != table.get((m, k), Polynomial.zero()):

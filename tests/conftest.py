@@ -7,13 +7,6 @@ from bellpaths import lagrange
 from bellpaths.polyring import Polynomial, Series
 
 
-def random_unit_series(rng: random.Random, order: int) -> Series:
-    """Univariate rational series with constant term 1."""
-    coeffs = [Fraction(1)]
-    coeffs += [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(order)]
-    return Series.from_x_coeffs(coeffs, nx=order)
-
-
 def random_reversible_series(rng: random.Random, order: int) -> Series:
     """Univariate rational series with zero constant and nonzero linear term."""
     f1 = Fraction(0)

@@ -19,7 +19,7 @@ from bellpaths.core import binomial
 from bellpaths.polyring import Series, WeightSpec, specialize
 from bellpaths.verify import pairs_up_to
 
-from conftest import random_reversible_series, random_unit_series
+from conftest import random_reversible_series
 
 SYM = WeightSpec.symbolic()
 VERIFY_ALL_8 = os.path.join(os.path.dirname(__file__), "data", "verify_all_8.txt")
@@ -86,16 +86,10 @@ def test_criterion_04_stirling_and_plane_tree_weights():
 
 
 def test_criterion_05_series_and_sequence_families():
-    rng = random.Random(555)
-    for f in (Series.from_x_coeffs([1, 1], nx=8), random_unit_series(rng, 8)):
-        weights = motzkin.series_coefficient_weights(f)
-        for m, k in pairs_up_to(8):
-            brute = motzkin.weighted_sum_bruteforce(m, k, weights).constant_value()
-            assert brute == motzkin.series_family_closed_value(m, k, f), (m, k)
-
     _holds(
         "motzkin",
         8,
+        "series-coefficient-weights",
         "labeled-tree-weights",
         "binomial-sequence-weights",
         "bell-number-weights",
@@ -106,7 +100,7 @@ def test_criterion_05_series_and_sequence_families():
 def test_criterion_06_bell_argument_identities():
     rng = random.Random(777)
     for trial in range(25):
-        f = random_unit_series(rng, 8)
+        f = verify._random_unit_series(rng, 8)
         vec = WeightVector(lambda k, f=f: power_derivative(f, k - 1, k))
         for m in range(1, 9):
             for r in range(1, m + 1):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bellpaths import cli, compositions, matrixcomp, motzkin, verify
-from bellpaths.bell import WeightVector
+from bellpaths.bell import WeightVector, partial_bell_by_partitions
 from bellpaths.polyring import Polynomial, WeightSpec
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -362,6 +362,18 @@ def test_negative_sizes_and_jobs_exit_1(capsys):
         captured = capsys.readouterr()
         assert captured.out == "", argv
         assert captured.err == f"error: {message}\n", argv
+
+
+def test_term_bound_counts_the_partitions_the_partition_sum_walks():
+    # the rows of _AT_MOST are a recurrence, built at import and past the
+    # partition sum's bound; where both reach, p(n, r) is the number of
+    # monomials of B(n, r) over the plain symbolic vector
+    sym_t = WeightVector.from_weights(WeightSpec.symbolic(), "t", plain=True)
+    for n in range(21):
+        row = cli._AT_MOST[n]
+        for r in range(n + 1):
+            exactly = row[r] - (row[r - 1] if r else 0)
+            assert exactly == len(partial_bell_by_partitions(n, r, sym_t).terms), (n, r)
 
 
 def test_symbolic_term_bound_exits_3(capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from bellpaths import cli, lagrange, motzkin, verify
 from bellpaths.bell import WeightVector, partial_bell, potential
 from bellpaths.core import EnumerationBoundError, binomial, factorial
-from bellpaths.polyring import Polynomial, Series, WeightSpec
+from bellpaths.polyring import Polynomial, WeightSpec
 from bellpaths.verify import pairs_up_to
 
 SYM = WeightSpec.symbolic()
@@ -280,27 +280,14 @@ def test_h_run_factor_closed_is_undefined_at_dk_equal_j():
         motzkin.bary_h_factor_closed(0, 0, 2)
 
 
-def test_series_coefficient_specialization(rng):
-    from conftest import random_unit_series
-
-    for f in (Series.from_x_coeffs([1, 1], nx=8), random_unit_series(rng, 8)):
-        weights = motzkin.series_coefficient_weights(f)
-        for m, k in pairs_up_to(6):
-            brute = motzkin.weighted_sum_bruteforce(m, k, weights).constant_value()
-            assert brute == motzkin.series_family_closed_value(m, k, f), (m, k)
+def test_series_coefficient_specialization():
+    assert verify.check("motzkin", "series-coefficient-weights", 6) is None
 
 
 def test_series_pair_specialization(rng):
-    from conftest import random_unit_series
-
-    f = random_unit_series(rng, 7)
-    g = random_unit_series(rng, 7)
-    weights = motzkin.series_coefficient_weights(f, g)
-    for m, k in pairs_up_to(6):
-        if k < 1:
-            continue
-        brute = motzkin.weighted_sum_bruteforce(m, k, weights).constant_value()
-        assert brute == motzkin.series_pair_closed_value(m, k, f, g), (m, k)
+    assert verify.check("motzkin", "series-pair-double-sum", 6) is None
+    f = verify._random_unit_series(rng, 7)
+    g = verify._random_unit_series(rng, 7)
     with pytest.raises(ValueError):
         motzkin.series_pair_closed_value(2, 0, f, g)
 

@@ -8,6 +8,7 @@ from collections import Counter
 import pytest
 
 from bellpaths import cli, compositions, matrixcomp, motzkin, verify
+from bellpaths.core import EnumerationBoundError
 
 
 def _count_calls(monkeypatch, module, name) -> Counter:
@@ -163,3 +164,10 @@ def test_type_counts_name_a_type_that_enumeration_lost(
 
     monkeypatch.setattr(module, name, drops_one)
     assert verify.check(suite, "type-counts", 5) == expected
+
+
+def test_the_uncapped_path_identity_refuses_past_the_bound_before_any_case(monkeypatch):
+    paths = _count_calls(monkeypatch, motzkin, "enumerate_paths")
+    with pytest.raises(EnumerationBoundError, match="path length 17 exceeds enumeration bound 16"):
+        verify.check("motzkin", "path-sum-triple-agreement", 17)
+    assert not paths
