@@ -26,7 +26,6 @@ from .core import (
 )
 from .polyring import (
     SYMBOLIC,
-    Monomial,
     Polynomial,
     Series,
     WeightSpec,
@@ -36,7 +35,6 @@ from .polyring import (
 __all__ = [
     "BinomialSequence",
     "EnumerationBoundError",
-    "Monomial",
     "Polynomial",
     "SYMBOLIC",
     "Series",

@@ -5,6 +5,16 @@ formal power series in up to three grading variables (x, y, and a
 part-marking grade) whose coefficients are weight-ring values: ints,
 Fractions or Polynomials.
 
+A monomial is its own dict key: the sorted tuple of its packed items, one
+int per variable, (s-bit | index << _E | exponent) with fixed-width fields
+(a packed exponent vector per variable; Monagan and Pearce, CASC 2007).
+Int order is (t before s, index, exponent), so key order is the canonical
+print order, a shorter key first when it is a prefix, and the unit monomial
+is ().  Keys hash in C, a product whose variables do not interleave is one
+tuple concatenation, and a shared variable adds its exponent fields.  Python
+ints never wrap, so an exponent or index too wide for its field is refused,
+never carried into the next field.
+
 Terms are kept in a canonical order so printed output and comparisons are
 byte-stable.  Series store explicit truncation orders; reading a coefficient
 beyond the truncation box is an error, never a fabricated zero.
@@ -18,118 +28,104 @@ from typing import Callable
 
 _FAMILIES = ("t", "s")
 
-
-def _var_key(var):
-    family, index = var
-    return (0 if family == "t" else 1, index)
-
-
-class Monomial:
-    """Product of weight variables with positive integer exponents.
-
-    Stored as a tuple of ((family, index), exponent) pairs sorted by family
-    (t before s) and then index.  Zero exponents are never stored; the empty
-    tuple is the constant monomial.
-    """
-
-    __slots__ = ("items", "_hash")
-
-    def __init__(self, items=()):
-        pairs = []
-        for var, exp in items:
-            exp = int(exp)
-            if exp == 0:
-                continue
-            family, index = var
-            if family not in _FAMILIES:
-                raise ValueError(f"unknown variable family {family!r}")
-            if index < 1:
-                raise ValueError(f"variable index must be >= 1, got {index}")
-            if exp < 0:
-                raise ValueError(f"negative exponent {exp} on {family}{index}")
-            pairs.append(((family, index), exp))
-        pairs.sort(key=lambda p: _var_key(p[0]))
-        self.items = tuple(pairs)
-        self._hash = hash(self.items)
-
-    @staticmethod
-    def variable(family: str, index: int, exp: int = 1) -> "Monomial":
-        return Monomial((((family, index), exp),))
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        b = other.items
-        if not b:
-            return self
-        a = self.items
-        if not a:
-            return other
-        # both item tuples are canonical (t before s, then index; plain tuple
-        # order would put s before t).  When every variable of one factor
-        # comes before every variable of the other, as in t-monomial times
-        # s-monomial, the product is the concatenation; otherwise one
-        # linear merge gives the canonical product
-        va, vb = a[-1][0], b[0][0]
-        if (va[1] < vb[1]) if va[0] == vb[0] else (va[0] == "t"):
-            items = a + b
-        else:
-            va, vb = a[0][0], b[-1][0]
-            if (vb[1] < va[1]) if va[0] == vb[0] else (vb[0] == "t"):
-                items = b + a
-            else:
-                items = _merge(a, b)
-        out = Monomial.__new__(Monomial)
-        out.items = items
-        out._hash = hash(items)
-        return out
-
-    def weighted_degree(self, family: str) -> int:
-        """Sum of index * exponent over the variables of one family."""
-        return sum(idx * e for (fam, idx), e in self.items if fam == family)
-
-    def to_text(self) -> str:
-        """e.g. "t1^2*s3"; the unit monomial prints as "1"."""
-        factors = []
-        for (family, index), e in self.items:
-            name = f"{family}{index}"
-            factors.append(name if e == 1 else f"{name}^{e}")
-        return "*".join(factors) or "1"
-
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and self.items == other.items
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"Monomial({self.to_text()})"
+# field widths of a packed item: exponent, index, then the family bit
+_E = 15
+_EXPONENT = (1 << _E) - 1
+_INDEX_BITS = 14
+_S = 1 << (_E + _INDEX_BITS)
 
 
-def _merge(a: tuple, b: tuple) -> tuple:
-    """The canonical item tuple of the product of two monomials whose
-    canonical item tuples interleave: one linear merge in the canonical
-    variable order, adding the exponents of a shared variable."""
+def monomial(items=()) -> tuple:
+    """The key of the product of family_index^exponent over the
+    ((family, index), exponent) pairs; a repeated variable's exponents add,
+    a zero exponent is left out."""
+    exponents = {}
+    for (family, index), exp in items:
+        exp = int(exp)
+        if exp == 0:
+            continue
+        if family not in _FAMILIES:
+            raise ValueError(f"unknown variable family {family!r}")
+        if index < 1:
+            raise ValueError(f"variable index must be >= 1, got {index}")
+        if exp < 0:
+            raise ValueError(f"negative exponent {exp} on {family}{index}")
+        if index >> _INDEX_BITS:
+            raise ValueError(f"variable index {index} does not fit {_INDEX_BITS} bits")
+        var = (_S if family == "s" else 0) | index << _E
+        exponents[var] = exponents.get(var, 0) + exp
+    for var, exp in exponents.items():
+        if exp > _EXPONENT:
+            raise ValueError(f"exponent {exp} of {_name(var)} does not fit {_E} bits")
+    return tuple(sorted(var | exp for var, exp in exponents.items()))
+
+
+def _name(item: int) -> str:
+    return f"{'s' if item & _S else 't'}{(item & ~_S) >> _E}"
+
+
+class _ItemTexts(dict):
+    """Packed item -> its text, e.g. "t1" or "s3^2", made on first lookup.
+    A text depends on its item alone, so one table serves every call; it
+    holds one string per distinct item ever printed."""
+
+    def __missing__(self, item):
+        exp = item & _EXPONENT
+        text = self[item] = _name(item) if exp == 1 else f"{_name(item)}^{exp}"
+        return text
+
+
+_ITEM_TEXTS = _ItemTexts()
+
+
+def monomial_items(key: tuple) -> tuple:
+    """The ((family, index), exponent) pairs of a monomial key, in
+    canonical order."""
+    return tuple(
+        (("s" if item & _S else "t", (item & ~_S) >> _E), item & _EXPONENT)
+        for item in key
+    )
+
+
+def monomial_text(key: tuple) -> str:
+    """e.g. "t1^2*s3"; the unit monomial prints as "1"."""
+    return "*".join(map(_ITEM_TEXTS.__getitem__, key)) or "1"
+
+
+def weighted_degree(key: tuple, family: str) -> int:
+    """Sum of index * exponent over the variables of one family."""
+    return sum(index * exp for (fam, index), exp in monomial_items(key) if fam == family)
+
+
+def _times(a: tuple, b: tuple) -> tuple:
+    """The key of the product of two monomial keys: their concatenation
+    when every variable of one comes before every variable of the other,
+    else one merge that adds the exponent fields of a shared variable."""
+    if not a or not b:
+        return a or b
+    if a[-1] | _EXPONENT < b[0]:
+        return a + b
+    if b[-1] | _EXPONENT < a[0]:
+        return b + a
     merged = []
     i = j = 0
     na, nb = len(a), len(b)
     while i < na and j < nb:
-        va, ea = a[i]
-        vb, eb = b[j]
-        if va == vb:
-            merged.append((va, ea + eb))
+        x, y = a[i], b[j]
+        if x >> _E == y >> _E:
+            exp = (x & _EXPONENT) + (y & _EXPONENT)
+            if exp > _EXPONENT:
+                raise ValueError(f"exponent {exp} of {_name(x)} does not fit {_E} bits")
+            merged.append(x + (y & _EXPONENT))
             i += 1
             j += 1
-        elif (va[1] < vb[1]) if va[0] == vb[0] else (va[0] == "t"):
-            merged.append(a[i])
+        elif x < y:
+            merged.append(x)
             i += 1
         else:
-            merged.append(b[j])
+            merged.append(y)
             j += 1
-    merged.extend(a[i:])
-    merged.extend(b[j:])
-    return tuple(merged)
-
-
-_MONOMIAL_ONE = Monomial()
+    return (*merged, *a[i:], *b[j:])
 
 
 def _coerce_coeff(value) -> int | Fraction:
@@ -142,8 +138,8 @@ def _coerce_coeff(value) -> int | Fraction:
 
 
 class Polynomial:
-    """Exact multivariate polynomial: a finite map Monomial -> int or
-    Fraction.
+    """Exact multivariate polynomial: a finite map from monomial keys (see
+    `monomial`) to ints or Fractions.
 
     Integral values enter as ints, so integer polynomials never build a
     Fraction, and scaling by an int or an exact rational also keeps
@@ -172,17 +168,17 @@ class Polynomial:
 
     @staticmethod
     def const(value) -> "Polynomial":
-        return Polynomial({_MONOMIAL_ONE: _coerce_coeff(value)})
+        return Polynomial({(): _coerce_coeff(value)})
 
     @staticmethod
     def variable(family: str, index: int) -> "Polynomial":
-        return Polynomial({Monomial.variable(family, index): 1})
+        return Polynomial({monomial((((family, index), 1),)): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and _MONOMIAL_ONE in self.terms)
+        return not self.terms or (len(self.terms) == 1 and () in self.terms)
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial, always as a Fraction (so that
@@ -190,7 +186,7 @@ class Polynomial:
         if not self.terms:
             return Fraction(0)
         if self.is_constant():
-            return Fraction(self.terms[_MONOMIAL_ONE])
+            return Fraction(self.terms[()])
         raise ValueError(f"polynomial {self} is not constant")
 
     @staticmethod
@@ -254,16 +250,16 @@ class Polynomial:
         # nonzero exact coefficients have a nonzero product, so no merging
         if len(tb) == 1:
             ((m2, c2),) = tb.items()
-            out.terms = {m1 * m2: c1 * c2 for m1, c1 in ta.items()}
+            out.terms = {_times(m1, m2): c1 * c2 for m1, c1 in ta.items()}
             return out
         if len(ta) == 1:
             ((m1, c1),) = ta.items()
-            out.terms = {m1 * m2: c1 * c2 for m2, c2 in tb.items()}
+            out.terms = {_times(m1, m2): c1 * c2 for m2, c2 in tb.items()}
             return out
         result = {}
         for m1, c1 in ta.items():
             for m2, c2 in tb.items():
-                mono = m1 * m2
+                mono = _times(m1, m2)
                 new = result.get(mono, 0) + c1 * c2
                 if new:
                     result[mono] = new
@@ -302,35 +298,17 @@ class Polynomial:
 
         Coefficients print as "p" or "p/q"; exponent 1 is left implicit; the
         zero polynomial prints as "0".  Terms come in the canonical order of
-        their monomials: item tuples compared item by item, each item as
-        (t before s, index, exponent), a shorter tuple first when it is a
-        prefix.  Every item adds the same three ints to a term's flat key,
-        so comparing flat keys is that same comparison.  The form
+        their monomials, which is the order of their keys.  The form
         round-trips bit-exactly through from_text.
         """
         if not self.terms:
             return "0"
-        # per (variable, exponent) item of this polynomial: its key and text
-        pieces = {}
-        rows = []
-        for mono, coeff in self.terms.items():
-            key = []
-            factors = [str(coeff)]
-            for item in mono.items:
-                piece = pieces.get(item)
-                if piece is None:
-                    var, e = item
-                    name = f"{var[0]}{var[1]}"
-                    piece = pieces[item] = (
-                        (*_var_key(var), e),
-                        name if e == 1 else f"{name}^{e}",
-                    )
-                key += piece[0]
-                factors.append(piece[1])
-            rows.append((tuple(key), "*".join(factors)))
-        # distinct monomials have distinct keys, so no text is ever compared
-        rows.sort()
-        return " + ".join([text for _, text in rows])
+        terms = self.terms
+        text_of = _ITEM_TEXTS.__getitem__
+        return " + ".join([
+            "*".join([str(terms[key]), *map(text_of, key)])
+            for key in sorted(terms)
+        ])
 
     @classmethod
     def from_text(cls, text: str) -> "Polynomial":
@@ -354,7 +332,7 @@ class Polynomial:
                 if len(name) < 2 or name[0] not in _FAMILIES:
                     raise ValueError(f"bad variable token {tok!r}")
                 items.append(((name[0], int(name[1:])), exp))
-            mono = Monomial(items)
+            mono = monomial(items)
             terms[mono] = terms.get(mono, 0) + coeff
         return cls(terms)
 
@@ -447,7 +425,7 @@ def specialize(poly: Polynomial, weights: WeightSpec) -> Fraction:
     total = Fraction(0)
     for mono, coeff in poly.terms.items():
         value = coeff
-        for (family, index), exp in mono.items:
+        for (family, index), exp in monomial_items(mono):
             w = weights.entry(family, index)
             if isinstance(w, Polynomial):
                 raise ValueError(

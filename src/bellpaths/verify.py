@@ -33,7 +33,15 @@ from .bell import (
     unit_power,
 )
 from .core import binomial, factorial
-from .polyring import Polynomial, Series, WeightSpec, specialize
+from .polyring import (
+    Polynomial,
+    Series,
+    WeightSpec,
+    monomial_items,
+    monomial_text,
+    specialize,
+    weighted_degree,
+)
 
 SUITES = ("core-identities", "bell", "motzkin", "compositions", "matrixcomp")
 
@@ -418,7 +426,7 @@ def _partitions(n: int, parts: int | None = None) -> list:
     r parts, and its (t_p, c_p) pairs are in part order."""
     sym_t = _sym_t()
     return sorted(
-        tuple((part, count) for (_, part), count in monomial.items)
+        tuple((part, count) for (_, part), count in monomial_items(monomial))
         for r in (range(n + 1) if parts is None else (parts,))
         for monomial in partial_bell_by_partitions(n, r, sym_t).terms
     )
@@ -613,8 +621,8 @@ def _coefficient_degree_grading(top):
     sym = _sym()
     for m, k in pairs_up_to(top):
         for mono in motzkin.weighted_sum_closed(m, k, sym).terms:
-            if mono.weighted_degree("t") != m or mono.weighted_degree("s") != k:
-                yield f"m={m}, k={k}, monomial {mono.to_text()}"
+            if weighted_degree(mono, "t") != m or weighted_degree(mono, "s") != k:
+                yield f"m={m}, k={k}, monomial {monomial_text(mono)}"
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from bellpaths.bell import (
     stirling2,
 )
 from bellpaths.core import EnumerationBoundError, binomial, factorial
-from bellpaths.polyring import Polynomial, Series, WeightSpec, specialize
+from bellpaths.polyring import Polynomial, Series, WeightSpec, monomial_items, specialize
 
 SYM = WeightVector(lambda k: Polynomial.variable("t", k))
 ONES = WeightVector.constant(1)
@@ -238,7 +238,7 @@ def test_partial_bell_matches_sympy():
     def as_sympy(poly):
         return sympy.Add(*(
             sympy.Rational(coeff.numerator, coeff.denominator)
-            * sympy.Mul(*(t[index - 1] ** exp for (_, index), exp in mono.items))
+            * sympy.Mul(*(t[index - 1] ** exp for (_, index), exp in monomial_items(mono)))
             for mono, coeff in poly.terms.items()
         ))
 
