@@ -161,9 +161,10 @@ def restricted_count(
     single positive value `forbidden`.  Evaluated through the closed form with
     0/1 t-weights; the result is asserted to be integral.
     """
-    allowed_set = None if allowed is None else frozenset(int(a) for a in allowed)
+    allowed_set = None if allowed is None else frozenset(map(as_integer, allowed))
     if allowed_set is not None and any(a < 1 for a in allowed_set):
         raise ValueError("allowed parts must be positive")
+    forbidden = None if forbidden is None else as_integer(forbidden)
     if forbidden is not None and forbidden < 1:
         raise ValueError("the forbidden part must be positive")
     value = weighted_sum_closed(m, 0, j, _restricted_weights(allowed_set, forbidden))

@@ -66,8 +66,9 @@ def as_integer(value) -> int:
 
 def part_type(counts: dict) -> dict:
     """A type {part: count} of a multiset of parts, with int keys and values
-    and zero counts dropped; parts below 1 and negative counts are rejected."""
-    counts = {int(part): int(count) for part, count in counts.items() if count}
+    and zero counts dropped; non-integral parts or counts, parts below 1 and
+    negative counts are rejected."""
+    counts = {as_integer(p): as_integer(c) for p, c in counts.items() if c}
     if any(part < 1 or count < 0 for part, count in counts.items()):
         raise ValueError(f"types need parts >= 1 and counts >= 0, got {counts}")
     return counts

@@ -112,7 +112,7 @@ def motzkin_series(weights: WeightSpec, nx: int, ny: int) -> Series:
     m = one
     for order in range(nx + 1):
         # exact through x^(order-1); the shift reads no further
-        tz = t.compose_x(Series((order, ny), m.cells).shift(di=1))
+        tz = t.compose_x(Series((order, ny, 0), m.cells).shift(di=1))
         m = tz * (one - a * tz).reciprocal()
     tz = t.compose_x(m.shift(di=1))
     if m * (one - a * tz) != tz:

@@ -405,13 +405,13 @@ class WeightSpec:
         return WeightSpec(lambda i: one, lambda i: one, name="all-ones")
 
     @staticmethod
-    def from_tables(t_table, s_table, default=Fraction(0), name="table") -> "WeightSpec":
-        """Finite tables {index: value}; indices not listed get `default`."""
+    def from_tables(t_table, s_table, name="table") -> "WeightSpec":
+        """Finite tables {index: value}; indices not listed get 0."""
         t_map = {int(k): v for k, v in t_table.items()}
         s_map = {int(k): v for k, v in s_table.items()}
         return WeightSpec(
-            lambda i: t_map.get(i, default),
-            lambda i: s_map.get(i, default),
+            lambda i: t_map.get(i, 0),
+            lambda i: s_map.get(i, 0),
             name=name,
         )
 
@@ -459,10 +459,6 @@ class Series:
     __slots__ = ("nx", "ny", "nq", "cells")
 
     def __init__(self, orders, cells=None):
-        if isinstance(orders, int):
-            orders = (orders, 0, 0)
-        while len(orders) < 3:
-            orders = (*orders, 0)
         nx, ny, nq = orders
         if nx < 0 or ny < 0 or nq < 0:
             raise ValueError(f"truncation orders must be >= 0, got {orders}")

@@ -7,8 +7,9 @@ range, compares it against an independent oracle, usually brute-force
 enumeration or truncated series algebra, and yields a counterexample string
 for every failing case, in case order.  `run` reports the first one.  Suites
 are deterministic, so a parallel run produces the same report as a
-sequential one.  What several identities of a run read, a brute-force tally
-or a series, is built once through `_once` and dropped when the run ends.
+sequential one.  What the identities of a run share, a brute-force tally or
+a series, is built once into the run's one store (one per pool worker) and
+dropped when the run ends; general matrices are tallied from row tallies.
 """
 
 from __future__ import annotations
@@ -131,7 +132,7 @@ def _identity(suite, name, range_template, cap=None, derive=_one_size):
 
 
 # (builder, sizes) -> what the identities of one run share, emptied when each
-# suite run and `check` ends, so no run reads another run's tallies
+# `run` and `check` ends, so no run reads another run's tallies
 _STORE: dict = {}
 
 
@@ -393,7 +394,8 @@ def _path_sum_triple_agreement(top):
         brute = _path_sum(m, k, sym)
         if brute != motzkin.weighted_sum_closed(m, k, sym):
             yield f"m={m}, k={k}: closed form differs from enumeration"
-        if brute != lagrange.motzkin_series(sym, m, k).coeff(m, k):
+        # one series per m: a coefficient inside the box does not depend on it
+        if brute != _once(lagrange.motzkin_series, sym, m, top - 2 * m).coeff(m, k):
             yield f"m={m}, k={k}: series fixed point differs from enumeration"
 
 
@@ -645,13 +647,21 @@ def _composition_tally(m, j) -> dict:
     )
 
 
+def _by_zeros(m, j, weights) -> dict:
+    """{zero parts: weight} over the compositions of m into j parts, from the
+    run's tally, each shape weighed once."""
+    return _weigh(
+        _once(_composition_tally, m, j),
+        lambda shape: shape[0],
+        lambda shape: motzkin.profile_weight(shape[1], weights),
+    )
+
+
 @_identity("compositions", "closed-vs-enumeration", "m, j <= {}, all k", cap=6)
 def _composition_closed_vs_enumeration(top):
     sym = _sym()
-    for m, j, shapes in _composition_shapes(top):
-        by_zeros = _weigh(
-            shapes, lambda shape: shape[0], lambda shape: motzkin.profile_weight(shape[1], sym)
-        )
+    for m, j, _ in _composition_shapes(top):
+        by_zeros = _once(_by_zeros, m, j, sym)
         for k in range(j + 1):
             closed = compositions.weighted_sum_closed(m, k, j, sym)
             if closed != by_zeros.get(k, 0):
@@ -804,7 +814,7 @@ def _matrix_closed_vs_enumeration(top):
     sym = _sym()
     for p in range(4):
         for j in range(5):
-            series = lagrange.bipartite_matrix_series(sym, p, j, top)
+            series = _once(lagrange.bipartite_matrix_series, sym, p, j, top)
             for m in range(top + 1):
                 closed = matrixcomp.weighted_sum_closed(m, p, j, sym)
                 if closed != _matrix_sum(m, p, j, sym):
@@ -824,7 +834,7 @@ def _matrix_row_power_law(top):
             row = Series.from_x_coeffs(
                 [_matrix_sum(m, 1, j, sym) for m in range(top + 1)]
             )
-            if lagrange.bipartite_matrix_series(sym, p, j, top) != row.pow(p):
+            if _once(lagrange.bipartite_matrix_series, sym, p, j, top) != row.pow(p):
                 yield f"p={p}, j={j}"
 
 
@@ -922,31 +932,19 @@ def _general_matrix_series(top):
     for p in range(3):
         for j in range(4):
             series = lagrange.matrix_composition_series(sym, p, j, top, top)
-            # row -> (its path weight, its zero entries), each row weighed once
-            row_weights = {}
-            table = {}
-            for m in range(top + 1):
-                for flat in compositions.enumerate_compositions(m, p * j):
-                    weight = Polynomial.const(1)
-                    zeros = 0
-                    for index in range(p):
-                        row = flat.parts[index * j : (index + 1) * j]
-                        if row not in row_weights:
-                            path = compositions.composition_to_motzkin(
-                                compositions.Composition(row)
-                            )
-                            row_weights[row] = (
-                                motzkin.path_weight(path, sym),
-                                sum(1 for e in row if e == 0),
-                            )
-                        row_weight, row_zeros = row_weights[row]
-                        weight = weight * row_weight
-                        zeros += row_zeros
-                    key = (m, zeros)
-                    table[key] = table.get(key, Polynomial.zero()) + weight
+            # {(sum, zero entries): weight} of the matrices, one row at a time;
+            # a row of sum s is a composition of s into j parts
+            table = {(0, 0): 1}
+            for _ in range(p):
+                grown = Counter()
+                for (m, k), weight in table.items():
+                    for s in range(top + 1 - m):
+                        for zeros, row_weight in _once(_by_zeros, s, j, sym).items():
+                            grown[m + s, k + zeros] += weight * row_weight
+                table = grown
             for m in range(top + 1):
                 for k in range(top + 1):
-                    if series.coeff(m, k) != table.get((m, k), Polynomial.zero()):
+                    if series.coeff(m, k) != table.get((m, k), 0):
                         yield f"p={p}, j={j}, m={m}, k={k}"
 
 
@@ -956,10 +954,7 @@ def _general_matrix_series(top):
 
 
 def _run_suite(suite: str, max_n: int) -> list[IdentityResult]:
-    try:
-        return [entry.result(max_n) for entry in REGISTRY.values() if entry.suite == suite]
-    finally:
-        _STORE.clear()
+    return [entry.result(max_n) for entry in REGISTRY.values() if entry.suite == suite]
 
 
 def suite_core(max_n: int) -> list[IdentityResult]:
@@ -1010,12 +1005,15 @@ def run(suite: str, max_n: int, jobs: int = 1) -> list[IdentityResult]:
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
     names = list(SUITES) if suite == "all" else [suite]
-    if jobs > 1 and len(names) > 1:
-        # imported here: a sequential run never pays for the pool machinery
-        from concurrent.futures import ProcessPoolExecutor
+    try:
+        if jobs > 1 and len(names) > 1:
+            # imported here: a sequential run never pays for the pool machinery
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(jobs, len(names))) as pool:
-            chunks = list(pool.map(_run_one, [(name, max_n) for name in names]))
-    else:
-        chunks = [_run_one((name, max_n)) for name in names]
+            with ProcessPoolExecutor(max_workers=min(jobs, len(names))) as pool:
+                chunks = list(pool.map(_run_one, [(name, max_n) for name in names]))
+        else:
+            chunks = [_run_one((name, max_n)) for name in names]
+    finally:
+        _STORE.clear()
     return [record for chunk in chunks for record in chunk]

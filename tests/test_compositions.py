@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from bellpaths import compositions, motzkin, verify
@@ -149,3 +151,11 @@ def test_restricted_rejects_nonpositive_allowed():
     for forbidden in (0, -1):
         with pytest.raises(ValueError):
             compositions.restricted_count(3, 2, forbidden=forbidden)
+    # non-integral parts are refused, not truncated (which gave 2) or left
+    # unmatched (which gave the unrestricted count 3)
+    with pytest.raises(ValueError, match="expected an integer value"):
+        compositions.restricted_count(3, 2, allowed={Fraction(3, 2), 2})
+    with pytest.raises(ValueError, match="expected an integer value"):
+        compositions.restricted_count(4, 2, forbidden=2.5)
+    assert compositions.restricted_count(4, 2, forbidden=Fraction(2)) == 2
+    assert compositions.restricted_count(4, 3, allowed={Fraction(1), 2}) == 3

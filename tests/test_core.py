@@ -113,3 +113,20 @@ def test_part_type_is_the_one_type_validator():
             compositions.count_by_type(1, {}, bad)
         with pytest.raises(ValueError, match="types need parts"):
             matrixcomp.count_by_type(1, 1, bad)
+
+
+def test_part_type_rejects_non_integral_parts_and_counts():
+    # truncating 2.5 to 2 and 1.9 to 1 gave the plausible counts 6 and 2
+    with pytest.raises(ValueError, match="expected an integer value"):
+        motzkin.count_by_type(2, 1, {1: 2.5}, {1: 1})
+    with pytest.raises(ValueError, match="expected an integer value"):
+        matrixcomp.count_by_type(2, 2, {1: 1.9})
+    with pytest.raises(ValueError, match="expected an integer value"):
+        part_type({Fraction(3, 2): 1})
+    # integral Fractions are still accepted
+    assert motzkin.count_by_type(2, 1, {Fraction(1): Fraction(2)}, {1: 1}) == (
+        motzkin.count_by_type(2, 1, {1: 2}, {1: 1})
+    )
+    assert matrixcomp.count_by_type(2, 2, {Fraction(2): Fraction(1)}) == (
+        matrixcomp.count_by_type(2, 2, {2: 1})
+    )

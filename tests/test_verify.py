@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from bellpaths import cli, compositions, matrixcomp, motzkin, verify
+from bellpaths import cli, compositions, lagrange, matrixcomp, motzkin, verify
 from bellpaths.core import EnumerationBoundError
 
 
@@ -29,10 +29,15 @@ def test_a_run_builds_each_tally_once_per_size(monkeypatch):
     matrices = _count_calls(monkeypatch, matrixcomp, "enumerate_bipartite")
     composition_tallies = _count_calls(monkeypatch, verify, "_composition_tally")
     series = _count_calls(monkeypatch, verify, "_composition_series")
+    motzkin_series = _count_calls(monkeypatch, lagrange, "motzkin_series")
+    bipartite = _count_calls(monkeypatch, lagrange, "bipartite_matrix_series")
     verify.run("all", 6)
     # 2m+k <= 6; m, j <= 6; m <= 6, p <= 3, j <= 4; one series at top 5
     assert (len(paths), len(composition_tallies), len(matrices)) == (16, 49, 140)
-    for calls in (paths, composition_tallies, matrices, series):
+    # one symbolic Motzkin series per m <= 3 and catalan-slice's Dyck series;
+    # one bipartite series per (p, j), read by two matrixcomp identities
+    assert (sum(motzkin_series.values()), len(bipartite)) == (5, 20)
+    for calls in (paths, composition_tallies, matrices, series, motzkin_series, bipartite):
         assert set(calls.values()) == {1}
     assert list(series) == [(5,)]
 
@@ -121,9 +126,10 @@ def test_a_second_run_sees_an_enumerator_change(
     for identity, counterexample in failed.items():
         sizes = dict(re.findall(r"\b([mkpj])=(\d+)", counterexample))
         if module is compositions and identity.startswith("matrixcomp/"):
-            # a flat p x j matrix composition of m has p * j parts
-            assert int(sizes["p"]) * int(sizes["j"]) == size[1], counterexample
-            assert int(sizes["m"]) == size[0], counterexample
+            # the rows of a matrix are compositions; the first matrix to
+            # lose one is the one-row matrix of the lost composition
+            assert int(sizes["p"]) == 1, counterexample
+            assert (int(sizes["m"]), int(sizes["j"])) == size, counterexample
         else:
             names = {motzkin: "mk", compositions: "mj", matrixcomp: "mpj"}[module]
             assert tuple(int(sizes[n]) for n in names) == size, counterexample
