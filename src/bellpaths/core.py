@@ -60,7 +60,7 @@ def as_integer(value) -> int:
     """Coerce an exact rational to int, rejecting non-integral values."""
     q = Fraction(value)
     if q.denominator != 1:
-        raise ValueError(f"expected an integer value, got {q}")
+        raise ValueError(f"expected an integer value, got {value}")
     return q.numerator
 
 

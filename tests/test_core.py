@@ -96,8 +96,11 @@ def test_large_values_stay_exact():
 
 def test_as_integer():
     assert as_integer(Fraction(10, 2)) == 5
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="got 1/3$"):
         as_integer(Fraction(1, 3))
+    # a float is named as given, not by its binary fraction
+    with pytest.raises(ValueError, match="got 1.9$"):
+        as_integer(1.9)
 
 
 def test_part_type_is_the_one_type_validator():
