@@ -100,11 +100,13 @@ def _int_list(text: str, option: str) -> list[int]:
 def _parse_params(text: str) -> dict:
     params = {}
     for piece in _split_list(text, "--weights"):
-        key, sep, value = piece.partition("=")
+        key, sep, value = (part.strip() for part in piece.partition("="))
         if not sep:
             raise ValueError(f"--weights parameter {piece!r} is not of the form key=value")
+        if key in params:
+            raise ValueError(f"--weights parameter {key!r} is given twice in {text!r}")
         try:
-            params[key.strip()] = Fraction(value.strip())
+            params[key] = Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise ValueError(
                 f"--weights parameter {piece!r} needs an exact rational value"
@@ -328,113 +330,135 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+_HELD = f"a symbolic result is held to {MAX_SYMBOLIC_TERMS} terms"
+_COMMANDS = {
+    "bell": "partial Bell polynomial values",
+    "motzkin": "weighted Motzkin path counts",
+    "comp": "weighted composition counts",
+    "matcomp": "bipartite matrix compositions and trees",
+    "verify": "run the identity verification suites",
+}
+
+
+def _sizes(*sizes, **common) -> dict:
+    """Integer options (name, help) of a mode, each with `common` too."""
+    return {f"--{name}": {"type": int, "help": help, **common} for name, help in sizes}
+
+
+def _output(weights: str, *formats) -> dict:
+    return {
+        "--weights": {"default": weights, "help": f"as for bell, default %(default)s; {_HELD}"},
+        "--format": {"choices": ["text", "json", *formats], "default": "text"},
+    }
+
+
+_STEPS = _sizes(("m", "up-steps"), ("k", "horizontal steps"), default=0)
+_PARTS = _sizes(("m", "sum of the parts"), ("j", "number of parts"), required=True)
+_SHAPE = _sizes(("m", "sum of the entries"), ("p", "rows"), ("j", "columns"), required=True)
+
+# the value of a required option in the namespace _read starts from
+_MISSING = object()
+
+
+def _owner(words: tuple, handler, options: dict) -> tuple:
+    """An entry of _OWNERS: the owner's set_defaults, its options, each with
+    the dest argparse gives it, and the namespace _read starts from, each
+    option at its default or _MISSING."""
+    defaults = dict(zip(("command", "mode"), words), handler=handler)
+    options = {name: {"dest": name[2:].replace("-", "_"), **option}
+               for name, option in options.items()}
+    return defaults, options, {**defaults, **{
+        option["dest"]: _MISSING if option.get("required") else option.get("default")
+        for option in options.values()}}
+
+
+# The owner of each query's options, keyed on its command words: ("bell",),
+# ("verify",) and (command, mode) for each mode of motzkin, comp and matcomp.
+# Each is declared once, by its handler and its options in order, each as
+# the add_argument keywords _read reads: type, default, required, choices, a
+# flag as action="store_true" with default False, and help and metavar.  No
+# option is abbreviated: `motzkin table --m` must not read as --max-n.
+_OWNERS = {
+    words: _owner(words, handler, options)
+    for words, handler, options in (
+        (("bell",), cmd_bell, {
+            "--n": {"type": int, "required": True},
+            "--r": {"type": int, "required": True},
+            "--weights": {
+                "default": "symbolic",
+                "help": "symbolic, all-ones, stirling, b-ary:b=2,d=1, r-ary:r=1, "
+                "abel:q=-2, bell-numbers, factorial-psi, or csv:<file>; symbolic "
+                f"Bell rows are held to {MAX_SYMBOLIC_TERMS} terms",
+            },
+            "--oracle": {
+                "action": "store_true",
+                "default": False,
+                "help": "cross-check against the partition-sum evaluator (exit 2 on mismatch)",
+            },
+        }),
+        (("motzkin", "count"), cmd_motzkin_count, {**_STEPS, "--bound": {
+            "type": int,
+            "default": motzkin.DEFAULT_PATH_BOUND,
+            "help": f"enumeration bound on 2m+k, at most {motzkin.MAX_PATH_BOUND}",
+        }}),
+        (("motzkin", "weighted"), cmd_motzkin_weighted, {**_STEPS, "--by-segments": {
+            "metavar": "R,L", "help": "restrict to R u-segments and L h-segments",
+        }, **_output("symbolic")}),
+        (("motzkin", "table"), cmd_motzkin_table, {
+            "--max-n": {"type": int, "default": 6, "help": "table size by path length"},
+            **_output("all-ones", "csv"),
+        }),
+        (("comp", "count"), cmd_comp_count, {
+            **_PARTS, "--k": {"type": int, "help": "zero parts; default: all k"},
+        }),
+        (("comp", "weighted"), cmd_comp_weighted, {
+            **_PARTS, "--k": {"type": int, "default": 0, "help": "zero parts"},
+            **_output("symbolic"),
+        }),
+        (("comp", "restricted"), cmd_comp_restricted, {
+            **_PARTS, "--allowed": {"help": "comma-separated part values"},
+            "--forbid": {"type": int, "help": "excluded part value"},
+        }),
+        (("matcomp", "count"), cmd_matcomp_count, _SHAPE),
+        (("matcomp", "weighted"), cmd_matcomp_weighted, {**_SHAPE, **_output("symbolic")}),
+        (("matcomp", "zero-one"), cmd_matcomp_zero_one, _SHAPE),
+        (("matcomp", "trees"), cmd_matcomp_trees,
+         _sizes(("v", "vertex count"), ("j", "largest outdegree"), required=True)),
+        (("verify",), cmd_verify, {
+            "--suite": {"choices": [*verify.SUITES, "all"], "default": "all"},
+            "--max-n": {"type": int, "default": 8},
+            "--format": {"choices": ["text", "json"], "default": "text"},
+            "--jobs": {"type": int, "default": 1},
+        }),
+    )
+}
+
+
 @lru_cache(maxsize=None)
 def _build_parser() -> tuple[_Parser, dict]:
-    """The parser tree of the process, and the parser that owns the options
-    of each query, keyed on its command words: ("bell",), ("verify",) and
-    (command, mode) for each mode of motzkin, comp and matcomp.
-
-    Each owner declares exactly the options its handler reads, none
-    abbreviated, and sets `command` and `mode` itself, so it parses its
-    query to the namespace the tree gives.  The declarations are the only
-    ones: _read reads a well-formed query by a table built from its owner's,
-    and argparse parses the rest and renders every help, usage and error
-    text, with the owner, or with the whole tree at the top and command
-    levels."""
+    """The argparse tree of _OWNERS, and the parser of each owner by its
+    command words.  Each owner parses its query to the namespace the tree
+    gives.  main builds it only for a query _read refuses or whose words name
+    no owner: argparse then parses it and renders every help, usage and
+    error text, with the owner, or with the whole tree at the top and
+    command levels."""
     parser = _Parser(prog="bellpaths", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    held = f"a symbolic result is held to {MAX_SYMBOLIC_TERMS} terms"
-
-    bell = sub.add_parser("bell", help="partial Bell polynomial values", allow_abbrev=False)
-    bell.add_argument("--n", type=int, required=True)
-    bell.add_argument("--r", type=int, required=True)
-    bell.add_argument(
-        "--weights",
-        default="symbolic",
-        help="symbolic, all-ones, stirling, b-ary:b=2,d=1, r-ary:r=1, "
-        "abel:q=-2, bell-numbers, factorial-psi, or csv:<file>; symbolic "
-        f"Bell rows are held to {MAX_SYMBOLIC_TERMS} terms",
-    )
-    bell.add_argument(
-        "--oracle",
-        action="store_true",
-        help="cross-check against the partition-sum evaluator (exit 2 on mismatch)",
-    )
-    bell.set_defaults(handler=cmd_bell, command="bell")
-    owners = {("bell",): bell}
-
-    def add_modes(command, summary):
-        """The adder of `command`'s modes: each call adds one mode's parser,
-        with its integer options (name, help) `sizes`.  No abbreviations:
-        `motzkin table --m` must not read as --max-n."""
-        parent = sub.add_parser(command, help=summary, description=f"{summary}; {held}")
-        modes = parent.add_subparsers(dest="mode", required=True)
-
-        def add_mode(name, handler, *sizes, **size_options):
-            mode = modes.add_parser(name, allow_abbrev=False)
-            mode.set_defaults(handler=handler, command=command, mode=name)
-            for size, help in sizes:
-                mode.add_argument(f"--{size}", type=int, help=help, **size_options)
-            owners[command, name] = mode
-            return mode
-
-        return add_mode
-
-    def add_output(mode, weights, *formats):
-        mode.add_argument("--weights", default=weights,
-                          help=f"as for bell, default %(default)s; {held}")
-        mode.add_argument("--format", choices=["text", "json", *formats], default="text")
-
-    motz = add_modes("motzkin", "weighted Motzkin path counts")
-    steps = (("m", "up-steps"), ("k", "horizontal steps"))
-    count = motz("count", cmd_motzkin_count, *steps, default=0)
-    count.add_argument(
-        "--bound",
-        type=int,
-        default=motzkin.DEFAULT_PATH_BOUND,
-        help=f"enumeration bound on 2m+k, at most {motzkin.MAX_PATH_BOUND}",
-    )
-    weighted = motz("weighted", cmd_motzkin_weighted, *steps, default=0)
-    weighted.add_argument(
-        "--by-segments", metavar="R,L", help="restrict to R u-segments and L h-segments"
-    )
-    add_output(weighted, "symbolic")
-    table = motz("table", cmd_motzkin_table)
-    table.add_argument("--max-n", type=int, default=6, help="table size by path length")
-    add_output(table, "all-ones", "csv")
-
-    comp = add_modes("comp", "weighted composition counts")
-    parts = (("m", "sum of the parts"), ("j", "number of parts"))
-    count = comp("count", cmd_comp_count, *parts, required=True)
-    count.add_argument("--k", type=int, help="zero parts; default: all k")
-    weighted = comp("weighted", cmd_comp_weighted, *parts, required=True)
-    weighted.add_argument("--k", type=int, default=0, help="zero parts")
-    add_output(weighted, "symbolic")
-    restricted = comp("restricted", cmd_comp_restricted, *parts, required=True)
-    restricted.add_argument("--allowed", help="comma-separated part values")
-    restricted.add_argument("--forbid", type=int, help="excluded part value")
-
-    mat = add_modes("matcomp", "bipartite matrix compositions and trees")
-    shape = (("m", "sum of the entries"), ("p", "rows"), ("j", "columns"))
-    mat("count", cmd_matcomp_count, *shape, required=True)
-    weighted = mat("weighted", cmd_matcomp_weighted, *shape, required=True)
-    add_output(weighted, "symbolic")
-    mat("zero-one", cmd_matcomp_zero_one, *shape, required=True)
-    mat("trees", cmd_matcomp_trees, ("v", "vertex count"), ("j", "largest outdegree"),
-        required=True)
-
-    ver = sub.add_parser("verify", help="run the identity verification suites",
-                         allow_abbrev=False)
-    ver.add_argument(
-        "--suite",
-        choices=[*verify.SUITES, "all"],
-        default="all",
-    )
-    ver.add_argument("--max-n", type=int, default=8)
-    ver.add_argument("--format", choices=["text", "json"], default="text")
-    ver.add_argument("--jobs", type=int, default=1)
-    ver.set_defaults(handler=cmd_verify, command="verify")
-    owners[("verify",)] = ver
+    owners, modes = {}, {}
+    for words, (defaults, options, _) in _OWNERS.items():
+        command, summary = words[0], _COMMANDS[words[0]]
+        if len(words) == 1:
+            owner = sub.add_parser(command, help=summary, allow_abbrev=False)
+        else:
+            if command not in modes:
+                parent = sub.add_parser(command, help=summary,
+                                        description=f"{summary}; {_HELD}")
+                modes[command] = parent.add_subparsers(dest="mode", required=True)
+            owner = modes[command].add_parser(words[1], allow_abbrev=False)
+        owner.set_defaults(**defaults)
+        for name, keywords in options.items():
+            owner.add_argument(name, **keywords)
+        owners[words] = owner
     return parser, owners
 
 
@@ -443,57 +467,27 @@ def _build_parser() -> tuple[_Parser, dict]:
 _NEGATIVE_INT = re.compile(r"-[0-9]+")
 
 
-@lru_cache(maxsize=None)
-def _option_table(owner: _Parser) -> tuple[dict, dict, frozenset]:
-    """The table _read reads `owner`'s queries by: {option: action}, the
-    defaults argparse starts the namespace from (the actions', then the
-    owner's set_defaults for other names), and the required actions.
-
-    An action _read cannot read as argparse does raises: anything but a
-    `--name` option that stores one value or True, or a str default that
-    argparse would convert.  Help is left out, so _read refuses -h."""
-    options, defaults, required = {}, {}, set()
-    for action in owner._actions:
-        if isinstance(action, argparse._HelpAction):
-            continue
-        kind = type(action)
-        if not (
-            action.option_strings
-            and all(option.startswith("--") for option in action.option_strings)
-            and (kind is argparse._StoreTrueAction
-                 or kind is argparse._StoreAction and action.nargs is None
-                 and not (isinstance(action.default, str) and action.type))
-        ):
-            raise TypeError(f"{owner.prog}: cannot read {kind.__name__} "
-                            f"{'/'.join(action.option_strings) or action.dest}")
-        options.update(dict.fromkeys(action.option_strings, action))
-        defaults[action.dest] = action.default
-        if action.required:
-            required.add(action)
-    return options, {**owner._defaults, **defaults}, frozenset(required)
-
-
-def _read(owner: _Parser, argv: list) -> argparse.Namespace | None:
-    """`argv` read in one pass by `owner`'s table (see _option_table): the
-    namespace owner.parse_known_args(argv) gives, with nothing left over.
+def _read(owner: tuple, argv: list) -> argparse.Namespace | None:
+    """`argv` read in one pass by `owner`, an entry of _OWNERS: the namespace
+    its parser's parse_known_args(argv) gives, with nothing left over.
 
     It reads `--name value` and `--name=value`, the value converted by the
-    option's type and checked against its choices, and `--flag`.  Any other
-    form (-h, an unknown or abbreviated option, a missing, empty or bad
-    value, `--`, a stray token, `--flag=x`) or a missing required option
-    gives None, and argparse parses the query instead."""
-    options, defaults, required = _option_table(owner)
-    values, seen = dict(defaults), set()
+    option's type and checked against its choices, and `--flag`; the last of
+    a repeated option wins.  Any other form (-h, an unknown or abbreviated
+    option, a missing, empty or bad value, `--`, a stray token, `--flag=x`)
+    or a missing required option gives None, and argparse parses the query
+    instead."""
+    options, values = owner[1], dict(owner[2])
     tokens = iter(argv)
     for token in tokens:
-        option, joined, value = token.partition("=")
-        action = options.get(option)
-        if action is None:
+        name, joined, value = token.partition("=")
+        option = options.get(name)
+        if option is None:
             return None
-        if action.nargs == 0:
+        if "action" in option:
             if joined:
                 return None
-            value = action.const
+            value = True
         else:
             if not joined:
                 value = next(tokens, "")
@@ -501,39 +495,37 @@ def _read(owner: _Parser, argv: list) -> argparse.Namespace | None:
                     return None
             if not value:
                 return None
-            if action.type is not None:
+            if "type" in option:
                 try:
-                    value = action.type(value)
+                    value = option["type"](value)
                 except (TypeError, ValueError):
                     return None
-            if action.choices is not None and value not in action.choices:
+            if "choices" in option and value not in option["choices"]:
                 return None
-        values[action.dest] = value
-        seen.add(action)
-    if not required <= seen:
+        values[option["dest"]] = value
+    if _MISSING in values.values():
         return None
     return argparse.Namespace(**values)
 
 
 def main(argv=None) -> int:
-    """Run one query.  The parser that owns the query's options is looked up
-    by its first two words, then its first, and _read reads the rest by that
-    owner's table in one pass.  What _read refuses goes, unchanged, to the
-    owner's argparse pass, which renders its help, usage and errors; when the
-    lookup misses (`--help`, `motzkin --help`, a missing mode, an unknown
-    command) the whole tree parses and renders."""
+    """Run one query.  The owner of the query's options is looked up by its
+    first two words, then its first, and _read reads the rest by that
+    owner's entry of _OWNERS in one pass.  What _read refuses goes, unchanged,
+    to the owner's argparse pass, which renders its help, usage and errors;
+    when the lookup misses (`--help`, `motzkin --help`, a missing mode, an
+    unknown command) the whole tree parses and renders."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, owners = _build_parser()
     try:
         for words in (tuple(argv[:2]), tuple(argv[:1])):
-            if words in owners:
-                owner, rest = owners[words], argv[len(words):]
-                args, unread = _read(owner, rest), []
+            if words in _OWNERS:
+                rest = argv[len(words):]
+                args, unread = _read(_OWNERS[words], rest), []
                 if args is None:
-                    args, unread = owner.parse_known_args(rest)
+                    args, unread = _build_parser()[1][words].parse_known_args(rest)
                 break
         else:
-            args, unread = parser.parse_known_args(argv)
+            args, unread = _build_parser()[0].parse_known_args(argv)
     except SystemExit as exc:
         return EXIT_OK if not exc.code else EXIT_USAGE
     try:

@@ -114,6 +114,13 @@ def test_malformed_list_options_exit_1(capsys):
          "--weights parameter 'q=x' needs an exact rational value"),
         ([*weighted, "--weights", "abel:q"],
          "--weights parameter 'q' is not of the form key=value"),
+        # a repeated key is refused, not read as its last value
+        ([*weighted, "--weights", "abel:q=1,q=2"],
+         "--weights parameter 'q' is given twice in 'q=1,q=2'"),
+        ([*weighted, "--weights", "abel:q=1, q =1"],
+         "--weights parameter 'q' is given twice in 'q=1, q =1'"),
+        ([*weighted, "--weights", "b-ary:b=2,d=1,b=3"],
+         "--weights parameter 'b' is given twice in 'b=2,d=1,b=3'"),
         ([*weighted, "--by-segments", "1,1,1"], "--by-segments needs R,L, got '1,1,1'"),
         ([*weighted, "--by-segments", "1"], "--by-segments needs R,L, got '1'"),
         ([*weighted, "--by-segments", ""], "--by-segments has an empty item in ''"),
@@ -287,24 +294,105 @@ def test_the_table_reads_only_plain_forms(argv, monkeypatch, capsys):
         else [("read", False)])
 
 
-def test_every_owner_has_a_table_and_other_actions_raise():
-    # every option an owner declares is in its table, help aside
-    for owner in cli._build_parser()[1].values():
-        options, defaults, required = cli._option_table(owner)
-        declared = {option for action in owner._actions for option in action.option_strings}
-        assert set(options) == declared - {"-h", "--help"}
-        assert required == {action for action in owner._actions if action.required}
-    # an action the table would read otherwise than argparse does
-    for args, kwargs in (
-        (("--x",), {"nargs": "?"}), (("--x",), {"nargs": 1}), (("--x",), {"action": "append"}),
-        (("--x",), {"action": "count"}), (("--x",), {"action": "store_false"}),
-        (("--x",), {"action": "store_const", "const": 1}),
-        (("--x",), {"type": int, "default": "3"}), (("-x",), {}), (("x",), {}),
-    ):
-        owner = cli._Parser(prog="p")
-        owner.add_argument(*args, **kwargs)
-        with pytest.raises(TypeError, match="p: cannot read"):
-            cli._option_table(owner)
+def test_each_parser_declares_its_owners_table():
+    # the tree is built from _OWNERS: each owner's parser declares exactly
+    # its entry's options, required options, choices and defaults, help
+    # aside, _read starts from its defaults, and every option uses only the
+    # keywords _read reads as argparse does
+    owners = cli._build_parser()[1]
+    assert list(owners) == list(cli._OWNERS)
+    readable = {"dest", "type", "default", "required", "choices", "action", "help",
+                "metavar"}
+    for words, (defaults, options, start) in cli._OWNERS.items():
+        owner = owners[words]
+        actions = [action for action in owner._actions if action.dest != "help"]
+        assert [action.option_strings for action in actions] == [[name] for name in options]
+        assert [(action.dest, action.required, action.choices, action.default)
+                for action in actions] == [
+            (option["dest"], bool(option.get("required")), option.get("choices"),
+             option.get("default")) for option in options.values()]
+        assert {key: owner.get_default(key) for key in defaults} == defaults
+        assert start == {**defaults, **{
+            action.dest: cli._MISSING if action.required else action.default
+            for action in actions}}
+        for option in options.values():
+            assert set(option) <= readable, words
+            assert option.get("action", "store_true") == "store_true", words
+            # argparse would convert a str default by the type; _read would not
+            assert not (isinstance(option.get("default"), str) and "type" in option), words
+    # the suites verify runs, and all of them
+    assert cli._OWNERS[("verify",)][1]["--suite"]["choices"] == [*verify.SUITES, "all"]
+
+
+# the owners that require no option
+_NONE_REQUIRED = {("verify",), ("motzkin", "count"), ("motzkin", "weighted"),
+                  ("motzkin", "table")}
+
+# each owner's namespace, handler aside, as the hand-written argparse
+# declarations gave it for its required options alone, so every default
+# shows: its _QUERIES query, or no option where it requires none
+_NAMESPACES = {
+    ("bell",): {"command": "bell", "n": 3, "r": 2, "weights": "symbolic", "oracle": False},
+    ("verify",): {"command": "verify", "suite": "all", "max_n": 8, "format": "text",
+                  "jobs": 1},
+    ("motzkin", "count"): {"command": "motzkin", "mode": "count", "m": 0, "k": 0,
+                           "bound": 16},
+    ("motzkin", "weighted"): {"command": "motzkin", "mode": "weighted", "m": 0, "k": 0,
+                              "by_segments": None, "weights": "symbolic", "format": "text"},
+    ("motzkin", "table"): {"command": "motzkin", "mode": "table", "max_n": 6,
+                           "weights": "all-ones", "format": "text"},
+    ("comp", "count"): {"command": "comp", "mode": "count", "m": 2, "j": 2, "k": None},
+    ("comp", "weighted"): {"command": "comp", "mode": "weighted", "m": 2, "j": 2, "k": 0,
+                           "weights": "symbolic", "format": "text"},
+    ("comp", "restricted"): {"command": "comp", "mode": "restricted", "m": 2, "j": 2,
+                             "allowed": None, "forbid": None},
+    ("matcomp", "count"): {"command": "matcomp", "mode": "count", "m": 2, "p": 1, "j": 2},
+    ("matcomp", "weighted"): {"command": "matcomp", "mode": "weighted", "m": 2, "p": 1,
+                              "j": 2, "weights": "symbolic", "format": "text"},
+    ("matcomp", "zero-one"): {"command": "matcomp", "mode": "zero-one", "m": 2, "p": 1,
+                              "j": 2},
+    ("matcomp", "trees"): {"command": "matcomp", "mode": "trees", "v": 3, "j": 2},
+}
+
+
+@pytest.mark.parametrize("words", _QUERIES, ids=" ".join)
+def test_each_owner_reads_its_pinned_namespace(words):
+    # the reader and the tree come from one table, so the parse corpus cannot
+    # catch a wrong declaration; these namespaces and required options can
+    query = [] if words in _NONE_REQUIRED else _QUERIES[words]
+    tree = cli._build_parser()[0]
+    by_table = vars(cli._read(cli._OWNERS[words], query))
+    by_tree, unread = tree.parse_known_args([*words, *query])
+    assert unread == []
+    for namespace in (by_table, vars(by_tree)):
+        assert namespace.pop("handler") is cli._OWNERS[words][0]["handler"]
+        assert namespace == _NAMESPACES[words]
+    # without any one of its required options, neither reads the query
+    for i in range(0, len(query), 2):
+        short = query[:i] + query[i + 2:]
+        assert cli._read(cli._OWNERS[words], short) is None
+        with pytest.raises(SystemExit):
+            tree.parse_known_args([*words, *short])
+
+
+def test_a_well_formed_query_builds_no_parser():
+    # the tier-1 process has built the tree; in a fresh interpreter a
+    # well-formed query of every owner is read from its table alone, and the
+    # first query argparse must parse builds the tree
+    queries = [[*words, *query] for words, query in _QUERIES.items()]
+    code = (
+        "import contextlib, io\n"
+        "from bellpaths import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [cli.main(query) for query in {queries!r}]\n"
+        "print(codes, cli._build_parser.cache_info().currsize)\n"
+        "with contextlib.redirect_stderr(io.StringIO()):\n"
+        "    code = cli.main(['bell', '--n', '3', '--r', '2', 'extra'])\n"
+        "print(code, cli._build_parser.cache_info().currsize)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, f"{[0] * len(queries)} 0\n1 1\n", "")
 
 
 def test_motzkin_weighted_csv_exits_1(capsys):
