@@ -250,8 +250,8 @@ def cmd_motzkin_table(args) -> int:
 def cmd_comp_count(args) -> int:
     _require_nonnegative(args.k)
     total = 0
-    for comp in compositions.enumerate_compositions(args.m, args.j):
-        if args.k is None or comp.zero_parts == args.k:
+    for parts in compositions.enumerate_compositions(args.m, args.j):
+        if args.k is None or parts.count(0) == args.k:
             total += 1
     print(total)
     return EXIT_OK

@@ -10,7 +10,6 @@ and h-segment statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -27,22 +26,7 @@ SUM_BOUND = 12
 PARTS_BOUND = 12
 
 
-@dataclass(frozen=True)
-class Composition:
-    """Ordered tuple of nonnegative parts, checked on construction."""
-
-    parts: tuple
-
-    def __post_init__(self):
-        if self.parts and min(self.parts) < 0:
-            raise ValueError(f"parts must be nonnegative, got {self.parts}")
-
-    @property
-    def zero_parts(self) -> int:
-        return self.parts.count(0)
-
-
-def enumerate_compositions(m: int, j: int) -> Iterator[Composition]:
+def enumerate_compositions(m: int, j: int) -> Iterator[tuple]:
     """All ordered j-tuples of nonnegative integers summing to m, in
     lexicographic order, each exactly once.  Empty stream when j = 0 and
     m > 0; the single empty composition when j = m = 0.
@@ -52,8 +36,8 @@ def enumerate_compositions(m: int, j: int) -> Iterator[Composition]:
     the runs of stars before, between and after the bars.  `combinations`
     draws the positions in lexicographic order, and a smaller first
     differing bar is a smaller first differing part, so the stream is in
-    lexicographic order too (Knuth, TAOCP 4A, section 7.2.1.3).  Every
-    composition goes through the class's own check.
+    lexicographic order too (Knuth, TAOCP 4A, section 7.2.1.3).  Each
+    composition is yielded as its tuple of parts.
     """
     if m < 0 or j < 0:
         raise ValueError("sum and parts must be >= 0")
@@ -63,7 +47,7 @@ def enumerate_compositions(m: int, j: int) -> Iterator[Composition]:
         )
     if j == 0:
         if m == 0:
-            yield Composition(())
+            yield ()
         return
     slots = m + j - 1
     for bars in combinations(range(slots), j - 1):
@@ -73,17 +57,20 @@ def enumerate_compositions(m: int, j: int) -> Iterator[Composition]:
             parts.append(bar - start)
             start = bar + 1
         parts.append(slots - start)
-        yield Composition(tuple(parts))
+        yield tuple(parts)
 
 
-def composition_to_motzkin(comp: Composition) -> MotzkinPath:
-    """The path embedding: part a >= 1 becomes u^a d^a, part 0 becomes h."""
+def composition_to_motzkin(parts: tuple) -> MotzkinPath:
+    """The path embedding: part a >= 1 becomes u^a d^a, part 0 becomes h.
+    A negative part is refused."""
     pieces = []
-    for part in comp.parts:
-        if part == 0:
+    for part in parts:
+        if part > 0:
+            pieces.append("u" * part + "d" * part)
+        elif part == 0:
             pieces.append("h")
         else:
-            pieces.append("u" * part + "d" * part)
+            raise ValueError(f"parts must be nonnegative, got {parts}")
     return MotzkinPath("".join(pieces))
 
 

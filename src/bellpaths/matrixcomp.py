@@ -25,31 +25,6 @@ COLS_BOUND = 5
 TREE_BOUND = 10
 
 
-@dataclass(frozen=True)
-class BipartiteMatrixComposition:
-    """Rows of shape (a_1, ..., a_i, 0, ..., 0) with every a positive."""
-
-    rows: tuple
-
-    def __post_init__(self):
-        for row in self.rows:
-            seen_zero = False
-            for entry in row:
-                if entry < 0:
-                    raise ValueError(f"negative entry in row {row}")
-                if entry == 0:
-                    seen_zero = True
-                elif seen_zero:
-                    raise ValueError(f"nonzero entry after a zero in row {row}")
-
-    @property
-    def total(self) -> int:
-        return sum(sum(row) for row in self.rows)
-
-    def nonzero_entries(self):
-        return [entry for row in self.rows for entry in row if entry]
-
-
 def _bipartite_rows(total: int, cols: int):
     """All bipartite rows of length cols with the given sum, ascending lex."""
     if total == 0:
@@ -83,8 +58,9 @@ def _check_bipartite_args(m: int, p: int, j: int) -> None:
         )
 
 
-def enumerate_bipartite(m: int, p: int, j: int) -> Iterator[BipartiteMatrixComposition]:
-    """All p x j bipartite matrix compositions of m, each exactly once."""
+def enumerate_bipartite(m: int, p: int, j: int) -> Iterator[tuple]:
+    """All p x j bipartite matrix compositions of m, each exactly once, as
+    its tuple of rows."""
     _check_bipartite_args(m, p, j)
 
     # the rows of each sum, listed once per call rather than once per prefix
@@ -93,7 +69,7 @@ def enumerate_bipartite(m: int, p: int, j: int) -> Iterator[BipartiteMatrixCompo
     def rec(rows: list, remaining: int, slots: int):
         if slots == 0:
             if remaining == 0:
-                yield BipartiteMatrixComposition(tuple(rows))
+                yield tuple(rows)
             return
         for row_sum in range(remaining + 1):
             for row in rows_of_sum[row_sum]:

@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
+from .core import as_integer
+
 _FAMILIES = ("t", "s")
 
 # field widths of a packed item: exponent, index, then the family bit
@@ -41,11 +43,12 @@ def monomial(items=()) -> tuple:
     a zero exponent is left out."""
     exponents = {}
     for (family, index), exp in items:
-        exp = int(exp)
+        exp = as_integer(exp)
         if exp == 0:
             continue
         if family not in _FAMILIES:
             raise ValueError(f"unknown variable family {family!r}")
+        index = as_integer(index)
         if index < 1:
             raise ValueError(f"variable index must be >= 1, got {index}")
         if exp < 0:
@@ -407,8 +410,8 @@ class WeightSpec:
     @staticmethod
     def from_tables(t_table, s_table, name="table") -> "WeightSpec":
         """Finite tables {index: value}; indices not listed get 0."""
-        t_map = {int(k): v for k, v in t_table.items()}
-        s_map = {int(k): v for k, v in s_table.items()}
+        t_map = {as_integer(k): v for k, v in t_table.items()}
+        s_map = {as_integer(k): v for k, v in s_table.items()}
         return WeightSpec(
             lambda i: t_map.get(i, 0),
             lambda i: s_map.get(i, 0),

@@ -641,9 +641,9 @@ def _composition_shapes(top):
 
 def _composition_tally(m, j) -> dict:
     return Counter(
-        (comp.zero_parts, motzkin.segment_profile(path))
-        for comp in compositions.enumerate_compositions(m, j)
-        for path in [compositions.composition_to_motzkin(comp)]
+        (parts.count(0), motzkin.segment_profile(path))
+        for parts in compositions.enumerate_compositions(m, j)
+        for path in [compositions.composition_to_motzkin(parts)]
     )
 
 
@@ -744,15 +744,15 @@ def _composition_type_counts(top):
 def _composition_embedding_consistency(top):
     for m in range(top + 1):
         for j in range(top + 1):
-            for comp in compositions.enumerate_compositions(m, j):
-                path = compositions.composition_to_motzkin(comp)
+            for parts in compositions.enumerate_compositions(m, j):
+                path = compositions.composition_to_motzkin(parts)
                 u_items, _ = motzkin.segment_profile(path)
-                if sum(cnt for _, cnt in u_items) != j - comp.zero_parts:
-                    yield f"{comp.parts}: u-segments != parts - zeros"
-                nonzero = sorted(p for p in comp.parts if p)
+                if sum(cnt for _, cnt in u_items) != j - parts.count(0):
+                    yield f"{parts}: u-segments != parts - zeros"
+                nonzero = sorted(p for p in parts if p)
                 runs = [length for length, cnt in u_items for _ in range(cnt)]
                 if nonzero != runs:
-                    yield f"{comp.parts}: u-run lengths differ from nonzero parts"
+                    yield f"{parts}: u-run lengths differ from nonzero parts"
 
 
 @_identity(
@@ -768,7 +768,7 @@ def _composition_restricted_counts(sum_top, parts_top):
             # both rules in one walk: parts in {1, 2}, and no part 0 or 2
             one_two = no_two = 0
             for comp in compositions.enumerate_compositions(m, j):
-                parts = set(comp.parts)
+                parts = set(comp)
                 one_two += parts <= {1, 2}
                 no_two += parts.isdisjoint((0, 2))
             if compositions.restricted_count(m, j, allowed={1, 2}) != one_two:
@@ -794,8 +794,8 @@ def _matrix_shapes_of(m, p, j) -> dict:
     """{sorted nonzero entries: count} over the p x j bipartite matrix
     compositions of m."""
     return Counter(
-        tuple(sorted(matrix.nonzero_entries()))
-        for matrix in matrixcomp.enumerate_bipartite(m, p, j)
+        tuple(sorted(entry for row in rows for entry in row if entry))
+        for rows in matrixcomp.enumerate_bipartite(m, p, j)
     )
 
 
@@ -828,13 +828,14 @@ def _matrix_closed_vs_enumeration(top):
 )
 def _matrix_row_power_law(top):
     sym = _sym()
+    # the one-row series of each j from enumerated rows, not from the builder
+    rows = [
+        Series.from_x_coeffs([_matrix_sum(m, 1, j, sym) for m in range(top + 1)])
+        for j in range(5)
+    ]
     for p in range(4):
         for j in range(5):
-            # the one-row series from enumerated rows, not from the builder
-            row = Series.from_x_coeffs(
-                [_matrix_sum(m, 1, j, sym) for m in range(top + 1)]
-            )
-            if _once(lagrange.bipartite_matrix_series, sym, p, j, top) != row.pow(p):
+            if _once(lagrange.bipartite_matrix_series, sym, p, j, top) != rows[j].pow(p):
                 yield f"p={p}, j={j}"
 
 

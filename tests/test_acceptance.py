@@ -137,7 +137,7 @@ def test_criterion_08_composition_closed_forms():
             direct = sum(
                 1
                 for comp in compositions.enumerate_compositions(m, j)
-                if all(p in (1, 2) for p in comp.parts)
+                if all(p in (1, 2) for p in comp)
             )
             assert compositions.restricted_count(m, j, allowed={1, 2}) == direct, (m, j)
     _report("8 (composition closed forms m, j <= 7; restricted counts m <= 10)")

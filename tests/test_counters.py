@@ -26,13 +26,30 @@ def test_path_count_equals_its_enumerator():
             assert count == _listed(motzkin.enumerate_paths, m, k), (m, k)
 
 
+def _is_bipartite(matrix, m, p, j) -> bool:
+    """p rows of j nonnegative entries, no nonzero entry after a zero, and
+    entries summing to m."""
+    return (
+        len(matrix) == p
+        and all(
+            len(row) == j and min(row, default=0) >= 0 and 0 not in row[: j - row.count(0)]
+            for row in matrix
+        )
+        and sum(map(sum, matrix)) == m
+    )
+
+
 def test_bipartite_count_equals_its_enumerator():
+    # one listing of the bounded domain: the count, and the shape of every
+    # matrix the enumerator yields
     for m in range(matrixcomp.SUM_BOUND + 1):
         for p in range(matrixcomp.ROWS_BOUND + 1):
             for j in range(matrixcomp.COLS_BOUND + 1):
-                assert matrixcomp.bipartite_count(m, p, j) == _listed(
-                    matrixcomp.enumerate_bipartite, m, p, j
-                ), (m, p, j)
+                listed = 0
+                for matrix in matrixcomp.enumerate_bipartite(m, p, j):
+                    assert _is_bipartite(matrix, m, p, j), (m, p, j, matrix)
+                    listed += 1
+                assert matrixcomp.bipartite_count(m, p, j) == listed, (m, p, j)
 
 
 def test_tree_count_equals_its_enumerator():

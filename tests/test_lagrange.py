@@ -191,8 +191,8 @@ def _power_law_counterexample(weights, top=8):
     can see a wrong one."""
     for j in range(4):
         row = Series.from_x_coeffs([
-            sum(matrixcomp.entries_weight(matrix.nonzero_entries(), weights)
-                for matrix in matrixcomp.enumerate_bipartite(m, 1, j))
+            sum(matrixcomp.entries_weight(filter(None, entries), weights)
+                for (entries,) in matrixcomp.enumerate_bipartite(m, 1, j))
             for m in range(top + 1)
         ])
         for p in range(4):

@@ -157,6 +157,19 @@ def test_field_overflow_is_refused_never_carried():
             make()
 
 
+def test_non_integral_exponents_and_indices_are_refused_not_truncated():
+    for items in (
+        [(("t", 1), Fraction(3, 2))],
+        [(("t", 1), 2.7)],
+        [(("s", Fraction(5, 2)), 1)],
+        [(("t", 1.5), 2)],
+    ):
+        with pytest.raises(ValueError, match="expected an integer value"):
+            monomial(items)
+    # integral values of any exact or float type read as their int
+    assert monomial([(("t", Fraction(2)), 2.0)]) == monomial([(("t", 2), 2)])
+
+
 # the variables in canonical order: t before s, then by index
 CANONICAL_VARIABLES = [(family, index) for family in ("t", "s") for index in range(1, 5)]
 
@@ -605,6 +618,11 @@ def test_weightspec_tables_default_zero():
     assert w.entry("t", 2) == 0
     assert w.entry("s", 2) == 3
     assert w.entry("t", 1) == Polynomial.const(Fraction(1, 2))
+    # an index is read as an integer, never truncated to one
+    assert WeightSpec.from_tables({2.0: 5}, {}).entry("t", 2) == 5
+    for t_table, s_table in (({1.5: 2}, {}), ({}, {Fraction(7, 2): 1})):
+        with pytest.raises(ValueError, match="expected an integer value"):
+            WeightSpec.from_tables(t_table, s_table)
 
 
 def test_weightspec_symbolic_polys():

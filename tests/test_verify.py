@@ -79,7 +79,7 @@ def test_the_store_is_empty_after_every_run_and_check(monkeypatch):
         ),
         (
             compositions, "enumerate_compositions", (3, 2),
-            lambda comp: comp.parts == (1, 2),
+            lambda comp: comp == (1, 2),
             {
                 "compositions/closed-vs-enumeration",
                 "compositions/h-segment-refinement",
@@ -90,7 +90,7 @@ def test_the_store_is_empty_after_every_run_and_check(monkeypatch):
         ),
         (
             matrixcomp, "enumerate_bipartite", (2, 2, 2),
-            lambda matrix: matrix.rows == ((0, 0), (1, 1)),
+            lambda matrix: matrix == ((0, 0), (1, 1)),
             {
                 "matrixcomp/closed-vs-enumeration",
                 "matrixcomp/nonzero-refinement",
@@ -144,12 +144,12 @@ def test_a_second_run_sees_an_enumerator_change(
         ),
         (
             compositions, "enumerate_compositions", (1, 1),
-            lambda comp: comp.parts == (1,),
+            lambda comp: comp == (1,),
             "compositions", "m=1, j=1, u-type={1: 1}, h-type={}",
         ),
         (
             matrixcomp, "enumerate_bipartite", (2, 2, 1),
-            lambda matrix: matrix.rows == ((1,), (1,)),
+            lambda matrix: matrix == ((1,), (1,)),
             "matrixcomp", "m=2, p=2, j=1, type={1: 2}",
         ),
     ],
