@@ -8,7 +8,7 @@ polynomials B(n, r) of the weight variables and to potential polynomials
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
@@ -308,14 +308,13 @@ class BinomialSequence:
       factorial    phi_n(x) = x (x+1) ... (x+n-1)
       abel(q)      phi_n(x) = x (x - q n)^{n-1}
       exponential  phi_n(x) = sum_i S(n, i) x^i
-
-    The generic constructor takes the coefficients of an exponent series
-    lam(u) with lam_1 != 0, defining phi_n(x) = n! [u^n] exp(x lam(u)).
     """
 
     kind: str
     q: Fraction | None = None
-    exponent_coeffs: tuple | None = None
+    # (n, x) -> phi_n(x), each value computed once for the life of the
+    # sequence object and stored whole, as WeightSpec keeps its entries
+    cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @staticmethod
     def power() -> "BinomialSequence":
@@ -333,18 +332,19 @@ class BinomialSequence:
     def exponential() -> "BinomialSequence":
         return BinomialSequence("exponential")
 
-    @staticmethod
-    def from_exponent_series(coeffs) -> "BinomialSequence":
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        if not coeffs or not coeffs[0]:
-            raise ValueError("exponent series needs a nonzero linear coefficient")
-        return BinomialSequence("generic", exponent_coeffs=coeffs)
-
     def value(self, n: int, x) -> Fraction:
         """phi_n(x) for an exact rational x."""
         if n < 0:
             raise ValueError(f"sequence index must be >= 0, got {n}")
-        x = Fraction(x)
+        # x keys as given: an int or float hashes and compares equal to its
+        # Fraction, so every spelling of one rational shares an entry
+        key = (n, x)
+        value = self.cache.get(key)
+        if value is None:
+            value = self.cache[key] = self._value(n, Fraction(x))
+        return value
+
+    def _value(self, n: int, x: Fraction) -> Fraction:
         if n == 0:
             return Fraction(1)
         if self.kind == "power":
@@ -358,19 +358,7 @@ class BinomialSequence:
             return x * (x - self.q * n) ** (n - 1)
         if self.kind == "exponential":
             return Fraction(sum(stirling2(n, i) * x**i for i in range(n + 1)))
-        if self.kind == "generic":
-            return self._generic_value(n, x)
         raise ValueError(f"unknown binomial sequence kind {self.kind!r}")
-
-    def _generic_value(self, n: int, x: Fraction) -> Fraction:
-        if len(self.exponent_coeffs) < n:
-            raise IndexError(
-                f"exponent series has {len(self.exponent_coeffs)} coefficients, "
-                f"index {n} requested"
-            )
-        lam = Series.from_x_coeffs([Fraction(0), *self.exponent_coeffs[:n]], nx=n)
-        exp_x = Series.from_x_coeffs([x**j / factorial(j) for j in range(n + 1)])
-        return exp_x.compose_x(lam).coeff(n).constant_value() * factorial(n)
 
     def name(self) -> str:
         if self.kind == "abel":

@@ -62,9 +62,10 @@ def enumerate_compositions(m: int, j: int) -> Iterator[tuple]:
 
 def composition_to_motzkin(parts: tuple) -> MotzkinPath:
     """The path embedding: part a >= 1 becomes u^a d^a, part 0 becomes h.
-    A negative part is refused."""
+    Each part is read as an integer (2.0 is 2); a non-integral or negative
+    part is refused."""
     pieces = []
-    for part in parts:
+    for part in map(as_integer, parts):
         if part > 0:
             pieces.append("u" * part + "d" * part)
         elif part == 0:

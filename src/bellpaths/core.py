@@ -58,6 +58,8 @@ def multinomial(total: int, parts) -> int:
 
 def as_integer(value) -> int:
     """Coerce an exact rational to int, rejecting non-integral values."""
+    if type(value) is int:
+        return value  # the common case, without building a Fraction
     q = Fraction(value)
     if q.denominator != 1:
         raise ValueError(f"expected an integer value, got {value}")

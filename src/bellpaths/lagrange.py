@@ -46,10 +46,8 @@ def reversion(f: Series, order: int) -> Series:
     _check_reversible(f, order)
     h = _x_over_f(f, max(order - 1, 0))
     cells = {}
-    power = Series.one(h.nx)
     for n in range(1, order + 1):
-        power = power * h
-        cells[(n, 0, 0)] = power.cells.get((n - 1, 0, 0), 0) * Fraction(1, n)
+        cells[(n, 0, 0)] = h.pow(n).cells.get((n - 1, 0, 0), 0) * Fraction(1, n)
     return Series((order, 0, 0), cells)
 
 
@@ -147,26 +145,23 @@ def composition_series_fixed_parts(
 
         sum_{i=0..parts} [y^{parts-i}] S(y)^{i+1} * y^{parts-i} (T(x) - 1)^i
 
-    with the inner coefficient read from a running power of S(y).
+    with both powers read from the power tables of S(y) and T(x) - 1; the
+    sum stops at the first power of T(x) - 1 that vanishes.
     """
     if parts < 0:
         raise ValueError(f"parts must be >= 0, got {parts}")
     s = _s_series(weights, 0, ny)
     t_minus_one = _t_minus_one(weights, nx, ny)
     total = Series.zero(nx, ny)
-    power = Series.one(nx, ny)
-    s_power = s  # S(y)^(i+1)
     for i in range(parts + 1):
+        power = t_minus_one.pow(i)
+        if power.is_zero():
+            break
         zeros = parts - i
-        if zeros <= ny and not power.is_zero():
-            coeff = s_power.coeff(0, zeros)
+        if zeros <= ny:
+            coeff = s.pow(i + 1).coeff(0, zeros)
             if coeff:
                 total = total + power.scale(coeff).shift(dj=zeros)
-        if i < parts:
-            power = power * t_minus_one
-            if power.is_zero():
-                break
-            s_power = s_power * s
     return total
 
 

@@ -461,8 +461,12 @@ def bary_d1_closed_value(m: int, k: int, b: int) -> Fraction:
     return Fraction(binomial(m + k + 1, k) * binomial(top, m), top)
 
 
+@lru_cache(maxsize=_SHARED_SPECS)
 def _h_run_series(d: int, ny: int) -> Series:
-    """(S(y) - 1) / S(y) for the d-ary plane-tree weight series S."""
+    """(S(y) - 1) / S(y) for the d-ary plane-tree weight series S, to order
+    ny in y.  One series per (d, ny), kept like the named specs, so its
+    reciprocal is formed once and its power table (rational cells only) is
+    shared by every h-run factor and closed value that reads it."""
     cells = {(0, 0, 0): 1}
     for i in range(1, ny + 1):
         cells[(0, i, 0)] = _tree_weight(d, i)

@@ -455,11 +455,19 @@ class Series:
     coeff is the one public reader and returns a Polynomial.  No series is
     changed after construction, so scale(1) returns self.  compose_x is the
     one substitution loop: every power sum a series builder needs (T(xM), a
-    geometric sum, exp(x lam)) goes through it; the reciprocal is a
-    coefficient recurrence.
+    geometric sum) goes through it; the reciprocal is a coefficient
+    recurrence.
+
+    Each series keeps a table of the powers f^e (e >= 2) that pow has built
+    from it, and its reciprocal, the base of every negative power.  The
+    table lives exactly as long as the series: every caller holding the
+    series shares its powers (compose_x reads the inner series' powers from
+    it), and they go when the series goes.  A power is stored whole, by one
+    dict assignment, so a series may be shared between threads; racing
+    builders compute identical exact values.
     """
 
-    __slots__ = ("nx", "ny", "nq", "cells")
+    __slots__ = ("nx", "ny", "nq", "cells", "_powers")
 
     def __init__(self, orders, cells=None):
         nx, ny, nq = orders
@@ -481,6 +489,7 @@ class Series:
                 if value:
                     cleaned[(i, j, l)] = value
         self.cells = cleaned
+        self._powers = None
 
     @staticmethod
     def _direct(orders, cells) -> "Series":
@@ -489,6 +498,7 @@ class Series:
         out = Series.__new__(Series)
         out.nx, out.ny, out.nq = orders
         out.cells = cells
+        out._powers = None
         return out
 
     @staticmethod
@@ -634,17 +644,40 @@ class Series:
         return Series._direct((nx, ny, nq), cells)
 
     def pow(self, exp: int) -> "Series":
+        """f^exp, read from the power table when it holds it.
+
+        A new power f^e is f^(e-1) * f when f^(e-1) is stored, and otherwise
+        built by squaring: (f^(e/2))^2 for even e, f^(e-1) * f for odd e,
+        storing every power formed on the way (the binary method, Knuth,
+        TAOCP vol. 2, section 4.6.3).  A negative power is a power of the
+        stored reciprocal."""
         if exp < 0:
-            return self.reciprocal().pow(-exp)
-        result = Series.one(self.nx, self.ny, self.nq)
-        base = self
-        while exp:
-            if exp & 1:
-                result = result * base
-            exp >>= 1
-            if exp:
-                base = base * base
-        return result
+            return self._power(-1).pow(-exp)
+        if exp == 0:
+            return Series.one(self.nx, self.ny, self.nq)
+        if exp == 1:
+            return self
+        return self._power(exp)
+
+    def _power(self, exp: int) -> "Series":
+        """The stored f^exp, exp >= 2 or exp = -1 (the reciprocal), built
+        on first use."""
+        powers = self._powers
+        if powers is None:
+            powers = self._powers = {}
+        power = powers.get(exp)
+        if power is None:
+            power = powers[exp] = self._build_power(exp)
+        return power
+
+    def _build_power(self, exp: int) -> "Series":
+        """A new f^exp for _power, from the powers stored so far."""
+        if exp < 0:
+            return self.reciprocal()
+        if exp % 2 == 0 and exp > 2 and exp - 1 not in self._powers:
+            half = self.pow(exp // 2)
+            return half * half
+        return self.pow(exp - 1) * self
 
     def derivative_x(self) -> "Series":
         """d/dx, with the truncation order in x reduced by one."""
@@ -659,15 +692,16 @@ class Series:
     def compose_x(self, inner: "Series") -> "Series":
         """Substitute a series with zero constant term for x in a univariate
         one: sum_i c_i inner^i in the box of `inner`, which may have any
-        grading.  The sum stops at the first power of `inner` that vanishes."""
+        grading.  The powers are read from the power table of `inner`, so
+        they are shared with its other readers, and the sum stops at the
+        first power that vanishes."""
         if not self.is_univariate():
             raise ValueError("compose_x needs a univariate outer series")
         if (0, 0, 0) in inner.cells:
             raise ValueError("compose_x needs an inner series with zero constant term")
         result = Series.zero(*inner.orders()) + self.cells.get((0, 0, 0), 0)
-        power = Series.one(*inner.orders())
         for i in range(1, self.nx + 1):
-            power = power * inner
+            power = inner.pow(i)
             if power.is_zero():
                 break
             ci = self.cells.get((i, 0, 0))

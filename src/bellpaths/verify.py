@@ -7,9 +7,16 @@ range, compares it against an independent oracle, usually brute-force
 enumeration or truncated series algebra, and yields a counterexample string
 for every failing case, in case order.  `run` reports the first one.  Suites
 are deterministic, so a parallel run produces the same report as a
-sequential one.  What the identities of a run share, a brute-force tally or
-a series, is built once into the run's one store (one per pool worker) and
-dropped when the run ends; general matrices are tallied from row tallies.
+sequential one.
+
+What the identities of a run share is built once and shared for as long as
+this: a brute-force tally, a series, the weight of a matrix shape and a
+weighted path sum go into the run's one store (one per pool worker) and are
+dropped when the run ends; the powers of a series live in its power table,
+as long as the series; the h-run series of motzkin, the values of a
+binomial sequence and the Bell rows of a shared weight spec stay for the
+life of the process, and none of those holds a symbolic series.  General
+matrices are tallied from row tallies.
 """
 
 from __future__ import annotations
@@ -363,7 +370,7 @@ def _bruteforce_mismatches(label, weights, closed_value, top, k_min=0):
     for m, k in pairs_up_to(top):
         if k < k_min:
             continue
-        if _path_sum(m, k, weights).constant_value() != closed_value(m, k):
+        if _once(_path_sum, m, k, weights).constant_value() != closed_value(m, k):
             yield f"{label}m={m}, k={k}"
 
 
@@ -391,7 +398,7 @@ def _path_sum_triple_agreement(top):
     motzkin._check_path_args(0, top, motzkin.DEFAULT_PATH_BOUND)
     sym = _sym()
     for m, k in pairs_up_to(top):
-        brute = _path_sum(m, k, sym)
+        brute = _once(_path_sum, m, k, sym)
         if brute != motzkin.weighted_sum_closed(m, k, sym):
             yield f"m={m}, k={k}: closed form differs from enumeration"
         # one series per m: a coefficient inside the box does not depend on it
@@ -800,9 +807,10 @@ def _matrix_shapes_of(m, p, j) -> dict:
 
 
 def _matrix_sum(m, p, j, weights):
-    """matrixcomp.weighted_sum_closed by enumeration, from the run's tally."""
+    """matrixcomp.weighted_sum_closed by enumeration, from the run's tally,
+    each shape weighed once per run."""
     return sum(
-        matrixcomp.entries_weight(shape, weights) * count
+        _once(matrixcomp.entries_weight, shape, weights) * count
         for shape, count in _once(_matrix_shapes_of, m, p, j).items()
     )
 
@@ -848,7 +856,7 @@ def _matrix_nonzero_refinement(top):
         by_nonzeros = _weigh(
             _once(_matrix_shapes_of, m, p, j),
             len,
-            lambda shape: matrixcomp.entries_weight(shape, sym),
+            lambda shape: _once(matrixcomp.entries_weight, shape, sym),
         )
         total = Polynomial.zero()
         for r in range(m + 1):

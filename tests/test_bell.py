@@ -194,22 +194,56 @@ def test_binomial_convolution(phi, n, x, y):
     assert lhs == rhs
 
 
+def exponent_series_sequence(coeffs):
+    """phi_n(x) = n! [u^n] exp(x lam(u)) for the exponent series lam with
+    coefficients lam_1, lam_2, ... (lam_1 != 0): the general binomial
+    sequence, by series composition, the oracle the built-in kinds' closed
+    forms are checked against."""
+    coeffs = tuple(Fraction(c) for c in coeffs)
+    if not coeffs or not coeffs[0]:
+        raise ValueError("exponent series needs a nonzero linear coefficient")
+
+    def value(n, x):
+        x = Fraction(x)
+        if n == 0:
+            return Fraction(1)
+        if len(coeffs) < n:
+            raise IndexError(
+                f"exponent series has {len(coeffs)} coefficients, index {n} requested"
+            )
+        lam = Series.from_x_coeffs([Fraction(0), *coeffs[:n]], nx=n)
+        exp_x = Series.from_x_coeffs([x**j / factorial(j) for j in range(n + 1)])
+        return exp_x.compose_x(lam).coeff(n).constant_value() * factorial(n)
+
+    return value
+
+
 def test_generic_sequence_from_exponent_series():
     # lam(u) = u gives the power family
-    generic_power = BinomialSequence.from_exponent_series([1, 0, 0, 0, 0, 0])
+    generic_power = exponent_series_sequence([1, 0, 0, 0, 0, 0])
     # lam(u) = e^u - 1 gives the exponential family
-    generic_exp = BinomialSequence.from_exponent_series(
+    generic_exp = exponent_series_sequence(
         [Fraction(1, factorial(k)) for k in range(1, 7)]
     )
     for n in range(7):
         for x in (Fraction(1), Fraction(-2), Fraction(3, 2)):
-            assert generic_power.value(n, x) == BinomialSequence.power().value(n, x)
-            assert generic_exp.value(n, x) == BinomialSequence.exponential().value(n, x)
+            assert generic_power(n, x) == BinomialSequence.power().value(n, x)
+            assert generic_exp(n, x) == BinomialSequence.exponential().value(n, x)
 
 
 def test_generic_sequence_needs_linear_coefficient():
     with pytest.raises(ValueError):
-        BinomialSequence.from_exponent_series([0, 1])
+        exponent_series_sequence([0, 1])
+
+
+def test_sequence_values_are_computed_once_and_shared():
+    phi = BinomialSequence.abel(-2)
+    assert phi.value(3, 2) == phi.value(3, Fraction(2)) == 2 * 8**2
+    assert list(phi.cache) == [(3, Fraction(2))]
+    # the store is no part of a sequence's value
+    assert phi == BinomialSequence.abel(-2)
+    assert hash(phi) == hash(BinomialSequence.abel(-2))
+    assert "cache" not in repr(phi)
 
 
 def test_stirling_values():

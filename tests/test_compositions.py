@@ -52,6 +52,16 @@ def test_composition_rejects_a_negative_part():
     assert str(compositions.composition_to_motzkin(())) == ""
 
 
+def test_composition_parts_are_read_as_integers():
+    # as everywhere else: an integral float is its integer, a fraction of
+    # one is refused with a ValueError, never a TypeError from the embedding
+    assert str(compositions.composition_to_motzkin((2.0, 0))) == "uuddh"
+    assert str(compositions.composition_to_motzkin((Fraction(1), 1))) == "udud"
+    for parts in ((1.5,), (1, Fraction(1, 2))):
+        with pytest.raises(ValueError, match="expected an integer value"):
+            compositions.composition_to_motzkin(parts)
+
+
 def test_enumerate_bound():
     with pytest.raises(EnumerationBoundError):
         list(compositions.enumerate_compositions(13, 2))

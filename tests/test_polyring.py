@@ -486,12 +486,112 @@ def series(draw, gradings=st.integers(1, 3), max_order=3, constant=ring_values):
     return Series(orders, cells)
 
 
+def repeated_product(f: Series, exp: int) -> Series:
+    """f^exp for exp >= 0 as exp plain products from 1, left to right: the
+    oracle of the power table, which no power of f is read from."""
+    result = Series.one(*f.orders())
+    for _ in range(exp):
+        result = result * f
+    return result
+
+
 def power_sum(f: Series, g: Series) -> Series:
-    """sum_i f_i g^i with each power by binary powering, not by compose_x."""
+    """sum_i f_i g^i with each power by repeated products, not by compose_x
+    or the power table."""
     total = Series.zero(*g.orders())
     for (i, _, _), c in f.cells.items():
-        total = total + g.pow(i) * c
+        total = total + repeated_product(g, i) * c
     return total
+
+
+# a nonzero rational constant term as an int, a Fraction or a constant Polynomial
+nonzero_constants = st.one_of(
+    st.integers(-3, 3).filter(bool),
+    nonzero_coefficients,
+    nonzero_coefficients.map(Polynomial.const),
+)
+
+
+# exponents in the order a caller asks for them, repeats included, so that
+# every way to the table is taken: a stored power, f^(e-1) * f, and squaring
+exponent_orders = st.lists(st.integers(0, 7), min_size=1, max_size=8)
+
+
+@settings(max_examples=120, deadline=None)
+@given(series(), exponent_orders)
+def test_the_power_table_matches_repeated_products(f, exponents):
+    # numeric, symbolic and multigraded series, any constant term, zero too
+    for exp in exponents:
+        assert f.pow(exp) == repeated_product(f, exp), exp
+    # a stored power is handed out again, not rebuilt
+    assert all(f.pow(exp) is f.pow(exp) for exp in exponents if exp >= 1)
+    assert f.pow(1) is f
+
+
+@settings(max_examples=60, deadline=None)
+@given(series(constant=nonzero_constants), exponent_orders)
+def test_negative_powers_are_powers_of_the_one_reciprocal(f, exponents):
+    inverse = f.reciprocal()
+    for exp in exponents:
+        assert f.pow(-exp) == repeated_product(inverse, exp), exp
+        assert f.pow(-exp) * f.pow(exp) == Series.one(*f.orders())
+    assert f.pow(-1) is f.pow(-1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    series(gradings=st.just(1), max_order=5),
+    series(constant=st.just(0)),
+    exponent_orders,
+)
+def test_compose_x_shares_the_inner_power_table(f, g, exponents):
+    # powers read before the substitution are the ones it sums, and the
+    # powers it builds are the ones later readers get
+    for exp in exponents:
+        g.pow(exp)
+    assert f.compose_x(g) == power_sum(f, g)
+    for exp in exponents:
+        assert g.pow(exp) == repeated_product(g, exp)
+
+
+def test_the_h_run_series_powers_match_repeated_products():
+    # zero constant term in y; one series per (d, order), shared by the
+    # h-run factor and the closed value that compose with it
+    for d in (1, 2, 3):
+        for order in range(6):
+            h = motzkin._h_run_series(d, order)
+            assert h is motzkin._h_run_series(d, order)
+            assert (0, 0, 0) not in h.cells
+            for j in (3, 0, 5, 1, 2, 4):
+                power = repeated_product(h, j)
+                assert h.pow(j) == power
+                assert motzkin.bary_h_factor_series(j, order, d) == power.coeff(0, order)
+
+
+def test_each_power_is_built_once_from_the_stored_powers(monkeypatch):
+    products = []
+    multiply = Series.__mul__
+
+    def counted(a, b):
+        products.append(1)
+        return multiply(a, b)
+
+    monkeypatch.setattr(Series, "__mul__", counted)
+    f = Series.from_x_coeffs([1, 2, 3, 4, 5, 6, 7, 8])
+
+    def cost(exp):
+        products.clear()
+        f.pow(exp)
+        return len(products)
+
+    # no product for f^0 and f^1; f^4 by squaring twice, with no 1 * f
+    assert [cost(0), cost(1), cost(4), cost(4)] == [0, 0, 2, 0]
+    # f^5 = f^4 * f, f^3 = f^2 * f: one product each from the stored powers
+    assert [cost(5), cost(3), cost(6)] == [1, 1, 1]
+    # f^-2 from the reciprocal, formed once by its recurrence
+    assert [cost(-2), cost(-2), cost(-3)] == [1, 0, 1]
+    # f^8 from f^4 squared, f^7 = f^6 * f
+    assert [cost(8), cost(7)] == [1, 1]
 
 
 @settings(max_examples=80, deadline=None)
@@ -527,14 +627,6 @@ def geometric_reciprocal(f: Series) -> Series:
     g = f.scale(inverse) - 1
     geometric = Series.from_x_coeffs([1] * (f.nx + f.ny + f.nq + 1))
     return geometric.compose_x(-g).scale(inverse)
-
-
-# a nonzero rational constant term as an int, a Fraction or a constant Polynomial
-nonzero_constants = st.one_of(
-    st.integers(-3, 3).filter(bool),
-    nonzero_coefficients,
-    nonzero_coefficients.map(Polynomial.const),
-)
 
 
 @settings(max_examples=120, deadline=None)

@@ -9,6 +9,7 @@ import pytest
 
 from bellpaths import cli, compositions, lagrange, matrixcomp, motzkin, verify
 from bellpaths.core import EnumerationBoundError
+from bellpaths.polyring import Series
 
 
 def _count_calls(monkeypatch, module, name) -> Counter:
@@ -31,15 +32,49 @@ def test_a_run_builds_each_tally_once_per_size(monkeypatch):
     series = _count_calls(monkeypatch, verify, "_composition_series")
     motzkin_series = _count_calls(monkeypatch, lagrange, "motzkin_series")
     bipartite = _count_calls(monkeypatch, lagrange, "bipartite_matrix_series")
+    # each matrix shape and each (m, k, spec) path sum is weighed once too
+    shape_weights = _count_calls(monkeypatch, matrixcomp, "entries_weight")
+    path_sums = _count_calls(monkeypatch, verify, "_path_sum")
     verify.run("all", 6)
     # 2m+k <= 6; m, j <= 6; m <= 6, p <= 3, j <= 4; one series at top 5
     assert (len(paths), len(composition_tallies), len(matrices)) == (16, 49, 140)
     # one symbolic Motzkin series per m <= 3 and catalan-slice's Dyck series;
     # one bipartite series per (p, j), read by two matrixcomp identities
     assert (sum(motzkin_series.values()), len(bipartite)) == (5, 20)
-    for calls in (paths, composition_tallies, matrices, series, motzkin_series, bipartite):
+    for calls in (
+        paths, composition_tallies, matrices, series, motzkin_series, bipartite,
+        shape_weights, path_sums,
+    ):
         assert set(calls.values()) == {1}
     assert list(series) == [(5,)]
+
+
+def test_a_wrong_power_builder_fails_every_identity_that_reads_powers(monkeypatch):
+    # a clean run first, which fills the power tables of every series it
+    # builds; then the builder of new powers goes wrong for the series
+    # truncated at the run's top order, and every identity that reads such
+    # powers must fail: no power cached by the clean run may hide the mutant
+    top = 6
+    assert all(record.passed for record in verify.run("all", top))
+    build = Series._build_power
+
+    def wrong_at_the_top(f, exp):
+        power = build(f, exp)
+        if f.nx != top:
+            return power
+        return power + Series(power.orders(), {(1, 0, 0): 1})
+
+    monkeypatch.setattr(Series, "_build_power", wrong_at_the_top)
+    failed = {
+        f"{record.suite}/{record.identity}"
+        for record in verify.run("all", top)
+        if not record.passed
+    }
+    assert {
+        "bell/potential-vs-series-power",
+        "bell/bell-of-power-coefficients",
+        "matrixcomp/row-power-law",
+    } <= failed, failed
 
 
 def test_the_store_is_empty_after_every_run_and_check(monkeypatch):
