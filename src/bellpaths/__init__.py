@@ -10,7 +10,6 @@ the verification report.
 from .bell import (
     BinomialSequence,
     WeightVector,
-    bell_number,
     partial_bell,
     partial_bell_by_partitions,
     potential,
@@ -41,7 +40,6 @@ __all__ = [
     "WeightSpec",
     "WeightVector",
     "as_integer",
-    "bell_number",
     "binomial",
     "factorial",
     "multinomial",

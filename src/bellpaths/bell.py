@@ -151,23 +151,6 @@ class WeightVector:
             weights.cache.setdefault(key, vector)
         return weights.cache[key]
 
-    @classmethod
-    def constant(cls, value) -> "WeightVector":
-        return cls(lambda k: value)
-
-    @classmethod
-    def from_entries(cls, entries) -> "WeightVector":
-        entries = list(entries)
-
-        def rule(k):
-            if k > len(entries):
-                raise IndexError(
-                    f"weight vector has {len(entries)} entries, index {k} requested"
-                )
-            return entries[k - 1]
-
-        return cls(rule)
-
 
 def partial_bell(n: int, r: int, entries: WeightVector) -> Polynomial:
     """Partial Bell polynomial B(n, r) of the given entries.
@@ -282,7 +265,7 @@ def power_derivative(f: Series, m: int, i: int) -> Polynomial:
 
 
 # all-ones entries: B(n, k) is the Stirling number S(n, k), kept as ints
-_ONES = WeightVector.constant(1)
+_ONES = WeightVector(lambda k: 1)
 
 
 def stirling2(n: int, k: int) -> int:
@@ -290,11 +273,6 @@ def stirling2(n: int, k: int) -> int:
     if n < 0 or k < 0:
         raise ValueError("stirling2 needs nonnegative arguments")
     return _ONES.bell(n, k)
-
-
-def bell_number(n: int) -> int:
-    """Number of set partitions of an n-set."""
-    return sum(stirling2(n, k) for k in range(n + 1))
 
 
 @dataclass(frozen=True)

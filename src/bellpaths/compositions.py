@@ -19,7 +19,7 @@ from .bell import WeightVector, partial_bell, potential
 from .core import (
     EnumerationBoundError, as_integer, binomial, factorial, multinomial, part_type,
 )
-from .motzkin import _SHARED_SPECS, MotzkinPath
+from .motzkin import _SHARED_SPECS
 from .polyring import Polynomial, WeightSpec
 
 SUM_BOUND = 12
@@ -60,10 +60,10 @@ def enumerate_compositions(m: int, j: int) -> Iterator[tuple]:
         yield tuple(parts)
 
 
-def composition_to_motzkin(parts: tuple) -> MotzkinPath:
-    """The path embedding: part a >= 1 becomes u^a d^a, part 0 becomes h.
-    Each part is read as an integer (2.0 is 2); a non-integral or negative
-    part is refused."""
+def composition_to_motzkin(parts: tuple) -> str:
+    """The path embedding, as its string of steps: part a >= 1 becomes
+    u^a d^a, part 0 becomes h.  Each part is read as an integer (2.0 is 2);
+    a non-integral or negative part is refused."""
     pieces = []
     for part in map(as_integer, parts):
         if part > 0:
@@ -72,7 +72,7 @@ def composition_to_motzkin(parts: tuple) -> MotzkinPath:
             pieces.append("h")
         else:
             raise ValueError(f"parts must be nonnegative, got {parts}")
-    return MotzkinPath("".join(pieces))
+    return "".join(pieces)
 
 
 def weighted_sum_closed(m: int, k: int, j: int, weights: WeightSpec) -> Polynomial:

@@ -11,7 +11,6 @@ most j per row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
@@ -188,37 +187,6 @@ def zero_one_count(p: int, j: int, m: int) -> int:
     return bounded_composition_count(p, j, m)
 
 
-@dataclass(frozen=True)
-class PlaneTree:
-    """Rooted tree with ordered children, stored as the preorder sequence of
-    vertex outdegrees.  A sequence is valid exactly when it is a ballot-type
-    sequence: the outdegrees sum to one less than the vertex count and every
-    proper prefix keeps at least one open slot."""
-
-    outdegrees: tuple
-
-    def __post_init__(self):
-        if not self.outdegrees:
-            raise ValueError("a plane tree has at least one vertex")
-        open_slots = 1
-        for position, degree in enumerate(self.outdegrees):
-            if degree < 0:
-                raise ValueError(f"negative outdegree in {self.outdegrees}")
-            open_slots += degree - 1
-            if open_slots < 0 or (open_slots == 0 and position + 1 < len(self.outdegrees)):
-                raise ValueError(f"invalid preorder outdegrees {self.outdegrees}")
-        if open_slots != 0:
-            raise ValueError(f"invalid preorder outdegrees {self.outdegrees}")
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.outdegrees)
-
-    @property
-    def max_outdegree(self) -> int:
-        return max(self.outdegrees)
-
-
 def _check_tree_args(v: int) -> None:
     """The argument and bound check of enumerate_plane_trees and
     bounded_outdegree_tree_count."""
@@ -228,16 +196,18 @@ def _check_tree_args(v: int) -> None:
         raise EnumerationBoundError(f"tree enumeration bound is v <= {TREE_BOUND}")
 
 
-def enumerate_plane_trees(v: int, max_degree: int) -> Iterator[PlaneTree]:
-    """All plane trees on v vertices with every outdegree <= max_degree,
-    generated as preorder outdegree sequences in lexicographic order."""
+def enumerate_plane_trees(v: int, max_degree: int) -> Iterator[tuple]:
+    """All plane trees on v vertices with every outdegree <= max_degree, each
+    yielded as its tuple of preorder vertex outdegrees, in lexicographic
+    order: the ballot sequences whose outdegrees sum to v - 1 and whose
+    every proper prefix leaves a slot open."""
     _check_tree_args(v)
     sequence: list[int] = []
 
     def rec(placed: int, open_slots: int):
         if placed == v:
             if open_slots == 0:
-                yield PlaneTree(tuple(sequence))
+                yield tuple(sequence)
             return
         # each vertex still to place needs a slot, and degrees add slots
         for degree in range(0, min(max_degree, v - placed) + 1):

@@ -11,9 +11,9 @@ partial Bell and potential polynomials, plus the named weight specializations
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 from typing import Iterator
 
 from .bell import (
@@ -37,50 +37,30 @@ DEFAULT_PATH_BOUND = 16
 MAX_PATH_BOUND = 64
 
 
-@dataclass(frozen=True)
-class MotzkinPath:
-    """Step sequence over {u, d, h}; validated on construction."""
-
-    steps: str
-
-    def __post_init__(self):
-        height = 0
-        for step in self.steps:
-            if step == "u":
-                height += 1
-            elif step == "d":
-                height -= 1
-            elif step != "h":
-                raise ValueError(f"invalid step {step!r} in {self.steps!r}")
-            if height < 0:
-                raise ValueError(f"path {self.steps!r} dips below the axis")
-        if height != 0:
-            raise ValueError(f"path {self.steps!r} does not return to the axis")
-
-    def __len__(self):
-        return len(self.steps)
-
-    def __str__(self):
-        return self.steps
-
-
-def segment_profile(path: MotzkinPath) -> tuple:
-    """The run-length profile of a path: the (length, count) pairs of its
-    maximal u-runs and of its maximal h-runs, each in length order.  Equal
-    for exactly the paths with the same multisets of run lengths."""
+def segment_profile(path: str) -> tuple:
+    """The run-length profile of a path given as its steps ("uhd"): the
+    (length, count) pairs of its maximal u-runs and of its maximal h-runs,
+    each in length order.  Equal for exactly the paths with the same
+    multisets of run lengths.  The same walk refuses a string that is not a
+    Motzkin path: a step other than u, d and h, a prefix below the axis, or
+    an end off it."""
     u_counts, h_counts = {}, {}
-    run_step = ""
-    run_length = 0
-    for step in path.steps + "$":
-        if step == run_step:
-            run_length += 1
-            continue
-        if run_step == "u":
-            u_counts[run_length] = u_counts.get(run_length, 0) + 1
-        elif run_step == "h":
-            h_counts[run_length] = h_counts.get(run_length, 0) + 1
-        run_step = step
-        run_length = 1
+    height = 0
+    for step, run in groupby(path):
+        length = len(list(run))
+        if step == "u":
+            height += length
+            u_counts[length] = u_counts.get(length, 0) + 1
+        elif step == "h":
+            h_counts[length] = h_counts.get(length, 0) + 1
+        elif step == "d":
+            height -= length
+            if height < 0:
+                raise ValueError(f"path {path!r} dips below the axis")
+        else:
+            raise ValueError(f"invalid step {step!r} in {path!r}")
+    if height:
+        raise ValueError(f"path {path!r} does not return to the axis")
     return (tuple(sorted(u_counts.items())), tuple(sorted(h_counts.items())))
 
 
@@ -99,8 +79,9 @@ def _check_path_args(m: int, k: int, bound: int) -> None:
 
 def enumerate_paths(
     m: int, k: int, bound: int = DEFAULT_PATH_BOUND
-) -> Iterator[MotzkinPath]:
-    """All paths with m up-steps and k horizontal steps, each exactly once.
+) -> Iterator[str]:
+    """All paths with m up-steps and k horizontal steps, each exactly once,
+    as its string of steps.
 
     Depth-first over steps in the order u < d < h, so the stream is
     lexicographic under that alphabet ordering and deterministic.  Paths
@@ -111,7 +92,7 @@ def enumerate_paths(
 
     def rec(u_left: int, d_left: int, h_left: int):
         if not (u_left or d_left or h_left):
-            yield MotzkinPath("".join(buffer))
+            yield "".join(buffer)
             return
         if u_left:
             buffer.append("u")
@@ -141,7 +122,7 @@ def profile_weight(profile: tuple, weights: WeightSpec):
     return result
 
 
-def path_weight(path: MotzkinPath, weights: WeightSpec) -> Polynomial:
+def path_weight(path: str, weights: WeightSpec) -> Polynomial:
     """Product of t-weights over u-runs and s-weights over h-runs."""
     return as_polynomial(profile_weight(segment_profile(path), weights))
 

@@ -302,7 +302,7 @@ class Polynomial:
         Coefficients print as "p" or "p/q"; exponent 1 is left implicit; the
         zero polynomial prints as "0".  Terms come in the canonical order of
         their monomials, which is the order of their keys.  The form
-        round-trips bit-exactly through from_text.
+        round-trips bit-exactly through the parser of the polyring tests.
         """
         if not self.terms:
             return "0"
@@ -312,32 +312,6 @@ class Polynomial:
             "*".join([str(terms[key]), *map(text_of, key)])
             for key in sorted(terms)
         ])
-
-    @classmethod
-    def from_text(cls, text: str) -> "Polynomial":
-        text = text.strip()
-        if text == "0":
-            return cls.zero()
-        terms = {}
-        for chunk in text.split(" + "):
-            tokens = chunk.split("*")
-            try:
-                coeff = Fraction(tokens[0])
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ValueError(f"bad coefficient {tokens[0]!r}") from exc
-            items = []
-            for tok in tokens[1:]:
-                if "^" in tok:
-                    name, _, exp_text = tok.partition("^")
-                    exp = int(exp_text)
-                else:
-                    name, exp = tok, 1
-                if len(name) < 2 or name[0] not in _FAMILIES:
-                    raise ValueError(f"bad variable token {tok!r}")
-                items.append(((name[0], int(name[1:])), exp))
-            mono = monomial(items)
-            terms[mono] = terms.get(mono, 0) + coeff
-        return cls(terms)
 
     def __str__(self):
         return self.to_text()

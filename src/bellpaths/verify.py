@@ -10,9 +10,10 @@ are deterministic, so a parallel run produces the same report as a
 sequential one.
 
 What the identities of a run share is built once and shared for as long as
-this: a brute-force tally, a series, the weight of a matrix shape and a
-weighted path sum go into the run's one store (one per pool worker) and are
-dropped when the run ends; the powers of a series live in its power table,
+this: a brute-force tally, a series and the weight of a matrix shape go
+into the run's one store (one per pool worker) and are dropped when the run
+ends, while a weighted path sum, seldom read twice, is weighed from its
+tally on every read; the powers of a series live in its power table,
 as long as the series; the h-run series of motzkin, the values of a
 binomial sequence and the Bell rows of a shared weight spec stay for the
 life of the process, and none of those holds a symbolic series.  General
@@ -370,7 +371,7 @@ def _bruteforce_mismatches(label, weights, closed_value, top, k_min=0):
     for m, k in pairs_up_to(top):
         if k < k_min:
             continue
-        if _once(_path_sum, m, k, weights).constant_value() != closed_value(m, k):
+        if _path_sum(m, k, weights).constant_value() != closed_value(m, k):
             yield f"{label}m={m}, k={k}"
 
 
@@ -398,7 +399,7 @@ def _path_sum_triple_agreement(top):
     motzkin._check_path_args(0, top, motzkin.DEFAULT_PATH_BOUND)
     sym = _sym()
     for m, k in pairs_up_to(top):
-        brute = _once(_path_sum, m, k, sym)
+        brute = _path_sum(m, k, sym)
         if brute != motzkin.weighted_sum_closed(m, k, sym):
             yield f"m={m}, k={k}: closed form differs from enumeration"
         # one series per m: a coefficient inside the box does not depend on it
@@ -602,7 +603,7 @@ def _abel_weights(top):
 
 
 @_identity("motzkin", "bell-number-weights", "2m+k <= {}", cap=8)
-def _bell_number_weights(top):
+def _exponential_family_weights(top):
     yield from _bruteforce_mismatches(
         "",
         motzkin.named_weights("bell-numbers"),

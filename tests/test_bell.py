@@ -11,7 +11,6 @@ from bellpaths.bell import (
     BinomialSequence,
     WeightVector,
     as_polynomial,
-    bell_number,
     partial_bell,
     partial_bell_by_partitions,
     potential,
@@ -22,7 +21,13 @@ from bellpaths.core import EnumerationBoundError, binomial, factorial
 from bellpaths.polyring import Polynomial, Series, WeightSpec, monomial_items, specialize
 
 SYM = WeightVector(lambda k: Polynomial.variable("t", k))
-ONES = WeightVector.constant(1)
+ONES = WeightVector(lambda k: 1)
+
+
+def _entries(*values) -> WeightVector:
+    """The vector x_k = values[k - 1]."""
+    return WeightVector(lambda k: values[k - 1])
+
 
 # the numeric weight specs the command line accepts by name
 NUMERIC_KINDS = (
@@ -93,18 +98,18 @@ def test_homogeneity(q, m):
 
 
 def test_potential_first_order():
-    a = WeightVector.from_entries([Polynomial.variable("t", 1)])
+    a = _entries(Polynomial.variable("t", 1))
     assert potential(1, 7, a) == Polynomial.variable("t", 1) * 7
 
 
 def test_potential_negative_power():
-    a = WeightVector.from_entries([1, 2])  # series 1 + x + x^2
+    a = _entries(1, 2)  # series 1 + x + x^2
     assert potential(2, -1, a) == 0
 
 
 def test_potential_cube():
     t1, t2 = Polynomial.variable("t", 1), Polynomial.variable("t", 2)
-    a = WeightVector.from_entries([t1, t2 * 2])
+    a = _entries(t1, t2 * 2)
     assert potential(2, 3, a) == t2 * 6 + t1**2 * 6
 
 
@@ -260,7 +265,11 @@ def test_stirling_values():
 
 
 def test_bell_numbers():
-    assert [bell_number(n) for n in range(7)] == [1, 1, 2, 5, 15, 52, 203]
+    # phi_n(1) of the exponential family, read by the bell-numbers weights
+    bell_numbers = [1, 1, 2, 5, 15, 52, 203]
+    exponential = BinomialSequence.exponential()
+    assert [exponential.value(n, 1) for n in range(7)] == bell_numbers
+    assert [sum(stirling2(n, k) for k in range(n + 1)) for n in range(7)] == bell_numbers
 
 
 def test_partial_bell_matches_sympy():
@@ -304,13 +313,6 @@ def test_integral_entries_build_int_rows(tmp_path):
                 assert row == as_fractions.row(n), (kind, family, n)
                 if all(type(value) is int for value in entries):
                     assert all(type(value) is int for value in row), (kind, family, n)
-
-
-def test_weight_vector_from_entries_bound():
-    vec = WeightVector.from_entries([1, 2])
-    assert vec[2] == Polynomial.const(2)
-    with pytest.raises(IndexError):
-        vec[3]
 
 
 def test_bell_table_matches_partition_sum_in_every_ring():

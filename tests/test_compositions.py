@@ -49,14 +49,14 @@ def test_composition_rejects_a_negative_part():
     for parts in ((1, -1), (-2,), (0, 3, -1, 2)):
         with pytest.raises(ValueError, match=r"^parts must be nonnegative, got "):
             compositions.composition_to_motzkin(parts)
-    assert str(compositions.composition_to_motzkin(())) == ""
+    assert compositions.composition_to_motzkin(()) == ""
 
 
 def test_composition_parts_are_read_as_integers():
     # as everywhere else: an integral float is its integer, a fraction of
     # one is refused with a ValueError, never a TypeError from the embedding
-    assert str(compositions.composition_to_motzkin((2.0, 0))) == "uuddh"
-    assert str(compositions.composition_to_motzkin((Fraction(1), 1))) == "udud"
+    assert compositions.composition_to_motzkin((2.0, 0)) == "uuddh"
+    assert compositions.composition_to_motzkin((Fraction(1), 1)) == "udud"
     for parts in ((1.5,), (1, Fraction(1, 2))):
         with pytest.raises(ValueError, match="expected an integer value"):
             compositions.composition_to_motzkin(parts)
@@ -69,11 +69,11 @@ def test_enumerate_bound():
 
 def test_embedding():
     to_path = compositions.composition_to_motzkin
-    assert str(to_path((1, 1, 0))) == "ududh"
-    assert str(to_path((0, 0))) == "hh"
+    assert to_path((1, 1, 0)) == "ududh"
+    assert to_path((0, 0)) == "hh"
 
     path = to_path((2, 0, 1))
-    assert str(path) == "uuddhud"
+    assert path == "uuddhud"
     assert motzkin.segment_profile(path) == (((1, 1), (2, 1)), ((1, 1),))
 
 

@@ -3,8 +3,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import bellpaths
 from bellpaths import compositions, matrixcomp, motzkin, verify
 from bellpaths.core import as_integer, binomial, factorial, multinomial, part_type
+
+
+def test_every_exported_name_resolves():
+    # `from bellpaths import *` in a fresh namespace binds exactly __all__
+    namespace = {}
+    exec("from bellpaths import *", namespace)
+    del namespace["__builtins__"]
+    assert len(set(bellpaths.__all__)) == len(bellpaths.__all__)
+    assert sorted(namespace) == sorted(bellpaths.__all__)
+    for name in bellpaths.__all__:
+        assert namespace[name] is getattr(bellpaths, name), name
 
 
 def test_binomial_standard():

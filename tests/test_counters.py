@@ -14,16 +14,30 @@ PAIRS = (
 )
 
 
-def _listed(enumerator, *args):
-    return sum(1 for _ in enumerator(*args))
+def _is_motzkin(steps, m, k) -> bool:
+    """m u's, m d's, k h's and no other step, with no prefix below the axis."""
+    if sorted(steps) != sorted("u" * m + "d" * m + "h" * k):
+        return False
+    height = 0
+    for step in steps:
+        height += (step == "u") - (step == "d")
+        if height < 0:
+            return False
+    return True
 
 
 def test_path_count_equals_its_enumerator():
+    # one listing of the bounded domain: the count, and every path the
+    # enumerator yields valid and listed once
     for m in range(8):
         for k in range(15 - 2 * m):
+            paths = list(motzkin.enumerate_paths(m, k))
+            for steps in paths:
+                assert type(steps) is str and _is_motzkin(steps, m, k), (m, k, steps)
+            assert len(set(paths)) == len(paths), (m, k)
             count = motzkin.count_paths(m, k)
             assert type(count) is int
-            assert count == _listed(motzkin.enumerate_paths, m, k), (m, k)
+            assert count == len(paths), (m, k)
 
 
 def _is_bipartite(matrix, m, p, j) -> bool:
@@ -52,12 +66,44 @@ def test_bipartite_count_equals_its_enumerator():
                 assert matrixcomp.bipartite_count(m, p, j) == listed, (m, p, j)
 
 
+def _is_plane_tree(outdegrees, v, max_degree) -> bool:
+    """The preorder outdegrees of a plane tree on v vertices, each at most
+    max_degree: a ballot sequence, whose outdegrees sum to v - 1 and whose
+    every proper prefix leaves a slot open."""
+    open_slots = 1
+    for position, degree in enumerate(outdegrees):
+        if not 0 <= degree <= max_degree:
+            return False
+        open_slots += degree - 1
+        if open_slots < 0 or (open_slots == 0 and position + 1 < len(outdegrees)):
+            return False
+    return len(outdegrees) == v and open_slots == 0
+
+
+def test_the_validity_rules_refuse_what_they_should():
+    assert _is_motzkin("uhd", 1, 1) and _is_motzkin("", 0, 0)
+    for steps, m, k in (("du", 1, 0), ("uu", 1, 0), ("uxd", 1, 0), ("uhd", 1, 0)):
+        assert not _is_motzkin(steps, m, k), steps
+    assert _is_plane_tree((2, 0, 1, 0), 4, 2) and _is_plane_tree((0,), 1, 0)
+    for outdegrees, v, max_degree in (
+        ((2, 0), 2, 2), ((0, 1), 2, 1), ((), 0, 1), ((2, 0, 1, 0), 4, 1),
+        ((1, -1, 2, 0, 0), 5, 2),
+    ):
+        assert not _is_plane_tree(outdegrees, v, max_degree), outdegrees
+
+
 def test_tree_count_equals_its_enumerator():
-    # max degree -1 admits no vertex, not even a lone leaf, in both
+    # max degree -1 admits no vertex, not even a lone leaf, in both; every
+    # tree listed is valid and listed once
     for v in range(1, matrixcomp.TREE_BOUND + 1):
         for max_degree in range(-1, 10):
-            assert matrixcomp.bounded_outdegree_tree_count(v, max_degree) == _listed(
-                matrixcomp.enumerate_plane_trees, v, max_degree
+            trees = list(matrixcomp.enumerate_plane_trees(v, max_degree))
+            for tree in trees:
+                assert type(tree) is tuple, (v, max_degree, tree)
+                assert _is_plane_tree(tree, v, max_degree), (v, max_degree, tree)
+            assert len(set(trees)) == len(trees), (v, max_degree)
+            assert matrixcomp.bounded_outdegree_tree_count(v, max_degree) == len(
+                trees
             ), (v, max_degree)
 
 

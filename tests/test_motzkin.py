@@ -1,4 +1,5 @@
 import os
+import re
 import tempfile
 from fractions import Fraction
 
@@ -17,21 +18,24 @@ T2 = Polynomial.variable("t", 2)
 S1 = Polynomial.variable("s", 1)
 
 
-def test_path_validation():
-    with pytest.raises(ValueError):
-        motzkin.MotzkinPath("du")
-    with pytest.raises(ValueError):
-        motzkin.MotzkinPath("uu")
-    with pytest.raises(ValueError):
-        motzkin.MotzkinPath("uxd")
-    assert len(motzkin.MotzkinPath("uhd")) == 3
+@pytest.mark.parametrize(
+    "steps, message",
+    [
+        ("uxd", "invalid step 'x' in 'uxd'"),
+        ("du", "path 'du' dips below the axis"),
+        ("uu", "path 'uu' does not return to the axis"),
+    ],
+)
+def test_segment_profile_refuses_a_string_that_is_not_a_path(steps, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        motzkin.segment_profile(steps)
 
 
 def test_enumerate_small_sets():
-    assert [str(p) for p in motzkin.enumerate_paths(1, 1)] == ["udh", "uhd", "hud"]
-    assert [str(p) for p in motzkin.enumerate_paths(0, 4)] == ["hhhh"]
+    assert list(motzkin.enumerate_paths(1, 1)) == ["udh", "uhd", "hud"]
+    assert list(motzkin.enumerate_paths(0, 4)) == ["hhhh"]
     # lexicographic under u < d < h: "uudd" precedes "udud"
-    assert [str(p) for p in motzkin.enumerate_paths(2, 0)] == ["uudd", "udud"]
+    assert list(motzkin.enumerate_paths(2, 0)) == ["uudd", "udud"]
 
 
 def test_enumerate_bound():
@@ -42,10 +46,10 @@ def test_enumerate_bound():
 
 def test_segment_profile():
     # (u-runs, h-runs), each as (length, count) pairs in length order
-    assert motzkin.segment_profile(motzkin.MotzkinPath("uudd")) == (((2, 1),), ())
-    assert motzkin.segment_profile(motzkin.MotzkinPath("uhd")) == (((1, 1),), ((1, 1),))
-    assert motzkin.segment_profile(motzkin.MotzkinPath("uhhdud")) == (((1, 2),), ((2, 1),))
-    assert motzkin.segment_profile(motzkin.MotzkinPath("")) == ((), ())
+    assert motzkin.segment_profile("uudd") == (((2, 1),), ())
+    assert motzkin.segment_profile("uhd") == (((1, 1),), ((1, 1),))
+    assert motzkin.segment_profile("uhhdud") == (((1, 2),), ((2, 1),))
+    assert motzkin.segment_profile("") == ((), ())
 
 
 def test_bruteforce_weighted_sums():
@@ -56,7 +60,7 @@ def test_bruteforce_weighted_sums():
 
 def test_path_weight_is_the_weight_of_the_path_profile():
     weights = motzkin.named_weights("b-ary", b=2, d=3)
-    path = motzkin.MotzkinPath("uhhduudhd")
+    path = "uhhduudhd"
     assert motzkin.segment_profile(path) == (((1, 1), (2, 1)), ((1, 1), (2, 1)))
     expected = (
         weights.entry("t", 1) * weights.entry("t", 2)

@@ -20,6 +20,34 @@ T2 = Polynomial.variable("t", 2)
 S1 = Polynomial.variable("s", 1)
 
 
+def from_text(text: str) -> Polynomial:
+    """The polynomial a `Polynomial.to_text` string prints, parsed back
+    through `monomial`, so the text form can be checked to round-trip."""
+    text = text.strip()
+    if text == "0":
+        return Polynomial.zero()
+    terms = {}
+    for chunk in text.split(" + "):
+        tokens = chunk.split("*")
+        try:
+            coeff = Fraction(tokens[0])
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"bad coefficient {tokens[0]!r}") from exc
+        items = []
+        for tok in tokens[1:]:
+            if "^" in tok:
+                name, _, exp_text = tok.partition("^")
+                exp = int(exp_text)
+            else:
+                name, exp = tok, 1
+            if len(name) < 2 or name[0] not in ("t", "s"):
+                raise ValueError(f"bad variable token {tok!r}")
+            items.append(((name[0], int(name[1:])), exp))
+        mono = monomial(items)
+        terms[mono] = terms.get(mono, 0) + coeff
+    return Polynomial(terms)
+
+
 coefficients = st.fractions(
     min_value=-5, max_value=5, max_denominator=4
 )
@@ -124,11 +152,11 @@ def test_monomial_product_interleaves_families_canonically():
 def test_a_repeated_variable_packs_as_one_item():
     assert monomial([(("t", 1), 1), (("t", 1), 1)]) == var("t", 1, 2)
     assert monomial([(("s", 2), 1), (("t", 1), 0), (("s", 2), 3)]) == var("s", 2, 4)
-    assert Polynomial.from_text("1*t1*t1") == Polynomial.from_text("1*t1^2")
-    assert Polynomial.from_text("2*s3*t1*s3^2").to_text() == "2*t1*s3^3"
+    assert from_text("1*t1*t1") == from_text("1*t1^2")
+    assert from_text("2*s3*t1*s3^2").to_text() == "2*t1*s3^3"
     for text in ("1*t1*t1", "3*t2*t1*t2 + -1*t1^2*t1"):
-        p = Polynomial.from_text(text)
-        assert Polynomial.from_text(p.to_text()) == p
+        p = from_text(text)
+        assert from_text(p.to_text()) == p
         assert all(len({v for v, _ in monomial_items(key)}) == len(key) for key in p.terms)
 
 
@@ -143,14 +171,14 @@ def test_field_overflow_is_refused_never_carried():
     with pytest.raises(ValueError, match="does not fit"):
         Polynomial.variable("s", 3) ** top * Polynomial.variable("s", 3)
     with pytest.raises(ValueError, match="does not fit"):
-        Polynomial.from_text(f"1*t1^{1 << 40}")
+        from_text(f"1*t1^{1 << 40}")
     with pytest.raises(ValueError, match="does not fit"):
-        Polynomial.from_text(f"1*s2^{top}*s2")
+        from_text(f"1*s2^{top}*s2")
     big = 1 << polyring._INDEX_BITS
     assert Polynomial.variable("s", big - 1).to_text() == f"1*s{big - 1}"
     for make in (
         lambda: Polynomial.variable("t", big),
-        lambda: Polynomial.from_text(f"1*s{big}"),
+        lambda: from_text(f"1*s{big}"),
         lambda: monomial([(("t", 1 << 40), 1)]),
     ):
         with pytest.raises(ValueError, match="does not fit"):
@@ -278,7 +306,7 @@ def test_integral_coefficients_are_stored_as_ints():
     assert type(next(iter(T1.terms.values()))) is int
     assert type(Polynomial.const(Fraction(6, 3)).terms[monomial()]) is int
     assert type(((T1 + S1) ** 3 * 2).terms[var("t", 1, 3)]) is int
-    assert Polynomial.from_text("4/2*t1 + 1/2*s1").terms == {
+    assert from_text("4/2*t1 + 1/2*s1").terms == {
         var("t", 1): 2,
         var("s", 1): Fraction(1, 2),
     }
@@ -382,7 +410,7 @@ def test_text_matches_the_nested_key_renderer(p):
 @settings(max_examples=80)
 @given(polynomials())
 def test_text_round_trip(p):
-    assert Polynomial.from_text(p.to_text()) == p
+    assert from_text(p.to_text()) == p
 
 
 def test_text_output_is_deterministic():
